@@ -11,6 +11,7 @@ from .errors import (
     InvalidLevel,
     InvariantViolation,
     NoClosedForm,
+    NonFiniteInput,
     NpSpaceError,
     SpaceMismatch,
 )

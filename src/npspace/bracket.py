@@ -72,26 +72,3 @@ class NormBracket:
     @property
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
-
-    def contains(self, value: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= value <= self.hi + slack
-
-    def scaled(self, factor: float) -> "NormBracket":
-        """Bracket for |factor| times the bracketed value."""
-        a = abs(factor)
-        return NormBracket(self.lo * a, self.hi * a, self.lo_source, self.hi_source)
-
-    def intersect(self, other: "NormBracket") -> "NormBracket":
-        """Pointwise best of two brackets for the same value."""
-        lo, lo_src = max((self.lo, self.lo_source), (other.lo, other.lo_source))
-        hi, hi_src = min((self.hi, self.hi_source), (other.hi, other.hi_source))
-        if lo > hi:
-            # Both inputs claim certification, so a crossing means a bug.
-            if lo <= hi + 1e-9 * max(1.0, hi):
-                lo, lo_src = hi, lo_src
-            else:
-                raise InvariantViolation(
-                    f"disjoint certified brackets: [{self.lo}, {self.hi}] vs "
-                    f"[{other.lo}, {other.hi}]"
-                )
-        return NormBracket(lo, hi, lo_src, hi_src)

@@ -13,6 +13,10 @@ class DependentBasis(NpSpaceError):
     """Basis matrices are linearly dependent (or too close to dependent)."""
 
 
+class NonFiniteInput(NpSpaceError):
+    """A basis matrix or map coefficient holds NaN or infinity."""
+
+
 class SpaceMismatch(NpSpaceError):
     """An element or map was combined with an incompatible space."""
 

@@ -1,7 +1,7 @@
 """Linear maps between concrete operator spaces and their level-norm brackets.
 
 A map is stored as its coordinate matrix between bases.  Level norms
-||phi_n|| are bracketed from below by the alternating-ascent optimizer
+||phi_n|| are bracketed from below by the batched ascent optimizer
 (witnessed) and from above by a stack of certified caps: n times the base
 norm, the coefficient relaxation, stabilization at the codomain's ambient
 dimension, and monotone caps from higher levels.
@@ -42,6 +42,7 @@ from .spaces import (
     _same_space,
     pad_to,
     realize,
+    require_finite,
     space_from_dict,
     space_to_dict,
     spectral_norm,
@@ -70,6 +71,7 @@ class LinearMapRep:
         want = (self.codomain.dim, self.domain.dim)
         if c.shape != want:
             raise DimensionMismatch(f"coeff shape {c.shape}, expected {want}")
+        require_finite(c, f"coefficients of map {self.label!r}")
         c.setflags(write=False)
         object.__setattr__(self, "coeff", c)
 

@@ -1,23 +1,27 @@
-"""Alternating-ascent maximization of amplified spectral norms.
+"""Batched ascent for amplified spectral norms.
 
-The quantity being maximized is ||A(x)|| over level-n elements x of the
-domain space with realized norm at most 1, where A(x) is the realized image
-of the entrywise-applied map.  For fixed unit vectors u, v the objective
-Re<u, A(x) v> is linear in the coordinates of x, so each half-step solves a
-linear problem over the unit ball of M_n(V); u, v are then refreshed from
-the top singular pair of A(x).  Every iterate is feasible, so every reported
-value is a certified lower bound with a re-checkable witness.
+The quantity maximized is the ratio ||phi_n(x)|| / ||x|| over nonzero
+level-n elements x of the domain, both norms being spectral norms of
+realized matrices.  All restarts advance together as one stacked batch.
+Each live restart makes one proposal per iteration and keeps it only where
+the ratio rises, so every reported value is a lower bound witnessed by the
+re-checkable element x / ||x||.
+
+With (u, v) the top singular pair of phi_n(x), the proposal on a full
+matrix algebra is the polar factor of the realized representer of
+x -> Re<u, phi_n(x) v>: the exact maximizer of that functional over the
+unit ball.  On a proper subspace it is a step along the gradient of the
+log ratio, taken from the top singular pairs of both realizations, with a
+per-restart step length that grows on success and shrinks on failure.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import OperatorSpace, SpaceElement, realize, spectral_norm
+from .spaces import OperatorSpace, SpaceElement, realize, realize_batch, spectral_norm, unrealize
 
 # Stream-separation constant mixed into every RNG seed sequence.
 _SEED_TAG = 0x414D50
@@ -25,6 +29,16 @@ _SEED_TAG = 0x414D50
 # Restarts agreeing with the best value within this relative gap count as
 # independent confirmations of the optimum.
 _AGREE_REL = 1e-9
+
+# A restart converges after this many consecutive iterations that raise its
+# ratio by less than budget.tol (relative).
+_STALL_LIMIT = 5
+
+# Gradient step on proper subspaces, relative to ||x||: initial length and
+# the factors applied after an accepted and after a rejected proposal.
+_STEP_START = 0.5
+_STEP_GROW = 1.5
+_STEP_SHRINK = 0.5
 
 
 @dataclass(frozen=True)
@@ -53,144 +67,20 @@ class AscentOutcome:
     support: int  # number of restarts agreeing with the best value
 
 
-def worker_count() -> int:
-    """Parallelism cap from NPSPACE_THREADS (default 1; output-invariant)."""
-    try:
-        return max(1, int(os.environ.get("NPSPACE_THREADS", "1")))
-    except ValueError:
-        return 1
+def _top_pair(mats: np.ndarray):
+    """Top singular value and vectors (s, u, v) of each matrix in a stack."""
+    u, s, vh = np.linalg.svd(mats)
+    return s[:, 0], u[:, :, 0], vh[:, 0].conj()
 
 
-def realize_image(images: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Realized A(x) for coords (n, n, k) against image stack (k, e, e)."""
-    n = coords.shape[0]
-    e = images.shape[1]
-    return np.einsum("ijt,tab->iajb", coords, images).reshape(n * e, n * e)
+def _representer(gram_inv, stack, n, u, v) -> np.ndarray:
+    """Coordinates of the element w of M_n(V) with Re<w, x>_F = Re<u, y(x) v>.
 
-
-def project_to_unit_ball(
-    space: OperatorSpace, coords: np.ndarray, rounds: int = 100, tol: float = 1e-12
-) -> np.ndarray:
-    """Alternating projection onto {x in M_n(V) : ||x|| <= 1}.
-
-    Alternates singular-value clipping with blockwise least-squares return
-    to the subspace; ends with an exact rescale so the result is feasible.
+    y(x) is x realized against ``stack``: the domain basis, or its images.
     """
-    n = coords.shape[0]
-    d = space.ambient_dim
-    cur = coords
-    for _ in range(rounds):
-        m = realize(SpaceElement(space, n, cur))
-        u, s, vh = np.linalg.svd(m)
-        if s[0] <= 1.0 + tol:
-            break
-        clipped = (u * np.minimum(s, 1.0)) @ vh
-        blocks = clipped.reshape(n, d, n, d).transpose(0, 2, 1, 3).reshape(n, n, d * d)
-        nxt = blocks @ space._vec_pinv.T
-        if np.linalg.norm(nxt - cur) <= tol:
-            cur = nxt
-            break
-        cur = nxt
-    nrm = spectral_norm(realize(SpaceElement(space, n, cur)))
-    if nrm > 1.0:
-        cur = cur / nrm
-    return cur
-
-
-def _coords_from_realized(space: OperatorSpace, n: int, matrix: np.ndarray) -> np.ndarray:
-    d = space.ambient_dim
-    blocks = matrix.reshape(n, d, n, d).transpose(0, 2, 1, 3).reshape(n, n, d * d)
-    return blocks @ space._vec_pinv.T
-
-
-def _linear_step(
-    space: OperatorSpace, images: np.ndarray, n: int, u: np.ndarray, v: np.ndarray
-) -> np.ndarray | None:
-    """Maximize Re<u, A(x) v> over the unit ball of M_n(V).
-
-    Exact (polar factor) when the domain is the full matrix algebra; for a
-    proper subspace the scaled steepest direction is pushed back into the
-    feasible set by alternating projection.
-    """
-    e = images.shape[1]
-    um = u.reshape(n, e)
-    vm = v.reshape(n, e)
-    # G[i,j,t] = <u_i, images_t v_j>; the objective is Re sum x_ijt G_ijt.
-    g = np.einsum("ia,tab,jb->ijt", um.conj(), images, vm)
-    # Realized representer: Re<W, R_x>_F equals the objective.
-    h = np.einsum("ijt,tq->ijq", g, space._vec_pinv)
-    d = space.ambient_dim
-    w = h.conj().reshape(n, n, d, d).transpose(0, 2, 1, 3).reshape(n * d, n * d)
-    scale = np.linalg.norm(w)
-    if not np.isfinite(scale) or scale < 1e-300:
-        return None
-    if space.is_full_matrix_algebra:
-        uu, _, vv = np.linalg.svd(w)
-        coords = _coords_from_realized(space, n, uu @ vv)
-    else:
-        direction = _coords_from_realized(space, n, w)
-        nrm = spectral_norm(realize(SpaceElement(space, n, direction)))
-        if nrm < 1e-300:
-            return None
-        coords = project_to_unit_ball(space, direction * (2.0 / nrm))
-    nrm = spectral_norm(realize(SpaceElement(space, n, coords)))
-    if nrm > 1.0:
-        coords = coords / nrm
-    return coords
-
-
-def _objective(g: np.ndarray, coords: np.ndarray) -> float:
-    return float(np.real(np.sum(g * coords)))
-
-
-def _run_restart(
-    space: OperatorSpace,
-    images: np.ndarray,
-    n: int,
-    budget: OptBudget,
-    rng: np.random.Generator,
-) -> tuple[float, np.ndarray, bool]:
-    e = images.shape[1]
-    ne = n * e
-    k = images.shape[0]
-
-    def unit(size):
-        z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        return z / np.linalg.norm(z)
-
-    u = unit(ne)
-    v = unit(ne)
-    best_val = -np.inf
-    best_x = np.zeros((n, n, k), dtype=complex)
-    stall = 0
-    converged = False
-    for _ in range(budget.max_iter):
-        x = _linear_step(space, images, n, u, v)
-        if x is None:
-            # Flat objective (zero map or degenerate direction).
-            if best_val == -np.inf:
-                return 0.0, best_x, True
-            converged = True
-            break
-        a = realize_image(images, x)
-        uu, s, vh = np.linalg.svd(a)
-        val = float(s[0])
-        improvement = val - best_val
-        if val > best_val:
-            best_val = val
-            best_x = x
-            u = uu[:, 0]
-            v = vh[0].conj()
-        if improvement < budget.tol * max(1.0, abs(best_val)):
-            stall += 1
-            if stall >= 5:
-                converged = True
-                break
-        else:
-            stall = 0
-    if best_val == -np.inf:
-        return 0.0, best_x, True
-    return best_val, best_x, converged
+    e = stack.shape[-1]
+    g = np.einsum("ria,tab,rjb->rijt", u.reshape(-1, n, e).conj(), stack, v.reshape(-1, n, e))
+    return g.conj() @ gram_inv.T
 
 
 def maximize_amplified_norm(
@@ -200,42 +90,74 @@ def maximize_amplified_norm(
     budget: OptBudget = DEFAULT_BUDGET,
     seed: int = 0,
 ) -> AscentOutcome:
-    """Multi-restart ascent; deterministic for a fixed seed.
-
-    Restarts are independent (and may run on worker threads, capped by
-    NPSPACE_THREADS); results are merged in restart order so the outcome
-    does not depend on scheduling.
-    """
+    """Multi-restart batched ascent; deterministic for a fixed seed."""
     n = int(level)
     if not np.any(images):
         k = images.shape[0]
         return AscentOutcome(0.0, np.zeros((n, n, k), dtype=complex), True, budget.restarts)
 
-    def run(r: int):
+    stack = space._stack
+    gram_inv = space._vec_pinv @ space._vec_pinv.conj().T
+    full = space.is_full_matrix_algebra
+
+    def unit(rng, size):
+        z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        return z / np.linalg.norm(z)
+
+    ne = n * images.shape[1]
+    starts = []
+    for r in range(budget.restarts):
         rng = np.random.default_rng([_SEED_TAG, abs(int(seed)), n, r])
-        return _run_restart(space, images, n, budget, rng)
+        starts.append((unit(rng, ne), unit(rng, ne)))
+    u0, v0 = (np.stack(side) for side in zip(*starts))
 
-    workers = worker_count()
-    if workers > 1 and budget.restarts > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, range(budget.restarts)))
-    else:
-        results = [run(r) for r in range(budget.restarts)]
+    def evaluate(coords):
+        img, img_u, img_v = _top_pair(realize_batch(images, coords))
+        dom, dom_u, dom_v = _top_pair(realize_batch(stack, coords))
+        return img / dom, (img, img_u, img_v, dom, dom_u, dom_v)
 
-    best_val, best_x, best_conv = results[0]
-    for val, x, conv in results[1:]:
-        if val > best_val:
-            best_val, best_x, best_conv = val, x, conv
-    support = sum(
-        1
-        for val, _, conv in results
-        if conv and abs(val - best_val) <= _AGREE_REL * max(1.0, best_val)
+    x = _representer(gram_inv, images, n, u0, v0)
+    ratio, pairs = evaluate(x)
+    step = np.full(budget.restarts, _STEP_START)
+    stall = np.zeros(budget.restarts, dtype=int)
+    converged = np.zeros(budget.restarts, dtype=bool)
+    for _ in range(budget.max_iter):
+        live = np.flatnonzero(~converged)
+        if live.size == 0:
+            break
+        img, img_u, img_v, dom, dom_u, dom_v = (p[live] for p in pairs)
+        w = _representer(gram_inv, images, n, img_u, img_v)
+        if full:
+            pu, _, pvh = np.linalg.svd(realize_batch(stack, w))
+            prop = unrealize(space, n, pu @ pvh)
+        else:
+            grad = w / img[:, None, None, None] - _representer(
+                gram_inv, stack, n, dom_u, dom_v
+            ) / dom[:, None, None, None]
+            size = np.linalg.norm(realize_batch(stack, grad), axis=(-2, -1))
+            # A vanishing gradient (a constant ratio) leaves x where it is.
+            t = np.divide(step[live] * dom, size, out=np.zeros_like(size), where=size > 0)
+            prop = x[live] + t[:, None, None, None] * grad
+        new_ratio, new_pairs = evaluate(prop)
+        old = ratio[live]
+        keep = new_ratio > old
+        took = live[keep]
+        x[took] = prop[keep]
+        ratio[took] = new_ratio[keep]
+        for p, q in zip(pairs, new_pairs):
+            p[took] = q[keep]
+        step[live] *= np.where(keep, _STEP_GROW, _STEP_SHRINK)
+        small = new_ratio - old < budget.tol * np.maximum(1.0, ratio[live])
+        stall[live] = np.where(small, stall[live] + 1, 0)
+        converged[live] = stall[live] >= _STALL_LIMIT
+
+    best = int(np.argmax(ratio))
+    support = int(
+        np.sum(converged & (np.abs(ratio - ratio[best]) <= _AGREE_REL * max(1.0, ratio[best])))
     )
 
     # Re-check the witness through the plain evaluation path.
-    nrm = spectral_norm(realize(SpaceElement(space, n, best_x)))
-    if nrm > 1.0:
-        best_x = best_x / nrm
-    value = spectral_norm(realize_image(images, best_x))
-    converged = best_conv and (support >= 2 or budget.restarts == 1)
-    return AscentOutcome(value, best_x, converged, support)
+    best_x = x[best] / spectral_norm(realize(SpaceElement(space, n, x[best])))
+    value = spectral_norm(realize_batch(images, best_x))
+    conv = bool(converged[best]) and (support >= 2 or budget.restarts == 1)
+    return AscentOutcome(value, best_x, conv, support)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import LevelNormTable, LinearMapRep, realize_amplified
-from .spaces import SpaceElement, realize, spectral_norm
+from .spaces import SpaceElement, realize, realize_batch, spectral_norm, unrealize
 
 _SEED_TAG = 0x4F52
 
@@ -33,37 +33,18 @@ _CLIMB_PROPOSALS = 8
 _STOP_STEP = 1e-9
 
 
-def _batch_realize(stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Realize a batch of (n, n, k) coordinate arrays against a (k, d, d) stack."""
-    n = coords.shape[1]
-    d = stack.shape[1]
-    big = np.einsum("xijt,tab->xiajb", coords, stack, optimize=True)
-    return big.reshape(coords.shape[0], n * d, n * d)
-
-
-def _batch_values(images: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Spectral norms of realized map images for a batch of coordinates."""
-    return np.linalg.svd(_batch_realize(images, coords), compute_uv=False)[:, 0]
-
-
-def _batch_level_norms(space_stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(_batch_realize(space_stack, coords), compute_uv=False)[:, 0]
+def _batch_norms(stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Spectral norms of a batch of coordinate arrays realized against a stack."""
+    return np.linalg.svd(realize_batch(stack, coords), compute_uv=False)[:, 0]
 
 
 def _search_unitary(phi: LinearMapRep, n: int, trials: int, rng) -> np.ndarray:
     """Climb over unitaries U, x = coords(U); returns the best coordinates."""
-    d = phi.domain.ambient_dim
-    k = phi.domain.dim
-    nd = n * d
-    pinv_t = phi.domain._vec_pinv.T
+    nd = n * phi.domain.ambient_dim
     images = phi.images()
 
-    def coords_of(mats: np.ndarray) -> np.ndarray:
-        blocks = mats.reshape(-1, n, d, n, d).transpose(0, 1, 3, 2, 4)
-        return blocks.reshape(-1, n, n, d * d) @ pinv_t
-
     def values(mats: np.ndarray) -> np.ndarray:
-        return _batch_values(images, coords_of(mats))
+        return _batch_norms(images, unrealize(phi.domain, n, mats))
 
     g = rng.standard_normal((trials, nd, nd)) + 1j * rng.standard_normal((trials, nd, nd))
     q, r = np.linalg.qr(g)
@@ -97,7 +78,7 @@ def _search_unitary(phi: LinearMapRep, n: int, trials: int, rng) -> np.ndarray:
         if step.max() < _STOP_STEP:
             break
     top = int(np.argmax(best))
-    return coords_of(cur[top][None])[0]
+    return unrealize(phi.domain, n, cur[top])
 
 
 def _search_coords(phi: LinearMapRep, n: int, trials: int, rng) -> np.ndarray:
@@ -107,12 +88,12 @@ def _search_coords(phi: LinearMapRep, n: int, trials: int, rng) -> np.ndarray:
     images = phi.images()
 
     def normalize(batch: np.ndarray) -> np.ndarray:
-        norms = np.maximum(_batch_level_norms(stack, batch), 1e-300)
+        norms = np.maximum(_batch_norms(stack, batch), 1e-300)
         return batch / norms[:, None, None, None]
 
     shape = (trials, n, n, k)
     xs = normalize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    vals = _batch_values(images, xs)
+    vals = _batch_norms(images, xs)
 
     starts = min(_CLIMB_STARTS, trials)
     keep = np.argsort(vals)[::-1][:starts]
@@ -125,7 +106,7 @@ def _search_coords(phi: LinearMapRep, n: int, trials: int, rng) -> np.ndarray:
         )
         cand = cur[:, None] + step[:, None, None, None, None] * noise
         cand = normalize(cand.reshape(starts * _CLIMB_PROPOSALS, n, n, k))
-        cv = _batch_values(images, cand).reshape(starts, _CLIMB_PROPOSALS)
+        cv = _batch_norms(images, cand).reshape(starts, _CLIMB_PROPOSALS)
         bi = np.argmax(cv, axis=1)
         bv = cv[np.arange(starts), bi]
         improved = bv > best

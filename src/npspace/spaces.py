@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DependentBasis, DimensionMismatch, InvalidLevel, SpaceMismatch
+from .errors import DependentBasis, DimensionMismatch, InvalidLevel, NonFiniteInput, SpaceMismatch
 
 # Relative smallest-singular-value cutoff below which a basis is rejected.
 INDEPENDENCE_CUTOFF = 1e-10
@@ -23,6 +23,14 @@ INDEPENDENCE_CUTOFF = 1e-10
 def spectral_norm(matrix: np.ndarray) -> float:
     """Largest singular value of a dense matrix."""
     return float(np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)[0])
+
+
+def require_finite(arr: np.ndarray, what: str) -> None:
+    """Raise NonFiniteInput naming the first NaN or infinite entry of arr."""
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0])
+        raise NonFiniteInput(f"{what}: entry {idx} is {arr[idx]}, not a finite number")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -63,6 +71,7 @@ class OperatorSpace:
                 )
         object.__setattr__(self, "basis", mats)
         stack = _readonly(np.stack(mats))
+        require_finite(stack, f"basis of {self.label!r}")
         vec = _readonly(stack.reshape(len(mats), d * d).T)
         svals = np.linalg.svd(vec, compute_uv=False)
         smax = float(svals[0])
@@ -134,11 +143,29 @@ class SpaceElement:
         object.__setattr__(self, "coords", c)
 
 
+def realize_batch(stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Realize (..., n, n, k) coordinates against a (k, d, d) stack.
+
+    The result has shape (..., nd, nd); its (i, j) block of size d x d is
+    sum_t coords[..., i, j, t] * stack[t].  This is the one place that
+    fixes the block layout; ``unrealize`` inverts it.
+    """
+    n, d = coords.shape[-2], stack.shape[-1]
+    big = np.einsum("...ijt,tab->...iajb", coords, stack)
+    return big.reshape(*coords.shape[:-3], n * d, n * d)
+
+
+def unrealize(space: OperatorSpace, n: int, mats: np.ndarray) -> np.ndarray:
+    """Blockwise least-squares coordinates (..., n, n, k) of (..., nd, nd) matrices."""
+    d = space.ambient_dim
+    lead = mats.shape[:-2]
+    blocks = mats.reshape(*lead, n, d, n, d).swapaxes(-3, -2).reshape(*lead, n, n, d * d)
+    return blocks @ space._vec_pinv.T
+
+
 def realize(x: SpaceElement) -> np.ndarray:
     """The (nd) x (nd) matrix whose (i, j) block is the entry x_{ij} of V."""
-    n, d = x.level, x.space.ambient_dim
-    big = np.einsum("ijt,tab->iajb", x.coords, x.space._stack)
-    return big.reshape(n * d, n * d)
+    return realize_batch(x.space._stack, x.coords)
 
 
 def level_norm(x: SpaceElement) -> float:
@@ -152,9 +179,7 @@ def element_from_matrix(space: OperatorSpace, level: int, matrix: np.ndarray) ->
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (level * d, level * d):
         raise DimensionMismatch(f"expected ({level * d},)*2, got {m.shape}")
-    blocks = m.reshape(level, d, level, d).transpose(0, 2, 1, 3).reshape(level, level, d * d)
-    coords = blocks @ space._vec_pinv.T
-    return SpaceElement(space, level, coords)
+    return SpaceElement(space, level, unrealize(space, level, m))
 
 
 def direct_sum(x: SpaceElement, y: SpaceElement) -> SpaceElement:

@@ -60,6 +60,18 @@ def test_levels_schema_error_exit_2(tmp_path):
     assert run(["levels", str(bad)]) == 2
 
 
+def test_levels_nan_map_file_exit_2(tmp_path, capsys):
+    from npspace import get_entry, map_to_dict
+
+    spec = map_to_dict(get_entry("transpose_M2").map)
+    spec["action"][3][0][1] = float("nan")  # json writes the NaN literal
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(spec))
+    assert run(["levels", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "coefficients of map 'transpose_M2': entry (0, 3) is (nan" in err
+
+
 def test_npnorm_trace_p2(tmp_path, capsys):
     out = tmp_path / "np.json"
     code = run(["npnorm", "catalog:trace_M2", "--p", "2", "--seed", "7", "--out", str(out)])

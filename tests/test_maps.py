@@ -6,6 +6,7 @@ import pytest
 from npspace import (
     InconsistentAction,
     InvalidLevel,
+    NonFiniteInput,
     OptBudget,
     amplify,
     base_norm,
@@ -82,6 +83,13 @@ def test_make_map_rejects_matrix_outside_codomain_span():
     diag_space = make_space(2, [units[0], units[3]], "diag")
     with pytest.raises(InconsistentAction):
         make_map(M2, diag_space, [units[0], units[1], units[2], units[3]])
+
+
+def test_make_map_rejects_inf_coefficient():
+    action = [np.zeros(4, dtype=complex) for _ in range(4)]
+    action[2][1] = np.inf
+    with pytest.raises(NonFiniteInput, match=r"coefficients of map 'phi': entry \(1, 2\) is \(inf"):
+        make_map(M2, M2, action)
 
 
 def test_make_map_rejects_wrong_action_count():
@@ -261,18 +269,6 @@ def test_table_witnesses_sound_after_propagation(catalog_tables, catalog_entries
             assert level_norm(x) <= 1.0 + 1e-10
             achieved = np.linalg.norm(realize_amplified(phi, x), 2)
             assert achieved >= entry.bracket.lo - 1e-10
-
-
-def test_thread_cap_does_not_change_results(monkeypatch):
-    from npspace import map_from_dict, map_to_dict
-
-    phi1 = map_from_dict(map_to_dict(_transpose(M2)))
-    phi4 = map_from_dict(map_to_dict(_transpose(M2)))
-    monkeypatch.delenv("NPSPACE_THREADS", raising=False)
-    b1 = level_norm_bracket(phi1, 2, seed=SEED)
-    monkeypatch.setenv("NPSPACE_THREADS", "4")
-    b4 = level_norm_bracket(phi4, 2, seed=SEED)
-    assert (b1.lo, b1.hi, b1.lo_source, b1.hi_source) == (b4.lo, b4.hi, b4.lo_source, b4.hi_source)
 
 
 def test_scaling_both_bounds(rng):

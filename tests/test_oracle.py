@@ -1,6 +1,7 @@
 """Brute-force oracle: lower-bound quality and table cross-validation."""
 
 import numpy as np
+import pytest
 
 from npspace import (
     NormBracket,
@@ -13,6 +14,7 @@ from npspace import (
     get_entry,
     level_norm,
     make_map,
+    random_subspace,
     realize_amplified,
 )
 from npspace.maps import LevelEntry, LevelNormTable
@@ -75,6 +77,18 @@ def test_cross_validate_catalog_subset():
         table = build_level_table(get_entry(name).map, 3, seed=SEED)
         report = cross_validate(table, trials=300, seed=3, max_level=3)
         assert report.passed, report.to_json_dict()["rows"]
+
+
+@pytest.mark.parametrize("s", (0, 1, 2))
+def test_cross_validate_random_subspace_domain(s):
+    # The ascent's lower bound on a proper-subspace domain must come within
+    # the oracle's 5e-3 of its brute-force value at every level.
+    rng = np.random.default_rng([20261018, s])
+    V = random_subspace(2, 3, rng)
+    images = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    phi = make_map(V, full_matrix_space(2), list(images))
+    report = cross_validate(build_level_table(phi, 2, seed=0), trials=500, seed=0, max_level=2)
+    assert report.passed
 
 
 def test_cross_validate_zero_map_trivially_consistent():

@@ -14,6 +14,7 @@ from npspace import (
     element_from_matrix,
     full_matrix_space,
     level_norm,
+    NonFiniteInput,
     make_space,
     pad_to,
     random_element,
@@ -47,6 +48,12 @@ def test_make_space_identity_basis():
 def test_make_space_rejects_colinear_pair():
     with pytest.raises(DependentBasis):
         make_space(2, [I2, 2 * I2])
+
+
+def test_make_space_rejects_nan_basis_entry():
+    bad = np.array([[0.0, np.nan], [0.0, 0.0]])
+    with pytest.raises(NonFiniteInput, match=r"basis of 'V': entry \(1, 0, 1\) is \(nan"):
+        make_space(2, [I2, bad])
 
 
 def test_make_space_matrix_units_is_full():
