@@ -183,7 +183,11 @@ def _suite_bounds(seed: int, budget: OptBudget, trials: int) -> list[tuple[str, 
         cv = cross_validate(table, trials=trials, seed=seed)
         checks.append((f"monotone_lo[{entry.name}]", mono, f"los={los}"))
         checks.append((f"linear_cap[{entry.name}]", cap, f"his={his}"))
-        checks.append((f"oracle[{entry.name}]", cv.passed, ""))
+        gaps = "; ".join(
+            f"n={r['level']} brute={r['brute_lo']:.9g} lo={r['table_lo']:.9g} hi={r['table_hi']:.9g}"
+            for r in cv.rows
+        )
+        checks.append((f"oracle[{entry.name}]", cv.passed, gaps))
     return checks
 
 

@@ -141,7 +141,14 @@ def test_verify_inclusions_suite(capsys):
 def test_verify_bounds_suite(capsys):
     assert run(["verify", "--suite", "bounds", "--seed", "5", "--trials", "100"]) == 0
     out = capsys.readouterr().out
-    assert "27/27 checks passed" in out
+    assert out.splitlines()[-1] == "27/27 checks passed"
+    # The oracle row reports, per checked level, the brute value beside the bracket.
+    row = next(line for line in out.splitlines() if line.startswith("PASS oracle[transpose_M2]"))
+    levels = [dict(f.split("=") for f in part.split()) for part in row.split("  ", 1)[1].split("; ")]
+    assert [lv["n"] for lv in levels] == ["1", "2", "3", "4"]
+    for lv in levels:
+        brute, lo, hi = float(lv["brute"]), float(lv["lo"]), float(lv["hi"])
+        assert lo >= brute - 5e-3 * max(1.0, brute) and brute <= hi + 1e-9
 
 
 def test_plotdata_monotone_lo(tmp_path):

@@ -14,12 +14,14 @@ from npspace import (
     get_entry,
     level_norm,
     make_map,
+    make_space,
     random_subspace,
     realize_amplified,
 )
 from npspace.maps import LevelEntry, LevelNormTable
 from npspace.optimize import DEFAULT_BUDGET
-from npspace.spaces import SpaceElement
+from npspace.oracle import _batch_norms
+from npspace.spaces import SpaceElement, realize_batch
 
 SEED = 11
 
@@ -44,8 +46,20 @@ def test_brute_zero_map():
     assert brute_level_norm(phi, 2, trials=10, seed=0) == 0.0
 
 
-def test_brute_witness_is_feasible_and_achieves_value():
-    phi = get_entry("schur_M2").map
+def _upper_triangular_inclusion():
+    m2 = full_matrix_space(2)
+    units = [np.array(b) for b in m2.basis]
+    upper = make_space(2, [units[0], units[1], units[3]], "UT2")
+    return make_map(upper, m2, [units[0], units[1], units[3]], "incl")
+
+
+@pytest.mark.parametrize(
+    "make_phi",
+    (lambda: get_entry("schur_M2").map, _upper_triangular_inclusion),
+    ids=("unitary_climb", "coordinate_climb"),
+)
+def test_brute_witness_is_feasible_and_achieves_value(make_phi):
+    phi = make_phi()
     value, witness = brute_search(phi, 2, trials=300, seed=4)
     x = SpaceElement(phi.domain, 2, witness)
     assert level_norm(x) <= 1.0 + 1e-10
@@ -54,13 +68,32 @@ def test_brute_witness_is_feasible_and_achieves_value():
 
 def test_brute_subspace_domain_fallback():
     # Proper subspace domain exercises the coordinate-perturbation path.
-    m2 = full_matrix_space(2)
-    units = [np.array(b) for b in m2.basis]
-    upper = __import__("npspace").make_space(2, [units[0], units[1], units[3]], "UT2")
-    incl = make_map(upper, m2, [units[0], units[1], units[3]], "incl")
-    value = brute_level_norm(incl, 2, trials=500, seed=2)
+    value = brute_level_norm(_upper_triangular_inclusion(), 2, trials=500, seed=2)
     assert value >= 1.0 - 5e-3  # inclusion is a complete isometry
     assert value <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("level", (0, -1))
+def test_brute_search_rejects_level_below_one(level):
+    with pytest.raises(ValueError, match="level must be >= 1"):
+        brute_search(get_entry("identity_M2").map, level)
+
+
+def test_batch_norms_match_svd_reference():
+    # The climbs score by sqrt(lambda_max(A A*)); the SVD is the reference.
+    rng = np.random.default_rng(SEED)
+    cases = [(full_matrix_space(d)._stack, n) for d in (1, 2, 3) for n in range(1, 12 // d + 1)]
+    rank_one = get_entry("rank_one_M2").map.images()  # 1 x 1 images
+    cases += [(rank_one, 1), (rank_one, 3)]
+    for stack, n in cases:
+        shape = (6, n, n, stack.shape[0])
+        coords = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coords[0] = 0.0
+        coords[1, 1:] = coords[1, :, 1:] = 0.0  # one nonzero block: rank <= d
+        got = _batch_norms(stack, coords)
+        want = np.linalg.svd(realize_batch(stack, coords), compute_uv=False)[:, 0]
+        assert got[0] == 0.0
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_brute_never_exceeds_certified_caps():
