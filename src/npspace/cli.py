@@ -52,6 +52,11 @@ def _budget(args) -> OptBudget:
     return OptBudget(restarts=args.restarts, max_iter=args.max_iter, tol=args.tol)
 
 
+def _series_levels(args, phi: LinearMapRep) -> int:
+    """--max-level as given (0 is rejected downstream), or max(2, m) when absent."""
+    return max(2, phi.codomain.ambient_dim) if args.max_level is None else args.max_level
+
+
 def _add_map_options(sub, with_levels: bool = True):
     sub.add_argument("map", help="map JSON file or catalog:<name>")
     if with_levels:
@@ -94,8 +99,7 @@ def cmd_levels(args) -> int:
 
 def cmd_npnorm(args) -> int:
     phi = _resolve_map(args.map)
-    max_level = args.max_level or max(2, phi.codomain.ambient_dim)
-    table = build_level_table(phi, max_level, _budget(args), args.seed)
+    table = build_level_table(phi, _series_levels(args, phi), _budget(args), args.seed)
     result = np_norm(phi, args.p, table, args.K)
     payload = json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n"
     print(
@@ -216,7 +220,7 @@ def _parse_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"grid must be a:b:step, got {text!r}")
     a, b, step = (float(x) for x in parts)
-    if step <= 0 or b < a:
+    if not np.all(np.isfinite([a, b, step])) or step <= 0 or b < a:
         raise ValueError(f"bad grid {text!r}")
     out = []
     i = 0
@@ -230,11 +234,11 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_plotdata(args) -> int:
+    grid = _parse_grid(args.p_grid)
     phi = _resolve_map(args.map)
-    max_level = args.max_level or max(2, phi.codomain.ambient_dim)
-    table = build_level_table(phi, max_level, _budget(args), args.seed)
+    table = build_level_table(phi, _series_levels(args, phi), _budget(args), args.seed)
     lines = ["p,lo,hi"]
-    for p in _parse_grid(args.p_grid):
+    for p in grid:
         result = np_norm(phi, p, table, args.K)
         lines.append(f"{_fmt(p)},{_fmt(result.bracket.lo)},{_fmt(result.bracket.hi)}")
     _write_or_print("\n".join(lines) + "\n", args.out)

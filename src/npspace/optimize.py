@@ -13,6 +13,11 @@ x -> Re<u, phi_n(x) v>: the exact maximizer of that functional over the
 unit ball.  On a proper subspace it is a step along the gradient of the
 log ratio, taken from the top singular pairs of both realizations, with a
 per-restart step length that grows on success and shrinks on failure.
+
+The top singular pairs come from the top eigenpair of the Gram matrix
+A A* (``spaces.top_singular_pairs``), one batched eigensolve per
+realization; only the polar step takes a full SVD.  The returned value is
+re-checked through the SVD path (``spaces.spectral_norm``) on the witness.
 """
 
 from __future__ import annotations
@@ -21,7 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import OperatorSpace, SpaceElement, realize, realize_batch, spectral_norm, unrealize
+from .spaces import (
+    OperatorSpace,
+    SpaceElement,
+    realize,
+    realize_batch,
+    spectral_norm,
+    top_singular_pairs,
+    unrealize,
+)
 
 # Stream-separation constant mixed into every RNG seed sequence.
 _SEED_TAG = 0x414D50
@@ -67,12 +80,6 @@ class AscentOutcome:
     support: int  # number of restarts agreeing with the best value
 
 
-def _top_pair(mats: np.ndarray):
-    """Top singular value and vectors (s, u, v) of each matrix in a stack."""
-    u, s, vh = np.linalg.svd(mats)
-    return s[:, 0], u[:, :, 0], vh[:, 0].conj()
-
-
 def _representer(gram_inv, stack, n, u, v) -> np.ndarray:
     """Coordinates of the element w of M_n(V) with Re<w, x>_F = Re<u, y(x) v>.
 
@@ -112,8 +119,8 @@ def maximize_amplified_norm(
     u0, v0 = (np.stack(side) for side in zip(*starts))
 
     def evaluate(coords):
-        img, img_u, img_v = _top_pair(realize_batch(images, coords))
-        dom, dom_u, dom_v = _top_pair(realize_batch(stack, coords))
+        img, img_u, img_v = top_singular_pairs(realize_batch(images, coords))
+        dom, dom_u, dom_v = top_singular_pairs(realize_batch(stack, coords))
         return img / dom, (img, img_u, img_v, dom, dom_u, dom_v)
 
     x = _representer(gram_inv, images, n, u0, v0)

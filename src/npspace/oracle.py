@@ -26,7 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .maps import LevelNormTable, LinearMapRep, realize_amplified
-from .spaces import SpaceElement, realize, realize_batch, spectral_norm, unrealize
+from .spaces import (
+    SpaceElement,
+    realize,
+    realize_batch,
+    spectral_norm,
+    top_singular_values,
+    unrealize,
+)
 
 _SEED_TAG = 0x4F52
 
@@ -40,17 +47,8 @@ _STOP_STEP = 1e-9
 
 
 def _batch_norms(stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Spectral norms of a batch of coordinate arrays realized against a stack.
-
-    sigma_max(A) = sqrt(lambda_max(A A*)): the top Gram eigenvalue carries an
-    absolute error of about eps * ||A||^2, so the norm keeps about eps relative
-    accuracy, more cheaply than a full SVD.  The clamp guards the
-    square root: a top eigenvalue rounded below zero would give a NaN, which
-    ``np.argmax`` in the climbs would pick as the best candidate.
-    """
-    a = realize_batch(stack, coords)
-    top = np.linalg.eigvalsh(a @ a.conj().swapaxes(-1, -2))[..., -1]
-    return np.sqrt(np.maximum(top, 0.0))
+    """Spectral norms of a batch of coordinate arrays realized against a stack."""
+    return top_singular_values(realize_batch(stack, coords))
 
 
 def _search_unitary(phi: LinearMapRep, n: int, trials: int, rng) -> np.ndarray:

@@ -25,6 +25,37 @@ def spectral_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)[0])
 
 
+def top_singular_values(mats: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in a (..., r, c) stack.
+
+    sigma_max(A) = sqrt(lambda_max(A A*)): the top Gram eigenvalue carries an
+    absolute error of about eps * ||A||^2, so the norm keeps about eps relative
+    accuracy, more cheaply than a full SVD.  The clamp guards the square root:
+    a top eigenvalue rounded below zero would give a NaN, which an argmax or a
+    comparison downstream would mishandle.
+    """
+    top = np.linalg.eigvalsh(mats @ mats.conj().swapaxes(-1, -2))[..., -1]
+    return np.sqrt(np.maximum(top, 0.0))
+
+
+def top_singular_pairs(mats: np.ndarray):
+    """Top singular triple (s, u, v) of each matrix in a (..., r, c) stack.
+
+    s and u come from the top eigenpair of A A*, with the clamp of
+    ``top_singular_values``, and v = A* u / s.  The eigenvector's error is of
+    the same order as an SVD's, about eps * s1 / (s1 - s2).  A zero matrix
+    gives s = 0 with u and v finite unit vectors (v the first basis vector).
+    """
+    lam, vecs = np.linalg.eigh(mats @ mats.conj().swapaxes(-1, -2))
+    s = np.sqrt(np.maximum(lam[..., -1], 0.0))
+    u = vecs[..., -1]
+    ahu = (mats.conj().swapaxes(-1, -2) @ u[..., None])[..., 0]
+    zero = s == 0.0
+    v = np.divide(ahu, s[..., None], out=np.zeros_like(ahu), where=~zero[..., None])
+    v[zero, 0] = 1.0
+    return s, u, v
+
+
 def require_finite(arr: np.ndarray, what: str) -> None:
     """Raise NonFiniteInput naming the first NaN or infinite entry of arr."""
     bad = np.argwhere(~np.isfinite(arr))

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from npspace.cli import main
 
 
@@ -160,6 +162,32 @@ def test_plotdata_monotone_lo(tmp_path):
     assert lines[0] == "p,lo,hi"
     los = [float(line.split(",")[1]) for line in lines[1:]]
     assert all(a >= b for a, b in zip(los, los[1:]))
+
+
+@pytest.mark.parametrize("grid", ["nan:3:0.5", "1:inf:0.5", "1:3:nan"])
+def test_plotdata_non_finite_grid_exit_2(grid, monkeypatch, capsys):
+    # A non-finite grid once looped forever; it must fail before any ascent.
+    import npspace.cli as cli
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("level table built before the grid was checked")
+
+    monkeypatch.setattr(cli, "build_level_table", no_table)
+    assert cli.main(["plotdata", "catalog:transpose_M2", "--p-grid", grid]) == 2
+    assert "bad grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["levels", "catalog:transpose_M2"],
+        ["npnorm", "catalog:transpose_M2", "--p", "2"],
+        ["plotdata", "catalog:transpose_M2", "--p-grid", "2:3:0.5"],
+    ],
+)
+def test_max_level_zero_exit_2(command, capsys):
+    assert run(command + ["--max-level", "0"]) == 2
+    assert "max_level must be a positive integer, got 0" in capsys.readouterr().err
 
 
 def test_seeded_runs_are_byte_identical(tmp_path):

@@ -26,6 +26,7 @@ from npspace import (
     spectral_norm,
     verify_axioms,
 )
+from npspace.spaces import realize_batch, top_singular_pairs, top_singular_values
 
 I2 = np.eye(2, dtype=complex)
 
@@ -254,3 +255,44 @@ def test_space_json_rejects_bad_shapes():
         space_from_dict({"label": "x", "ambient_dim": 2, "basis": [[[[1.0, 0.0]]]]})
     with pytest.raises(ValueError):
         space_from_dict({"label": "x", "ambient_dim": 0, "basis": []})
+
+
+# ---------------------------------------------------------------------------
+# top singular kernels
+# ---------------------------------------------------------------------------
+
+
+def _kernel_cases():
+    """Realized batches of size 1..12, each with a zero, a 2*unitary and a rank-one matrix."""
+    from npspace import get_entry
+
+    rng = np.random.default_rng(20261018)
+    cases = [(full_matrix_space(d)._stack, n) for d in (1, 2, 3) for n in range(1, 12 // d + 1)]
+    rank_one = get_entry("rank_one_M2").map.images()  # 1 x 1 images
+    cases += [(rank_one, 1), (rank_one, 3)]
+    for stack, n in cases:
+        shape = (6, n, n, stack.shape[0])
+        mats = realize_batch(stack, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        size = mats.shape[-1]
+        g = rng.standard_normal((size + 1, size)) + 1j * rng.standard_normal((size + 1, size))
+        mats[0] = 0.0
+        mats[1] = 2.0 * np.linalg.qr(g[:size])[0]  # top singular value repeated `size` times
+        mats[2] = np.outer(g[0], g[size].conj())
+        yield mats
+
+
+def test_top_singular_pairs_are_singular_triples():
+    for mats in _kernel_cases():
+        s, u, v = top_singular_pairs(mats)
+        want = np.linalg.svd(mats, compute_uv=False)[:, 0]
+        for got in (s, top_singular_values(mats)):
+            assert got[0] == 0.0
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
+        assert np.allclose(np.linalg.norm(u, axis=-1), 1.0, rtol=0.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(v, axis=-1), 1.0, rtol=0.0, atol=1e-12)
+        av = np.einsum("bij,bj->bi", mats, v)
+        ahu = np.einsum("bji,bj->bi", mats.conj(), u)
+        tol = 1e-10 * s
+        assert np.all(np.linalg.norm(av - s[:, None] * u, axis=-1) <= tol)
+        assert np.all(np.linalg.norm(ahu - s[:, None] * v, axis=-1) <= tol)
