@@ -23,6 +23,7 @@ from .maps import (
 )
 from .npnorm import (
     VERDICT_UNKNOWN,
+    NpParameter,
     index_estimate,
     inclusion_check,
     np_norm,
@@ -98,9 +99,10 @@ def cmd_levels(args) -> int:
 
 
 def cmd_npnorm(args) -> int:
+    p = NpParameter(args.p)  # checked before any level is computed
     phi = _resolve_map(args.map)
     table = build_level_table(phi, _series_levels(args, phi), _budget(args), args.seed)
-    result = np_norm(phi, args.p, table, args.K)
+    result = np_norm(phi, p, table, args.K)
     payload = json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n"
     print(
         f"|{phi.label}|_p for p={_fmt(args.p)}: "
@@ -215,22 +217,23 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_FAILED
 
 
+# Most points a --p-grid may have; a larger grid is a parse error.
+MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid(text: str) -> list[float]:
+    """The points a + i*step <= b (+1e-12) of an a:b:step grid."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be a:b:step, got {text!r}")
     a, b, step = (float(x) for x in parts)
     if not np.all(np.isfinite([a, b, step])) or step <= 0 or b < a:
         raise ValueError(f"bad grid {text!r}")
-    out = []
-    i = 0
-    while True:
-        p = a + i * step
-        if p > b + 1e-12:
-            break
-        out.append(p)
-        i += 1
-    return out
+    last = (b + 1e-12 - a) / step  # index of the last point, up to rounding
+    if not last < MAX_GRID_POINTS:
+        raise ValueError(f"bad grid {text!r}: more than {MAX_GRID_POINTS} points")
+    points = (a + i * step for i in range(int(last) + 2))
+    return [p for p in points if p <= b + 1e-12]
 
 
 def cmd_plotdata(args) -> int:
@@ -291,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot = subs.add_parser("plotdata", help="CSV of p,lo,hi over a grid")
     _add_map_options(p_plot, with_levels=False)
     p_plot.add_argument("--max-level", type=int, default=None)
-    p_plot.add_argument("--p-grid", required=True, help="a:b:step")
+    p_plot.add_argument(
+        "--p-grid", required=True, help=f"a:b:step, at most {MAX_GRID_POINTS} points"
+    )
     p_plot.add_argument("--K", type=int, default=None)
     p_plot.add_argument("--out", help="CSV output path (default: stdout)")
     p_plot.set_defaults(func=cmd_plotdata)

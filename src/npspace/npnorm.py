@@ -37,14 +37,14 @@ CLOSED_FORM_ZERO = "zero"
 
 @dataclass(frozen=True)
 class NpParameter:
-    """The exponent p of the series; restricted to p >= 1."""
+    """The exponent p of the series; restricted to finite p >= 1."""
 
     p: float
 
     def __post_init__(self):
         object.__setattr__(self, "p", float(self.p))
-        if not (self.p >= 1.0):
-            raise ValueError(f"p must satisfy p >= 1, got {self.p!r}")
+        if not 1.0 <= self.p < math.inf:
+            raise ValueError(f"p must satisfy 1 <= p < inf, got {self.p!r}")
 
 
 def _as_p(p) -> float:

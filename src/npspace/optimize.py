@@ -22,6 +22,7 @@ re-checked through the SVD path (``spaces.spectral_norm``) on the witness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,7 @@ class OptBudget:
     tol: float = 1e-11
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iter < 1 or self.tol <= 0:
+        if self.restarts < 1 or self.max_iter < 1 or not 0 < self.tol < math.inf:
             raise ValueError(f"invalid budget {self!r}")
 
 

@@ -17,6 +17,14 @@ batch A, which is cheaper than an SVD and agrees with it to rounding.
 Every returned value is re-evaluated through the plain SVD path
 (``spaces.spectral_norm``) on the witness, rescaled into the unit ball if
 needed, so a reported value is always an SVD norm of a feasible witness.
+
+The unitary climb realizes A from the blocks of U against phi's images of
+the matrix units, with no coordinates in between.  A climb's random draws
+do not depend on its state, so they are made _BLOCK steps at a time, the
+same numbers in the same order as one draw per step, and the unitary climb
+eigendecomposes a block's rotation generators in one call.  The accept and
+step rule still runs step by step, so the search does not depend on the
+block size.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import numpy as np
 from .maps import LevelNormTable, LinearMapRep, realize_amplified
 from .spaces import (
     SpaceElement,
+    matrix_blocks,
     realize,
     realize_batch,
     spectral_norm,
@@ -45,19 +54,50 @@ _CLIMB_STARTS = 5
 _CLIMB_PROPOSALS = 8
 _STOP_STEP = 1e-9
 
+# Climb steps whose random draws (and rotation generators) are made at once.
+_BLOCK = 20
+
 
 def _batch_norms(stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Spectral norms of a batch of coordinate arrays realized against a stack."""
     return top_singular_values(realize_batch(stack, coords))
 
 
+def _step_draws(rng, shape: tuple, prepare=lambda z: (z,)):
+    """Yield, for every climb step, the step's slice of each array of prepare(z).
+
+    z stacks the steps' complex gaussians, each drawn as
+    standard_normal(shape) + 1j * standard_normal(shape): the draws do not
+    depend on the climb's state, so _BLOCK steps are drawn by one call with
+    the same numbers in the same order, and prepare works on all of them at
+    once.  A climb that stops early leaves the rest of its block unused.
+    """
+    for first in range(0, _CLIMB_STEPS, _BLOCK):
+        g = rng.standard_normal((min(_BLOCK, _CLIMB_STEPS - first), 2, *shape))
+        z = g[:, 0] + 1j * g[:, 1]
+        del g  # frees the real draws before the block is prepared
+        yield from zip(*prepare(z))
+
+
+def _rotation_generators(z: np.ndarray):
+    """Eigenpairs (w, v, v*) of the Hermitian parts of z, scaled by 1/sqrt(nd)."""
+    h = (z + z.conj().swapaxes(-1, -2)) / (2.0 * np.sqrt(z.shape[-1]))
+    w, v = np.linalg.eigh(h)
+    return w, v, v.conj().swapaxes(-1, -2)
+
+
 def _search_unitary(phi: LinearMapRep, n: int, trials: int, rng) -> np.ndarray:
     """Climb over unitaries U, x = coords(U); returns the best coordinates."""
-    nd = n * phi.domain.ambient_dim
+    d = phi.domain.ambient_dim
+    nd = n * d
     images = phi.images()
+    # phi on the matrix units of M_d: a U is scored without its coordinates.
+    unit_images = (phi.domain._vec_pinv.T @ images.reshape(images.shape[0], -1)).reshape(
+        d * d, *images.shape[1:]
+    )
 
     def values(mats: np.ndarray) -> np.ndarray:
-        return _batch_norms(images, unrealize(phi.domain, n, mats))
+        return _batch_norms(unit_images, matrix_blocks(mats, n))
 
     g = rng.standard_normal((trials, nd, nd)) + 1j * rng.standard_normal((trials, nd, nd))
     q, r = np.linalg.qr(g)
@@ -70,22 +110,16 @@ def _search_unitary(phi: LinearMapRep, n: int, trials: int, rng) -> np.ndarray:
     cur = q[keep].copy()
     best = vals[keep].copy()
     step = np.full(starts, 0.3)
-    for _ in range(_CLIMB_STEPS):
-        h = rng.standard_normal((starts, _CLIMB_PROPOSALS, nd, nd)) + 1j * rng.standard_normal(
-            (starts, _CLIMB_PROPOSALS, nd, nd)
-        )
-        h = (h + h.conj().transpose(0, 1, 3, 2)) / (2.0 * np.sqrt(nd))
-        w, v = np.linalg.eigh(h)
+    shape = (starts, _CLIMB_PROPOSALS, nd, nd)
+    for w, v, vh in _step_draws(rng, shape, _rotation_generators):
         phase = np.exp(1j * step[:, None, None] * w)
-        rot = (v * phase[..., None, :]) @ v.conj().transpose(0, 1, 3, 2)
+        rot = (v * phase[..., None, :]) @ vh
         cand = (rot @ cur[:, None]).reshape(starts * _CLIMB_PROPOSALS, nd, nd)
         cv = values(cand).reshape(starts, _CLIMB_PROPOSALS)
         bi = np.argmax(cv, axis=1)
         bv = cv[np.arange(starts), bi]
         improved = bv > best
-        cur[improved] = cand.reshape(starts, _CLIMB_PROPOSALS, nd, nd)[
-            improved, bi[improved]
-        ]
+        cur[improved] = cand.reshape(shape)[improved, bi[improved]]
         best[improved] = bv[improved]
         step = np.where(improved, np.minimum(step * _CLIMB_GROW, 1.0), step * _CLIMB_DECAY)
         if step.max() < _STOP_STEP:
@@ -113,19 +147,15 @@ def _search_coords(phi: LinearMapRep, n: int, trials: int, rng) -> np.ndarray:
     cur = xs[keep].copy()
     best = vals[keep].copy()
     step = np.full(starts, 0.5)
-    for _ in range(_CLIMB_STEPS):
-        noise = rng.standard_normal((starts, _CLIMB_PROPOSALS, n, n, k)) + 1j * rng.standard_normal(
-            (starts, _CLIMB_PROPOSALS, n, n, k)
-        )
+    shape = (starts, _CLIMB_PROPOSALS, n, n, k)
+    for (noise,) in _step_draws(rng, shape):
         cand = cur[:, None] + step[:, None, None, None, None] * noise
         cand = normalize(cand.reshape(starts * _CLIMB_PROPOSALS, n, n, k))
         cv = _batch_norms(images, cand).reshape(starts, _CLIMB_PROPOSALS)
         bi = np.argmax(cv, axis=1)
         bv = cv[np.arange(starts), bi]
         improved = bv > best
-        cur[improved] = cand.reshape(starts, _CLIMB_PROPOSALS, n, n, k)[
-            improved, bi[improved]
-        ]
+        cur[improved] = cand.reshape(shape)[improved, bi[improved]]
         best[improved] = bv[improved]
         step = np.where(improved, np.minimum(step * _CLIMB_GROW, 2.0), step * _CLIMB_DECAY)
         if step.max() < _STOP_STEP:

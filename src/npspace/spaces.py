@@ -178,20 +178,33 @@ def realize_batch(stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Realize (..., n, n, k) coordinates against a (k, d, d) stack.
 
     The result has shape (..., nd, nd); its (i, j) block of size d x d is
-    sum_t coords[..., i, j, t] * stack[t].  This is the one place that
-    fixes the block layout; ``unrealize`` inverts it.
+    sum_t coords[..., i, j, t] * stack[t].  All blocks come from one
+    (blocks, k) x (k, d*d) matrix product; the block transpose that follows
+    fixes the layout, and ``matrix_blocks`` inverts it.
     """
-    n, d = coords.shape[-2], stack.shape[-1]
-    big = np.einsum("...ijt,tab->...iajb", coords, stack)
-    return big.reshape(*coords.shape[:-3], n * d, n * d)
+    k, d = stack.shape[0], stack.shape[-1]
+    lead, n = coords.shape[:-3], coords.shape[-2]
+    flat = coords.reshape(-1, k) @ stack.reshape(k, d * d)
+    return flat.reshape(*lead, n, n, d, d).swapaxes(-3, -2).reshape(*lead, n * d, n * d)
+
+
+def matrix_blocks(mats: np.ndarray, n: int) -> np.ndarray:
+    """The (..., n, n, d*d) blocks of (..., nd, nd) matrices, each block flattened.
+
+    These are the coordinates against the matrix units of M_d (row-major), so
+    ``realize_batch(units, matrix_blocks(mats, n))`` rebuilds ``mats`` for the
+    (d*d, d, d) matrix-unit stack ``units``.
+    """
+    d = mats.shape[-1] // n
+    lead = mats.shape[:-2]
+    return mats.reshape(*lead, n, d, n, d).swapaxes(-3, -2).reshape(*lead, n, n, d * d)
 
 
 def unrealize(space: OperatorSpace, n: int, mats: np.ndarray) -> np.ndarray:
     """Blockwise least-squares coordinates (..., n, n, k) of (..., nd, nd) matrices."""
-    d = space.ambient_dim
-    lead = mats.shape[:-2]
-    blocks = mats.reshape(*lead, n, d, n, d).swapaxes(-3, -2).reshape(*lead, n, n, d * d)
-    return blocks @ space._vec_pinv.T
+    blocks = matrix_blocks(mats, n)
+    coords = blocks.reshape(-1, blocks.shape[-1]) @ space._vec_pinv.T
+    return coords.reshape(*blocks.shape[:-1], space.dim)
 
 
 def realize(x: SpaceElement) -> np.ndarray:

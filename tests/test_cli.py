@@ -177,6 +177,53 @@ def test_plotdata_non_finite_grid_exit_2(grid, monkeypatch, capsys):
     assert "bad grid" in capsys.readouterr().err
 
 
+def test_plotdata_grid_with_too_many_points_exit_2(monkeypatch, capsys):
+    # Counted before any point is made: this grid once ended in MemoryError.
+    import npspace.cli as cli
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("level table built before the grid was checked")
+
+    monkeypatch.setattr(cli, "build_level_table", no_table)
+    assert cli.main(["plotdata", "catalog:transpose_M2", "--p-grid", "0:1e300:1"]) == 2
+    assert f"more than {cli.MAX_GRID_POINTS} points" in capsys.readouterr().err
+
+
+def test_parse_grid_counts_points_like_the_stepping_loop():
+    from npspace.cli import MAX_GRID_POINTS, _parse_grid
+
+    def stepped(a, b, step):
+        out = []
+        while a + len(out) * step <= b + 1e-12:
+            out.append(a + len(out) * step)
+        return out
+
+    for a, b, step in ((2.1, 4.0, 0.1), (1.0, 3.0, 0.5), (2.0, 2.0, 1.0), (1.0, 1.3, 0.1)):
+        assert _parse_grid(f"{a}:{b}:{step}") == stepped(a, b, step)
+    assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="bad grid"):
+        _parse_grid(f"0:{MAX_GRID_POINTS}:1")
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["levels", "catalog:transpose_M2", "--tol", "nan"], "invalid budget"),
+        (["npnorm", "catalog:transpose_M2", "--p", "inf"], "p must satisfy 1 <= p < inf"),
+    ],
+    ids=("tol_nan", "p_inf"),
+)
+def test_non_finite_tol_or_p_exit_2(command, message, monkeypatch, capsys):
+    import npspace.cli as cli
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("level table built before the option was checked")
+
+    monkeypatch.setattr(cli, "build_level_table", no_table)
+    assert run(command) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -102,6 +102,12 @@ def test_np_parameter_validation():
     assert NpParameter(1.0).p == 1.0
 
 
+@pytest.mark.parametrize("p", (math.inf, -math.inf, math.nan))
+def test_np_parameter_rejects_non_finite_p(p):
+    with pytest.raises(ValueError, match="p must satisfy 1 <= p < inf"):
+        NpParameter(p)
+
+
 # ---------------------------------------------------------------------------
 # np_norm
 # ---------------------------------------------------------------------------

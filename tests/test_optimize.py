@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from npspace import full_matrix_space, get_entry, make_map, random_subspace
-from npspace.optimize import DEFAULT_BUDGET, AscentOutcome, maximize_amplified_norm
+from npspace.optimize import DEFAULT_BUDGET, AscentOutcome, OptBudget, maximize_amplified_norm
 from npspace.spaces import SpaceElement, level_norm, realize_batch, spectral_norm
 
 
@@ -47,3 +47,11 @@ def test_zero_map_returns_exact_zero(which):
     assert (out.value, out.converged, out.support) == (0.0, True, DEFAULT_BUDGET.restarts)
     assert out.coords.shape == (2, 2, zero.shape[0])
     assert not np.any(out.coords)
+
+
+@pytest.mark.parametrize("tol", (float("nan"), float("inf"), 0.0, -1e-11))
+def test_budget_rejects_tol_that_is_not_a_positive_finite_number(tol):
+    # A NaN tol once let no restart converge, so the hi of M_d levels fell
+    # back to the looser coefficient relaxation without a word.
+    with pytest.raises(ValueError, match="invalid budget"):
+        OptBudget(tol=tol)

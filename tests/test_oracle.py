@@ -20,6 +20,7 @@ from npspace import (
 )
 from npspace.maps import LevelEntry, LevelNormTable
 from npspace.optimize import DEFAULT_BUDGET
+from npspace import oracle
 from npspace.oracle import _batch_norms
 from npspace.spaces import SpaceElement, realize_batch
 
@@ -64,6 +65,41 @@ def test_brute_witness_is_feasible_and_achieves_value(make_phi):
     x = SpaceElement(phi.domain, 2, witness)
     assert level_norm(x) <= 1.0 + 1e-10
     assert abs(np.linalg.norm(realize_amplified(phi, x), 2) - value) <= 1e-12
+
+
+def _embedding_of_m1():
+    # M1 -> M2, 1 -> identity: every unitary scores 1, so the climb stops early.
+    return make_map(full_matrix_space(1), full_matrix_space(2), [np.eye(2)], "embed_M1")
+
+
+@pytest.mark.parametrize("block", (1, 7))
+@pytest.mark.parametrize(
+    "make_phi, level, early",
+    [
+        (lambda: get_entry("schur_M2").map, 2, False),
+        (_embedding_of_m1, 1, True),
+        (_upper_triangular_inclusion, 2, True),
+    ],
+    ids=("unitary_full", "unitary_stops_early", "coordinate_stops_early"),
+)
+def test_brute_search_does_not_depend_on_block(make_phi, level, early, block, monkeypatch):
+    # The climbs draw _BLOCK steps of random numbers at once; any block size
+    # must give the same draws, the same accepted steps and the same stop.
+    phi = make_phi()
+    calls = []
+    scored = oracle._batch_norms
+    monkeypatch.setattr(oracle, "_batch_norms", lambda *a: calls.append(1) or scored(*a))
+    value, witness = brute_search(phi, level, trials=200, seed=4)
+    # The unitary climb scores once per step, the coordinate climb twice.
+    per_step = 1 if phi.domain.is_full_matrix_algebra else 2
+    steps = (len(calls) - per_step) // per_step
+    assert (steps < oracle._CLIMB_STEPS) == early
+    assert not early or steps % oracle._BLOCK  # stops inside a block
+
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    got_value, got_witness = brute_search(phi, level, trials=200, seed=4)
+    assert got_value == value
+    assert got_witness.tobytes() == witness.tobytes()
 
 
 def test_brute_subspace_domain_fallback():

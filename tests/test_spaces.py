@@ -13,6 +13,7 @@ from npspace import (
     direct_sum,
     element_from_matrix,
     full_matrix_space,
+    get_entry,
     level_norm,
     NonFiniteInput,
     make_space,
@@ -26,7 +27,13 @@ from npspace import (
     spectral_norm,
     verify_axioms,
 )
-from npspace.spaces import realize_batch, top_singular_pairs, top_singular_values
+from npspace.spaces import (
+    matrix_blocks,
+    realize_batch,
+    top_singular_pairs,
+    top_singular_values,
+    unrealize,
+)
 
 I2 = np.eye(2, dtype=complex)
 
@@ -139,6 +146,81 @@ def test_realize_is_linear_in_coords(a_re, a_im, b_re, b_im, seed):
     want = a * realize(x) + b * realize(y)
     scale = max(1.0, np.abs(want).max())
     assert np.abs(realize(combo) - want).max() <= 1e-12 * scale
+
+
+def _naive_realize_batch(stack, coords):
+    # Reference: one block at a time, one basis term at a time.
+    lead, n, k, d = coords.shape[:-3], coords.shape[-2], stack.shape[0], stack.shape[-1]
+    out = np.zeros(lead + (n * d, n * d), dtype=complex)
+    for idx in np.ndindex(*lead):
+        for i in range(n):
+            for j in range(n):
+                block = sum(coords[idx + (i, j, t)] * stack[t] for t in range(k))
+                out[idx + (slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d))] = block
+    return out
+
+
+def _naive_unrealize(space, n, mats):
+    # Reference: least-squares coordinates of one block at a time.
+    d = space.ambient_dim
+    out = np.zeros(mats.shape[:-2] + (n, n, space.dim), dtype=complex)
+    for idx in np.ndindex(*mats.shape[:-2]):
+        for i in range(n):
+            for j in range(n):
+                block = mats[idx + (slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d))]
+                out[idx + (i, j)] = np.linalg.lstsq(space._vec, block.reshape(-1), rcond=None)[0]
+    return out
+
+
+def _close(got, want):
+    return np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize(
+    "make_stack, lead, n",
+    [
+        (lambda rng: full_matrix_space(2)._stack, (3, 2), 2),
+        (lambda rng: full_matrix_space(3)._stack, (), 3),
+        (lambda rng: random_subspace(3, 4, rng)._stack, (2,), 2),
+        (lambda rng: random_subspace(2, 3, rng)._stack, (), 1),
+        # rank_one_M2's images: 1 x 1 blocks, smaller than the 2 x 2 domain.
+        (lambda rng: get_entry("rank_one_M2").map.images(), (2, 3), 3),
+    ],
+    ids=("M2_two_leading", "M3_no_leading", "subspace_one_leading", "subspace_level1", "1x1_images"),
+)
+def test_realize_batch_matches_block_loop(make_stack, lead, n, rng):
+    stack = make_stack(rng)
+    shape = lead + (n, n, stack.shape[0])
+    coords = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = realize_batch(stack, coords)
+    assert got.shape == lead + (n * stack.shape[-1],) * 2
+    assert _close(got, _naive_realize_batch(stack, coords))
+
+
+@pytest.mark.parametrize("lead", ((), (2,), (3, 2)))
+def test_unrealize_matches_block_loop_and_inverts_realize(lead, rng):
+    n = 2
+    for sp in (full_matrix_space(2), random_subspace(3, 4, rng)):
+        # Coordinates of an element of M_n(V) come back from its realization.
+        shape = lead + (n, n, sp.dim)
+        coords = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        mats = realize_batch(sp._stack, coords)
+        assert _close(unrealize(sp, n, mats), coords)
+        # Any matrix: the blockwise least-squares projection onto V.
+        size = n * sp.ambient_dim
+        mats = rng.standard_normal(lead + (size, size)) + 1j * rng.standard_normal(lead + (size, size))
+        assert _close(unrealize(sp, n, mats), _naive_unrealize(sp, n, mats))
+        if sp.is_full_matrix_algebra:
+            assert _close(realize_batch(sp._stack, unrealize(sp, n, mats)), mats)
+
+
+def test_matrix_blocks_are_matrix_unit_coordinates(rng):
+    units = full_matrix_space(3)._stack
+    mats = rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6))
+    blocks = matrix_blocks(mats, 2)
+    assert blocks.shape == (4, 2, 2, 9)
+    assert np.array_equal(blocks[1, 0, 1], mats[1, :3, 3:].reshape(-1))
+    assert np.array_equal(realize_batch(units, blocks), mats)
 
 
 def test_element_from_matrix_round_trip(rng):
@@ -264,8 +346,6 @@ def test_space_json_rejects_bad_shapes():
 
 def _kernel_cases():
     """Realized batches of size 1..12, each with a zero, a 2*unitary and a rank-one matrix."""
-    from npspace import get_entry
-
     rng = np.random.default_rng(20261018)
     cases = [(full_matrix_space(d)._stack, n) for d in (1, 2, 3) for n in range(1, 12 // d + 1)]
     rank_one = get_entry("rank_one_M2").map.images()  # 1 x 1 images
