@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from .errors import InvariantViolation
 
 # Provenance tags for each side of a bracket.
-SOURCE_EXACT_SVD = "exact_svd"
 SOURCE_OPTIMIZER = "optimizer"
 SOURCE_N_TIMES_NORM = "n_times_norm_bound"
 SOURCE_SMITH = "smith_stabilization"
@@ -19,7 +18,6 @@ SOURCE_COEFF_RELAXATION = "coeff_relaxation"
 
 SOURCES = frozenset(
     {
-        SOURCE_EXACT_SVD,
         SOURCE_OPTIMIZER,
         SOURCE_N_TIMES_NORM,
         SOURCE_SMITH,

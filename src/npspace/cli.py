@@ -21,13 +21,7 @@ from .maps import (
     load_map,
     witness_to_dict,
 )
-from .npnorm import (
-    VERDICT_UNKNOWN,
-    NpParameter,
-    index_estimate,
-    inclusion_check,
-    np_norm,
-)
+from .npnorm import NpParameter, index_estimate, inclusion_check, np_norm
 from .optimize import OptBudget
 from .oracle import cross_validate
 from .spaces import full_matrix_space, random_subspace, verify_axioms
@@ -36,7 +30,6 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
-EXIT_STRICT_UNKNOWN = 4
 
 
 def _fmt(x: float) -> str:
@@ -54,18 +47,24 @@ def _budget(args) -> OptBudget:
 
 
 def _series_levels(args, phi: LinearMapRep) -> int:
-    """--max-level as given (0 is rejected downstream), or max(2, m) when absent."""
+    """--max-level as given (0 is rejected downstream), or max(2, m) when absent.
+
+    ``np_norm`` extends a table that stops below m to m.
+    """
     return max(2, phi.codomain.ambient_dim) if args.max_level is None else args.max_level
 
 
-def _add_map_options(sub, with_levels: bool = True):
-    sub.add_argument("map", help="map JSON file or catalog:<name>")
-    if with_levels:
-        sub.add_argument("--max-level", type=int, default=4)
+def _add_budget_options(sub):
     sub.add_argument("--restarts", type=int, default=20)
     sub.add_argument("--max-iter", type=int, default=200)
     sub.add_argument("--tol", type=float, default=1e-11)
     sub.add_argument("--seed", type=int, default=0)
+
+
+def _add_map_options(sub, max_level: int | None = 4):
+    sub.add_argument("map", help="map JSON file or catalog:<name>")
+    sub.add_argument("--max-level", type=int, default=max_level)
+    _add_budget_options(sub)
 
 
 def _write_or_print(text: str, path: str | None) -> None:
@@ -102,7 +101,7 @@ def cmd_npnorm(args) -> int:
     p = NpParameter(args.p)  # checked before any level is computed
     phi = _resolve_map(args.map)
     table = build_level_table(phi, _series_levels(args, phi), _budget(args), args.seed)
-    result = np_norm(phi, p, table, args.K)
+    result = np_norm(phi, p, table)
     payload = json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n"
     print(
         f"|{phi.label}|_p for p={_fmt(args.p)}: "
@@ -111,8 +110,6 @@ def cmd_npnorm(args) -> int:
     )
     if args.out:
         _write_or_print(payload, args.out)
-    if args.strict and result.verdict == VERDICT_UNKNOWN:
-        return EXIT_STRICT_UNKNOWN
     return EXIT_OK
 
 
@@ -122,7 +119,10 @@ def _parse_synthetic(expr: str, levels: int = 16):
     if not text.startswith("n^"):
         raise ValueError(f"synthetic sequence must look like 'n^alpha', got {expr!r}")
     alpha = float(text[2:])
-    return [(n, float(n) ** alpha) for n in range(1, levels + 1)]
+    try:
+        return [(n, float(n) ** alpha) for n in range(1, levels + 1)]
+    except OverflowError:
+        raise ValueError(f"synthetic sequence {expr!r} overflows a float") from None
 
 
 def cmd_index(args) -> int:
@@ -242,7 +242,7 @@ def cmd_plotdata(args) -> int:
     table = build_level_table(phi, _series_levels(args, phi), _budget(args), args.seed)
     lines = ["p,lo,hi"]
     for p in grid:
-        result = np_norm(phi, p, table, args.K)
+        result = np_norm(phi, p, table)
         lines.append(f"{_fmt(p)},{_fmt(result.bracket.lo)},{_fmt(result.bracket.hi)}")
     _write_or_print("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -263,11 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_levels.set_defaults(func=cmd_levels)
 
     p_np = subs.add_parser("npnorm", help="bracket the N^p norm")
-    _add_map_options(p_np, with_levels=False)
-    p_np.add_argument("--max-level", type=int, default=None)
+    _add_map_options(p_np, max_level=None)
     p_np.add_argument("--p", type=float, required=True)
-    p_np.add_argument("--K", type=int, default=None)
-    p_np.add_argument("--strict", action="store_true", help="exit 4 on verdict unknown")
     p_np.add_argument("--out", help="JSON result path")
     p_np.set_defaults(func=cmd_npnorm)
 
@@ -275,29 +272,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("map", nargs="?", help="map JSON file or catalog:<name>")
     p_index.add_argument("--synthetic", help="synthetic growth rule, e.g. 'n^1'")
     p_index.add_argument("--max-level", type=int, default=4)
-    p_index.add_argument("--restarts", type=int, default=20)
-    p_index.add_argument("--max-iter", type=int, default=200)
-    p_index.add_argument("--tol", type=float, default=1e-11)
-    p_index.add_argument("--seed", type=int, default=0)
+    _add_budget_options(p_index)
     p_index.add_argument("--out", help="JSON result path")
     p_index.set_defaults(func=cmd_index)
 
     p_verify = subs.add_parser("verify", help="run a property suite")
     p_verify.add_argument("--suite", choices=["axioms", "inclusions", "bounds"], required=True)
-    p_verify.add_argument("--restarts", type=int, default=20)
-    p_verify.add_argument("--max-iter", type=int, default=200)
-    p_verify.add_argument("--tol", type=float, default=1e-11)
-    p_verify.add_argument("--seed", type=int, default=0)
+    _add_budget_options(p_verify)
     p_verify.add_argument("--trials", type=int, default=300, help="oracle trials (bounds suite)")
     p_verify.set_defaults(func=cmd_verify)
 
     p_plot = subs.add_parser("plotdata", help="CSV of p,lo,hi over a grid")
-    _add_map_options(p_plot, with_levels=False)
-    p_plot.add_argument("--max-level", type=int, default=None)
+    _add_map_options(p_plot, max_level=None)
     p_plot.add_argument(
         "--p-grid", required=True, help=f"a:b:step, at most {MAX_GRID_POINTS} points"
     )
-    p_plot.add_argument("--K", type=int, default=None)
     p_plot.add_argument("--out", help="CSV output path (default: stdout)")
     p_plot.set_defaults(func=cmd_plotdata)
 

@@ -1,9 +1,10 @@
 """The N^p norm: sum of ||phi_n|| / n^p as a certified interval.
 
-Partial sums use the per-level brackets termwise; tails are closed using
-whichever certificate applies: the stabilized value times a bracketed zeta
-tail, the linear growth cap ||phi_n|| <= n ||phi|| for p > 2, or (at p = 1)
-a divergence proof.  Zeta values are never read from constants - they are
+For a codomain inside M_m, ||phi_n|| = ||phi_m|| for every n >= m (Smith,
+1983), so there is one way to close the series: the per-level brackets
+termwise below m, then the level-m bracket times sum_{n >= m} n^-p.  Every
+nonzero map is therefore a member for p > 1 and, by a divergence proof, not
+a member at p = 1.  Zeta values are never read from constants - they are
 always partial sums plus integral-comparison tails.
 """
 
@@ -15,20 +16,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .bracket import (
-    SOURCE_MONOTONICITY,
-    SOURCE_N_TIMES_NORM,
-    SOURCE_SMITH,
-    SOURCE_TRIVIAL_ZERO,
-    NormBracket,
-)
+from .bracket import SOURCE_MONOTONICITY, SOURCE_SMITH, SOURCE_TRIVIAL_ZERO, NormBracket
 from .errors import InsufficientData
-from .maps import LevelNormTable, LinearMapRep
+from .maps import LevelNormTable, LinearMapRep, build_level_table
 
 VERDICT_MEMBER = "member"
 VERDICT_NOT_MEMBER = "not_member"
-VERDICT_MEMBER_BY_THEORY = "member_by_theory"
-VERDICT_UNKNOWN = "unknown"
 
 CLOSED_FORM_FUNCTIONAL = "functional"
 CLOSED_FORM_STABILIZED = "stabilized"
@@ -118,7 +111,14 @@ def default_truncation(table: LevelNormTable) -> int:
 
 
 def np_norm(phi: LinearMapRep, p, table: LevelNormTable, K: int | None = None) -> NpResult:
-    """Bracket the series sum_{n >= 1} ||phi_n|| / n^p using a level table."""
+    """Bracket the series sum_{n >= 1} ||phi_n|| / n^p using a level table.
+
+    Every term from the stabilization level s on is ||phi_s|| / n^p, so the
+    series is the termwise sum over n < s plus [lo_s, hi_s] times
+    sum_{n >= s} n^-p; K (raised to s - 1 if lower) is where that zeta sum
+    hands over from partial sums to ``zeta_tail``.  A table that stops short
+    of s is first extended to s.
+    """
     pp = _as_p(p)
     if K is None:
         K = default_truncation(table)
@@ -130,76 +130,40 @@ def np_norm(phi: LinearMapRep, p, table: LevelNormTable, K: int | None = None) -
         bracket = NormBracket(0.0, 0.0, SOURCE_TRIVIAL_ZERO, SOURCE_TRIVIAL_ZERO)
         return NpResult(NpParameter(pp), bracket, VERDICT_MEMBER, K, 0.0, 0.0, CLOSED_FORM_ZERO)
 
-    brackets = [table.bracket_at(n) for n in range(1, K + 1)]
-    partial_lo = math.fsum(b.lo / n**pp for n, b in enumerate(brackets, start=1))
-    partial_hi = math.fsum(b.hi / n**pp for n, b in enumerate(brackets, start=1))
+    if pp == 1.0:
+        # A nonzero map has ||phi_1|| > 0, and the level norms never decrease.
+        lo1 = table.bracket_at(1).lo
+        proof = (
+            f"level norms are nondecreasing, so every term is at least "
+            f"||phi_1||/n >= {lo1:.9g}/n, and the harmonic series diverges"
+        )
+        bracket = NormBracket(math.inf, math.inf, SOURCE_MONOTONICITY, SOURCE_MONOTONICITY)
+        return NpResult(
+            NpParameter(pp), bracket, VERDICT_NOT_MEMBER, K, math.inf, math.inf,
+            divergence_proof=proof,
+        )
 
     s = table.stabilization_level
-    stabilized = s <= table.max_level and s <= K
-
-    if stabilized and pp > 1.0:
-        bs = table.bracket_at(s)
-        zlo, zhi = zeta_tail(pp, K)
-        tail_lo = bs.lo * zlo
-        tail_hi = bs.hi * zhi
-        closed = (
-            CLOSED_FORM_FUNCTIONAL
-            if phi.codomain.ambient_dim == 1
-            else CLOSED_FORM_STABILIZED
-        )
-        bracket = NormBracket(partial_lo + tail_lo, partial_hi + tail_hi, SOURCE_SMITH, SOURCE_SMITH)
-        return NpResult(NpParameter(pp), bracket, VERDICT_MEMBER, K, tail_lo, tail_hi, closed)
-
-    if pp > 2.0:
-        # ||phi_n|| <= n ||phi||, so the tail is at most hi(1) * sum n^{1-p}.
-        tail_lo = table.bracket_at(K).lo * zeta_tail(pp, K)[0]
-        tail_hi = table.bracket_at(1).hi * zeta_tail(pp - 1.0, K)[1]
-        bracket = NormBracket(
-            partial_lo + tail_lo, partial_hi + tail_hi, SOURCE_MONOTONICITY, SOURCE_N_TIMES_NORM
-        )
-        return NpResult(NpParameter(pp), bracket, VERDICT_MEMBER_BY_THEORY, K, tail_lo, tail_hi)
-
-    if pp == 1.0:
-        lo1 = table.bracket_at(1).lo
-        if lo1 > 0.0:
-            proof = (
-                f"level norms are nondecreasing, so every term is at least "
-                f"||phi_1||/n >= {lo1:.9g}/n, and the harmonic series diverges"
-            )
-            bracket = NormBracket(math.inf, math.inf, SOURCE_MONOTONICITY, SOURCE_MONOTONICITY)
-            return NpResult(
-                NpParameter(pp), bracket, VERDICT_NOT_MEMBER, K, math.inf, math.inf,
-                divergence_proof=proof,
-            )
-        bracket = NormBracket(partial_lo, math.inf, SOURCE_MONOTONICITY, SOURCE_MONOTONICITY)
-        return NpResult(NpParameter(pp), bracket, VERDICT_UNKNOWN, K, 0.0, math.inf)
-
-    # 1 < p <= 2 without a usable stabilization certificate: the series may
-    # genuinely diverge; no finite upper bound is claimed.
-    tail_lo = table.bracket_at(K).lo * zeta_tail(pp, K)[0]
-    bracket = NormBracket(partial_lo + tail_lo, math.inf, SOURCE_MONOTONICITY, SOURCE_MONOTONICITY)
-    return NpResult(NpParameter(pp), bracket, VERDICT_UNKNOWN, K, tail_lo, math.inf)
+    if table.max_level < s:
+        table = build_level_table(phi, s, table.budget, table.seed)
+    K = max(K, s - 1)
+    head = [table.bracket_at(n) for n in range(1, s)]
+    bs = table.bracket_at(s)
+    zeta_head = math.fsum(n ** (-pp) for n in range(s, K + 1))
+    zlo, zhi = zeta_tail(pp, K)
+    tail_lo = bs.lo * zlo
+    tail_hi = bs.hi * zhi
+    terms = [(b.lo / n**pp, b.hi / n**pp) for n, b in enumerate(head, start=1)]
+    terms += [(bs.lo * zeta_head, bs.hi * zeta_head), (tail_lo, tail_hi)]
+    lo, hi = (math.fsum(side) for side in zip(*terms))
+    closed = CLOSED_FORM_FUNCTIONAL if phi.codomain.ambient_dim == 1 else CLOSED_FORM_STABILIZED
+    bracket = NormBracket(lo, hi, SOURCE_SMITH, SOURCE_SMITH)
+    return NpResult(NpParameter(pp), bracket, VERDICT_MEMBER, K, tail_lo, tail_hi, closed)
 
 
 def membership(phi: LinearMapRep, p, table: LevelNormTable) -> str:
-    """Decide membership of phi in the p-summable class from table evidence."""
-    pp = _as_p(p)
-    if phi.is_zero:
-        return VERDICT_MEMBER
-    if pp > 2.0:
-        return VERDICT_MEMBER_BY_THEORY
-    if table.stabilization_level <= table.max_level and pp > 1.0:
-        return VERDICT_MEMBER
-    # Growth certificate: ||phi_n|| <= n^{p-1-eps} on the table for a fixed eps.
-    for eps in (1.0, 0.5, 0.25, 0.1, 0.05, 0.02, 0.01):
-        expo = pp - 1.0 - eps
-        if all(
-            e.bracket.hi <= (e.level**expo) * (1.0 + 1e-12) for e in table.entries
-        ):
-            return VERDICT_MEMBER
-    if pp == 1.0:
-        return VERDICT_NOT_MEMBER
-    return VERDICT_UNKNOWN
+    """Membership of phi in N^p: every nonzero map is a member exactly for p > 1."""
+    return np_norm(phi, p, table).verdict
 
 
 @dataclass(frozen=True)
@@ -224,36 +188,22 @@ class IndexEstimate:
         }
 
 
-# Brackets tighter than this (relative) count as usable index-fit points.
-_TIGHT_FOR_FIT = 1e-3
-
-
 def index_estimate(
     source: LevelNormTable | Iterable[tuple[int, float]],
     fit_window: tuple[int, int] | None = None,
 ) -> IndexEstimate:
     """Estimate the summability index from level-norm growth.
 
-    Tables that stabilize have index 1 by construction (the fit is skipped);
-    otherwise, or for a synthetic (n, value) sequence, the growth exponent is
-    a log-log least-squares slope over the fit window, defaulting to the
-    upper half of the available levels.
+    A level table has index 1: its map's level norms are constant from the
+    stabilization level s on, so the window reported is s..max(s, max_level).
+    For a synthetic (n, value) sequence the growth exponent is a log-log
+    least-squares slope over the fit window, defaulting to the upper half of
+    the available levels.
     """
     if isinstance(source, LevelNormTable):
-        if source.map.is_zero:
-            return IndexEstimate(1.0, 0.0, (1, source.max_level), 0.0)
-        if source.stabilization_level <= source.max_level:
-            return IndexEstimate(
-                1.0, 0.0, (source.stabilization_level, source.max_level), 0.0
-            )
-        pairs = [
-            (e.level, e.bracket.midpoint)
-            for e in source.entries
-            if e.bracket.rel_width <= _TIGHT_FOR_FIT
-        ]
-    else:
-        pairs = [(int(n), float(v)) for n, v in source]
-    pairs.sort()
+        s = source.stabilization_level
+        return IndexEstimate(1.0, 0.0, (s, max(s, source.max_level)), 0.0)
+    pairs = sorted((int(n), float(v)) for n, v in source)
     if len(pairs) < 3:
         raise InsufficientData(f"index fit needs at least 3 levels, got {len(pairs)}")
     if fit_window is not None:
@@ -270,6 +220,8 @@ def index_estimate(
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
     alpha = float(slope)
+    if not (math.isfinite(alpha) and math.isfinite(resid)):
+        raise InsufficientData(f"index fit is not finite: slope {alpha}, residual {resid}")
     return IndexEstimate(max(1.0, alpha + 1.0), alpha, (window[0][0], window[-1][0]), resid)
 
 

@@ -28,7 +28,7 @@ from npspace import (
     verify_axioms,
     zeta_bracket,
 )
-from npspace.npnorm import VERDICT_MEMBER, VERDICT_MEMBER_BY_THEORY, VERDICT_NOT_MEMBER
+from npspace.npnorm import VERDICT_MEMBER, VERDICT_NOT_MEMBER
 
 SEED = 2026
 
@@ -216,12 +216,12 @@ def run_battery(seed: int) -> dict:
     for name, phi, _ in entries:
         verdict = membership(phi, 2.1, tables[name])
         r = np_norm(phi, 2.1, tables[name])
-        ok8 = ok8 and verdict in (VERDICT_MEMBER, VERDICT_MEMBER_BY_THEORY)
+        ok8 = ok8 and verdict == VERDICT_MEMBER
         ok8 = ok8 and math.isfinite(r.bracket.hi)
         payload8[name] = {"verdict": verdict, "hi": r.bracket.hi}
     results["c8"] = {
         "passed": ok8,
-        "detail": "all catalog maps member/member_by_theory at p=2.1 with finite hi",
+        "detail": "all catalog maps member at p=2.1 with finite hi",
         "payload": json.dumps(payload8, sort_keys=True),
     }
 

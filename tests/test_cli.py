@@ -88,7 +88,7 @@ def test_npnorm_trace_p2(tmp_path, capsys):
 def test_npnorm_identity_p1_not_member(tmp_path):
     out = tmp_path / "np1.json"
     code = run(["npnorm", "catalog:identity_M2", "--p", "1", "--seed", "7", "--out", str(out)])
-    assert code == 0  # not strict; unknown is the only strict failure
+    assert code == 0
     data = json.loads(out.read_text())
     assert data["verdict"] == "not_member"
     assert "divergence_proof" in data
@@ -103,11 +103,42 @@ def test_npnorm_zero_p1_member(tmp_path):
     assert data["lo"] == data["hi"] == 0.0
 
 
-def test_npnorm_strict_unknown_exit_4():
-    # Table too short to certify stabilization at 1 < p <= 2: verdict unknown.
-    code = run(["npnorm", "catalog:transpose_M3", "--p", "1.5", "--max-level", "2",
-                "--K", "2", "--strict", "--seed", "7"])
-    assert code == 4
+def test_npnorm_short_max_level_is_extended(tmp_path):
+    # --max-level below the codomain's m = 3: the series is the one from m.
+    outs = [tmp_path / "np2.json", tmp_path / "np3.json"]
+    for level, out in zip(("2", "3"), outs):
+        assert run(["npnorm", "catalog:transpose_M3", "--p", "1.5", "--max-level", level,
+                    "--seed", "7", "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert json.loads(outs[0].read_text())["verdict"] == "member"
+
+
+def test_plotdata_and_index_short_max_level(tmp_path):
+    csvs = [tmp_path / "p2.csv", tmp_path / "p3.csv"]
+    for level, out in zip(("2", "3"), csvs):
+        assert run(["plotdata", "catalog:transpose_M3", "--p-grid", "1:3:0.5",
+                    "--max-level", level, "--seed", "7", "--out", str(out)]) == 0
+    assert csvs[0].read_bytes() == csvs[1].read_bytes()
+    out = tmp_path / "idx.json"
+    assert run(["index", "catalog:transpose_M3", "--max-level", "2", "--seed", "7",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["r_hat"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["npnorm", "catalog:transpose_M2", "--p", "2", "--K", "8"],
+        ["npnorm", "catalog:transpose_M2", "--p", "2", "--strict"],
+        ["plotdata", "catalog:transpose_M2", "--p-grid", "2:3:0.5", "--K", "8"],
+    ],
+    ids=("npnorm_K", "npnorm_strict", "plotdata_K"),
+)
+def test_removed_options_exit_2(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(command)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_index_synthetic(tmp_path):
@@ -124,8 +155,9 @@ def test_index_catalog_map(tmp_path):
     assert data["r_hat"] == 1.0
 
 
-def test_index_bad_synthetic():
-    assert run(["index", "--synthetic", "oops"]) == 2
+@pytest.mark.parametrize("rule", ("oops", "n^nan", "n^inf", "n^1e308"))
+def test_index_bad_synthetic(rule):
+    assert run(["index", "--synthetic", rule]) == 2
 
 
 def test_verify_axioms_suite(capsys):

@@ -20,12 +20,7 @@ from npspace import (
     zeta_bracket,
     zeta_tail,
 )
-from npspace.npnorm import (
-    VERDICT_MEMBER,
-    VERDICT_MEMBER_BY_THEORY,
-    VERDICT_NOT_MEMBER,
-    VERDICT_UNKNOWN,
-)
+from npspace.npnorm import VERDICT_MEMBER, VERDICT_NOT_MEMBER
 
 SEED = 11
 
@@ -150,29 +145,26 @@ def test_np_norm_p1_nonzero_diverges(catalog_tables, catalog_entries):
     assert math.isinf(r.bracket.hi)
 
 
-def test_np_norm_routes_without_stabilization():
-    # A table too short to reach the stabilization level exercises the
-    # growth-cap tail (p > 2) and the unknown verdict (1 < p <= 2).
-    m3 = full_matrix_space(3)
-    phi = make_map(m3, m3, [np.array(b).T for b in m3.basis], "t3")
+@pytest.mark.parametrize("p", (1.0, 1.5, 2.5))
+def test_np_norm_extends_a_short_table(p, catalog_entries):
+    # A table that stops below the stabilization level m = 3 is extended to
+    # m, so the series is the one a table reaching m gives.
+    phi = catalog_entries["transpose_M3"].map
     short = build_level_table(phi, 2, seed=SEED)
-    r_hi = np_norm(phi, 2.5, short, K=2)
-    assert r_hi.verdict == VERDICT_MEMBER_BY_THEORY
-    assert math.isfinite(r_hi.bracket.hi)
-    assert r_hi.bracket.lo <= r_hi.bracket.hi
-    r_unknown = np_norm(phi, 1.5, short, K=2)
-    assert r_unknown.verdict == VERDICT_UNKNOWN
-    assert math.isinf(r_unknown.bracket.hi)
+    full = build_level_table(phi, 3, seed=SEED)
+    assert np_norm(phi, p, short).to_json_dict() == np_norm(phi, p, full).to_json_dict()
 
 
-def test_np_norm_insufficient_table():
-    from npspace import InsufficientTable
-
-    m3 = full_matrix_space(3)
-    phi = make_map(m3, m3, [np.array(b).T for b in m3.basis], "t3")
-    short = build_level_table(phi, 2, seed=SEED)
-    with pytest.raises(InsufficientTable):
-        np_norm(phi, 2.5, short, K=64)
+def test_np_norm_small_k_hands_over_at_the_stabilization_level(catalog_entries):
+    # K below m - 1 is raised to m - 1: levels below m are never counted at
+    # the level-m value.
+    phi = catalog_entries["transpose_M3"].map
+    table = build_level_table(phi, 3, seed=SEED)
+    r = np_norm(phi, 2.0, table, K=1)
+    assert r.truncation_level == 2
+    want = 1.0 + 2.0 / 4.0 + 3.0 * (ZETA2 - 1.25)  # ||phi_n|| = min(n, 3)
+    assert r.bracket.lo - 1e-9 <= want <= r.bracket.hi + 1e-9
+    assert r.to_json_dict() == np_norm(phi, 2.0, table, K=2).to_json_dict()
 
 
 def test_np_norm_monotone_refinement_in_k(catalog_tables, catalog_entries):
@@ -239,7 +231,7 @@ def test_membership_above_two_is_by_theory(catalog_tables, catalog_entries):
         phi = catalog_entries[name].map
         if phi.is_zero:
             continue
-        assert membership(phi, 2.5, table) == VERDICT_MEMBER_BY_THEORY
+        assert membership(phi, 2.5, table) == VERDICT_MEMBER
 
 
 def test_membership_stabilized_above_one(catalog_tables, catalog_entries):
@@ -267,11 +259,9 @@ def test_membership_growth_certificate():
     assert membership(phi, 1.5, table) == VERDICT_MEMBER
 
 
-def test_membership_unknown_without_evidence():
-    m3 = full_matrix_space(3)
-    phi = make_map(m3, m3, [np.array(b).T for b in m3.basis], "t3")
-    short = build_level_table(phi, 2, seed=SEED)
-    assert membership(phi, 1.5, short) == VERDICT_UNKNOWN
+def test_membership_with_a_short_table(catalog_entries):
+    phi = catalog_entries["transpose_M3"].map
+    assert membership(phi, 1.5, build_level_table(phi, 2, seed=SEED)) == VERDICT_MEMBER
 
 
 def test_full_matrix_codomain_always_member_above_one(catalog_tables, catalog_entries):
@@ -281,7 +271,7 @@ def test_full_matrix_codomain_always_member_above_one(catalog_tables, catalog_en
         if not phi.codomain.is_full_matrix_algebra:
             continue
         for p in (1.1, 1.5, 2.0, 2.5):
-            assert membership(phi, p, table) in (VERDICT_MEMBER, VERDICT_MEMBER_BY_THEORY)
+            assert membership(phi, p, table) == VERDICT_MEMBER
 
 
 def test_n1_triviality(catalog_tables, catalog_entries):
@@ -322,6 +312,12 @@ def test_index_stabilized_table_is_one(catalog_tables):
     assert est.r_hat == 1.0
     assert est.alpha_hat == 0.0
     assert est.residual == 0.0
+
+
+def test_index_short_table_is_one(catalog_entries):
+    phi = catalog_entries["transpose_M3"].map
+    est = index_estimate(build_level_table(phi, 2, seed=SEED))
+    assert (est.r_hat, est.alpha_hat, est.fit_window, est.residual) == (1.0, 0.0, (3, 3), 0.0)
 
 
 def test_index_zero_map(catalog_tables):
