@@ -27,6 +27,10 @@ CLOSED_FORM_FUNCTIONAL = "functional"
 CLOSED_FORM_STABILIZED = "stabilized"
 CLOSED_FORM_ZERO = "zero"
 
+# Largest hand-over point K: the partial sums up to K take time linear in K,
+# and zeta_tail is already certified far below this.
+MAX_TRUNCATION = 100_000
+
 
 @dataclass(frozen=True)
 class NpParameter:
@@ -63,13 +67,24 @@ def zeta_tail(p: float, K: int) -> tuple[float, float]:
     em_hi = integral + 0.5 * a ** (-p) + p * a ** (-p - 1.0) / 12.0
     em_width = p * (p + 1.0) * (p + 2.0) * a ** (-p - 3.0) / 720.0
     naive_hi = (K ** (1.0 - p) / (p - 1.0)) if K >= 1 else (1.0 + 1.0 / (p - 1.0))
-    lo = max(em_hi - em_width, integral, a ** (-p))
+    lo = max(integral, a ** (-p))
+    # For p beyond about 5.6e102 the correction's width is inf * 0 = NaN.
+    if math.isfinite(em_hi - em_width):
+        lo = max(em_hi - em_width, lo)
     hi = min(em_hi, naive_hi)
     return lo, hi
 
 
+def _check_truncation(K: int) -> int:
+    K = int(K)
+    if K > MAX_TRUNCATION:
+        raise ValueError(f"K must be at most MAX_TRUNCATION = {MAX_TRUNCATION}, got {K}")
+    return K
+
+
 def zeta_bracket(p: float, K: int = 64) -> tuple[float, float]:
     """Certified bounds on the full sum zeta(p), p > 1."""
+    K = _check_truncation(K)
     p = float(p)
     if p <= 1.0:
         return math.inf, math.inf
@@ -120,9 +135,7 @@ def np_norm(phi: LinearMapRep, p, table: LevelNormTable, K: int | None = None) -
     of s is first extended to s.
     """
     pp = _as_p(p)
-    if K is None:
-        K = default_truncation(table)
-    K = int(K)
+    K = _check_truncation(default_truncation(table) if K is None else K)
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
 

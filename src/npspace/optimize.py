@@ -14,6 +14,12 @@ unit ball.  On a proper subspace it is a step along the gradient of the
 log ratio, taken from the top singular pairs of both realizations, with a
 per-restart step length that grows on success and shrinks on failure.
 
+The polar step depends only on the restart's stored singular pair, so on a
+full matrix algebra a rejected proposal would be made again unchanged:
+the restart ends at its first rejected step.  It counts as converged
+exactly when the stall rule (``_STALL_LIMIT`` iterations without a rise)
+would have been met within the ``max_iter`` budget left.
+
 The top singular pairs come from the top eigenpair of the Gram matrix
 A A* (``spaces.top_singular_pairs``), one batched eigensolve per
 realization; only the polar step takes a full SVD.  The returned value is
@@ -129,8 +135,9 @@ def maximize_amplified_norm(
     step = np.full(budget.restarts, _STEP_START)
     stall = np.zeros(budget.restarts, dtype=int)
     converged = np.zeros(budget.restarts, dtype=bool)
-    for _ in range(budget.max_iter):
-        live = np.flatnonzero(~converged)
+    done = np.zeros(budget.restarts, dtype=bool)
+    for it in range(budget.max_iter):
+        live = np.flatnonzero(~done)
         if live.size == 0:
             break
         img, img_u, img_v, dom, dom_u, dom_v = (p[live] for p in pairs)
@@ -157,7 +164,12 @@ def maximize_amplified_norm(
         step[live] *= np.where(keep, _STEP_GROW, _STEP_SHRINK)
         small = new_ratio - old < budget.tol * np.maximum(1.0, ratio[live])
         stall[live] = np.where(small, stall[live] + 1, 0)
-        converged[live] = stall[live] >= _STALL_LIMIT
+        # A rejected polar step would only be proposed again unchanged, each
+        # repeat a small step, for the rest of the budget.
+        ends = full & ~keep
+        ahead = np.where(ends & small, budget.max_iter - 1 - it, 0)
+        converged[live] = stall[live] + ahead >= _STALL_LIMIT
+        done[live] = converged[live] | ends
 
     best = int(np.argmax(ratio))
     support = int(

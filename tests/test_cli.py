@@ -85,6 +85,15 @@ def test_npnorm_trace_p2(tmp_path, capsys):
     assert data["closed_form"] == "functional"
 
 
+@pytest.mark.parametrize("p", ("6e102", "1e300"))
+def test_npnorm_at_a_huge_p_keeps_a_finite_ordered_bracket(tmp_path, p):
+    # The series is 1 + 2 * (zeta(p) - 1), which is 1.0 in double precision.
+    out = tmp_path / "np.json"
+    assert run(["npnorm", "catalog:transpose_M2", "--p", p, "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["lo"] <= 1.0 <= data["hi"]
+
+
 def test_npnorm_identity_p1_not_member(tmp_path):
     out = tmp_path / "np1.json"
     code = run(["npnorm", "catalog:identity_M2", "--p", "1", "--seed", "7", "--out", str(out)])

@@ -1,6 +1,7 @@
 """Series brackets, membership decisions, index fits, and inclusions."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from npspace import (
     zeta_bracket,
     zeta_tail,
 )
-from npspace.npnorm import VERDICT_MEMBER, VERDICT_NOT_MEMBER
+from npspace.npnorm import MAX_TRUNCATION, VERDICT_MEMBER, VERDICT_NOT_MEMBER
 
 SEED = 11
 
@@ -82,6 +83,33 @@ def test_zeta_tail_ordered_and_certified(p, K):
     true_lo = partial
     true_hi = partial + top ** (1 - p) / (p - 1)
     assert lo <= true_hi and hi >= true_lo
+
+
+@pytest.mark.parametrize("p", [6e102, 1e300, sys.float_info.max])
+@pytest.mark.parametrize("K", [0, 1, 64])
+def test_zeta_bounds_stay_finite_for_huge_p(p, K):
+    # p * (p + 1) * (p + 2) overflows there, and the Euler-Maclaurin
+    # correction's width came out NaN, which made every bracket NaN.
+    for lo, hi in (zeta_tail(p, K), zeta_bracket(p, K)):
+        assert math.isfinite(lo) and math.isfinite(hi)
+        assert 0.0 <= lo <= hi
+    lo, hi = zeta_bracket(p, K)
+    assert lo <= 1.0 <= hi  # zeta(p) rounds to 1.0
+
+
+def test_truncation_above_the_cap_is_rejected_before_any_sum(catalog_tables, catalog_entries):
+    phi = catalog_entries["transpose_M2"].map
+    table = catalog_tables["transpose_M2"]
+    with pytest.raises(ValueError, match="MAX_TRUNCATION"):
+        np_norm(phi, 2.0, table, K=10**8)
+    with pytest.raises(ValueError, match="MAX_TRUNCATION"):
+        zeta_bracket(2.0, 10**8)
+    r = np_norm(phi, 2.0, table, K=MAX_TRUNCATION)
+    assert r.truncation_level == MAX_TRUNCATION
+    want = 2.0 * ZETA2 - 1.0  # ||phi_1|| = 1, ||phi_n|| = 2 from n = 2 on
+    assert r.bracket.lo - 1e-9 <= want <= r.bracket.hi + 1e-9
+    lo, hi = zeta_bracket(2.0, MAX_TRUNCATION)
+    assert lo <= ZETA2 <= hi
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 5.0])

@@ -3,9 +3,26 @@
 import numpy as np
 import pytest
 
-from npspace import full_matrix_space, get_entry, make_map, random_subspace
-from npspace.optimize import DEFAULT_BUDGET, AscentOutcome, OptBudget, maximize_amplified_norm
-from npspace.spaces import SpaceElement, level_norm, realize_batch, spectral_norm
+from npspace import full_matrix_space, get_entry, list_entries, make_map, optimize, random_subspace
+from npspace.optimize import (
+    _AGREE_REL,
+    _SEED_TAG,
+    _STALL_LIMIT,
+    DEFAULT_BUDGET,
+    AscentOutcome,
+    OptBudget,
+    _representer,
+    maximize_amplified_norm,
+)
+from npspace.spaces import (
+    SpaceElement,
+    level_norm,
+    realize,
+    realize_batch,
+    spectral_norm,
+    top_singular_pairs,
+    unrealize,
+)
 
 
 def _subspace_map():
@@ -55,3 +72,121 @@ def test_budget_rejects_tol_that_is_not_a_positive_finite_number(tol):
     # back to the looser coefficient relaxation without a word.
     with pytest.raises(ValueError, match="invalid budget"):
         OptBudget(tol=tol)
+
+
+def _reference_ascent(space, images, level, budget, seed):
+    """Reference M_d ascent that iterates every restart until it stalls.
+
+    Rejected polar steps are proposed again until the stall rule fires.
+    Also returns, per restart, the iterations it took up to and including
+    its first rejection (or until it left the loop without one).
+    """
+    n = int(level)
+    stack = space._stack
+    gram_inv = space._vec_pinv @ space._vec_pinv.conj().T
+
+    def unit(rng, size):
+        z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        return z / np.linalg.norm(z)
+
+    ne = n * images.shape[1]
+    starts = []
+    for r in range(budget.restarts):
+        rng = np.random.default_rng([_SEED_TAG, abs(int(seed)), n, r])
+        starts.append((unit(rng, ne), unit(rng, ne)))
+    u0, v0 = (np.stack(side) for side in zip(*starts))
+
+    def evaluate(coords):
+        img, img_u, img_v = top_singular_pairs(realize_batch(images, coords))
+        dom, dom_u, dom_v = top_singular_pairs(realize_batch(stack, coords))
+        return img / dom, (img, img_u, img_v, dom, dom_u, dom_v)
+
+    x = _representer(gram_inv, images, n, u0, v0)
+    ratio, pairs = evaluate(x)
+    stall = np.zeros(budget.restarts, dtype=int)
+    converged = np.zeros(budget.restarts, dtype=bool)
+    rejected = np.zeros(budget.restarts, dtype=bool)
+    taken = np.zeros(budget.restarts, dtype=int)
+    for _ in range(budget.max_iter):
+        live = np.flatnonzero(~converged)
+        if live.size == 0:
+            break
+        img, img_u, img_v, dom, dom_u, dom_v = (p[live] for p in pairs)
+        w = _representer(gram_inv, images, n, img_u, img_v)
+        pu, _, pvh = np.linalg.svd(realize_batch(stack, w))
+        prop = unrealize(space, n, pu @ pvh)
+        new_ratio, new_pairs = evaluate(prop)
+        old = ratio[live]
+        keep = new_ratio > old
+        taken[live[~rejected[live]]] += 1
+        rejected[live[~keep]] = True
+        took = live[keep]
+        x[took] = prop[keep]
+        ratio[took] = new_ratio[keep]
+        for p, q in zip(pairs, new_pairs):
+            p[took] = q[keep]
+        small = new_ratio - old < budget.tol * np.maximum(1.0, ratio[live])
+        stall[live] = np.where(small, stall[live] + 1, 0)
+        converged[live] = stall[live] >= _STALL_LIMIT
+
+    best = int(np.argmax(ratio))
+    support = int(
+        np.sum(converged & (np.abs(ratio - ratio[best]) <= _AGREE_REL * max(1.0, ratio[best])))
+    )
+    best_x = x[best] / spectral_norm(realize(SpaceElement(space, n, x[best])))
+    value = spectral_norm(realize_batch(images, best_x))
+    conv = bool(converged[best]) and (support >= 2 or budget.restarts == 1)
+    return AscentOutcome(value, best_x, conv, support), taken
+
+
+def _random_full_map(d, m, seed):
+    rng = np.random.default_rng([20261018, d, m, seed])
+    images = rng.standard_normal((d * d, m, m)) + 1j * rng.standard_normal((d * d, m, m))
+    return make_map(full_matrix_space(d), full_matrix_space(m), list(images), f"rand_{d}_{m}")
+
+
+FULL_MAPS = {e.name: (lambda e=e: e.map) for e in list_entries() if not e.map.is_zero}
+FULL_MAPS.update(
+    {
+        f"random_M{d}_to_M{m}": (lambda d=d, m=m, s=s: _random_full_map(d, m, s))
+        for s, (d, m) in enumerate(((1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)))
+    }
+)
+BUDGETS = (OptBudget(20, 200, 1e-11), OptBudget(1, 200, 1e-11), OptBudget(3, 4, 1e-11),
+           OptBudget(5, 3, 1e-6))
+
+
+@pytest.mark.parametrize("budget", BUDGETS, ids=str)
+@pytest.mark.parametrize("which", sorted(FULL_MAPS))
+def test_full_algebra_ascent_matches_the_stall_loop(which, budget):
+    # Ending a restart at its first rejected polar step must give what
+    # running it on until the stall rule fires gives, within the budget.
+    phi = FULL_MAPS[which]()
+    images = phi.images()
+    for level in range(1, phi.codomain.ambient_dim + 1):
+        for seed in (0, 7):
+            got = maximize_amplified_norm(phi.domain, images, level, budget, seed)
+            ref, _ = _reference_ascent(phi.domain, images, level, budget, seed)
+            assert (got.converged, got.support) == (ref.converged, ref.support), level
+            assert abs(got.value - ref.value) <= 1e-12 * max(1.0, ref.value), level
+
+
+@pytest.mark.parametrize(("name", "level"), (("transpose_M3", 2), ("schur_M2", 1)))
+def test_full_algebra_restart_evaluates_nothing_after_its_first_rejection(
+    monkeypatch, name, level
+):
+    phi = get_entry(name).map
+    images = phi.images()
+    _, taken = _reference_ascent(phi.domain, images, level, DEFAULT_BUDGET, 3)
+
+    counted = []
+
+    def counting(mats):
+        counted.append(mats.shape[0])
+        return top_singular_pairs(mats)
+
+    monkeypatch.setattr(optimize, "top_singular_pairs", counting)
+    maximize_amplified_norm(phi.domain, images, level, DEFAULT_BUDGET, 3)
+    # Two realizations (image and domain) per restart: the starts, then
+    # every iteration up to and including the first rejection.
+    assert sum(counted) == 2 * (DEFAULT_BUDGET.restarts + int(taken.sum()))
