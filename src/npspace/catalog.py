@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NoClosedForm
 from .maps import LinearMapRep, make_map, map_to_dict
-from .npnorm import zeta_tail
+from .npnorm import over_power, zeta_tail
 from .spaces import full_matrix_space, make_space
 
 PROVENANCE_PAPER_COROLLARY = "paper_corollary"
@@ -156,7 +156,7 @@ def expected_np_bracket(entry: CatalogEntry, p: float, K: int) -> tuple[float, f
     if K < stab:
         raise ValueError(f"K={K} is below the rule's stabilization level {stab}")
     rule = entry.expected_level_norms
-    partial = math.fsum(rule(n) / n**p for n in range(1, K + 1))
+    partial = math.fsum(over_power(rule(n), n, p) for n in range(1, K + 1))
     stable_value = rule(K + 1)
     tlo, thi = zeta_tail(p, K)
     return partial + stable_value * tlo, partial + stable_value * thi

@@ -1,10 +1,8 @@
 """Linear maps between concrete operator spaces and their level-norm brackets.
 
-A map is stored as its coordinate matrix between bases.  Level norms
-||phi_n|| are bracketed from below by the batched ascent optimizer
-(witnessed) and from above by a stack of certified caps: n times the base
-norm, the coefficient relaxation, stabilization at the codomain's ambient
-dimension, and monotone caps from higher levels.
+A map is stored as its coordinate matrix between bases.  Every bracket for
+a level norm ||phi_n|| is a row of ``build_level_table``: per-level ascent
+brackets joined by one propagation pass of certified cross-level bounds.
 """
 
 from __future__ import annotations
@@ -238,39 +236,28 @@ class LevelNormTable:
         }
 
 
-def _cache_key(kind: str, n: int, budget: OptBudget, seed: int):
-    return (kind, n, budget.restarts, budget.max_iter, budget.tol, seed)
-
-
 def _zero_entry(phi: LinearMapRep, n: int) -> LevelEntry:
     bracket = NormBracket(0.0, 0.0, SOURCE_TRIVIAL_ZERO, SOURCE_TRIVIAL_ZERO)
     witness = np.zeros((n, n, phi.domain.dim), dtype=complex)
     return LevelEntry(n, bracket, witness)
 
 
-def _raw_level_entry(phi: LinearMapRep, n: int, budget: OptBudget, seed: int) -> LevelEntry:
-    """Bracket at one level, before any cross-level propagation."""
-    key = _cache_key("raw", n, budget, seed)
-    if key in phi._cache:
-        return phi._cache[key]
-    if phi.is_zero:
-        entry = _zero_entry(phi, n)
-        phi._cache[key] = entry
-        return entry
-    outcome = maximize_amplified_norm(phi.domain, phi.images(), n, budget, seed)
-    lo = outcome.value
-    candidates = []
-    if phi.domain.is_full_matrix_algebra and outcome.converged:
-        candidates.append((lo * (1.0 + _CERT_SLACK), SOURCE_OPTIMIZER))
-    if n > 1:
-        base = _raw_level_entry(phi, 1, budget, seed).bracket
-        candidates.append((n * base.hi, SOURCE_N_TIMES_NORM))
-    candidates.append((coefficient_relaxation_bound(phi, n), SOURCE_COEFF_RELAXATION))
-    hi, hi_src = min(candidates, key=lambda c: c[0])
-    lo, hi = _reconcile(lo, hi, phi, n)
-    entry = LevelEntry(n, NormBracket(lo, hi, SOURCE_OPTIMIZER, hi_src), outcome.coords)
-    phi._cache[key] = entry
-    return entry
+def _ascent_entry(phi: LinearMapRep, n: int, budget: OptBudget, seed: int) -> LevelEntry:
+    """Level n <= m alone, cached on the map: the ascent's witnessed ``lo``, and
+    the smaller of its promoted converged value and the coefficient relaxation."""
+    key = ("ascent", n, budget, seed)
+    if key not in phi._cache:
+        outcome = maximize_amplified_norm(phi.domain, phi.images(), n, budget, seed)
+        lo = outcome.value
+        candidates = []
+        if phi.domain.is_full_matrix_algebra and outcome.converged:
+            candidates.append((lo * (1.0 + _CERT_SLACK), SOURCE_OPTIMIZER))
+        candidates.append((coefficient_relaxation_bound(phi, n), SOURCE_COEFF_RELAXATION))
+        hi, hi_src = min(candidates, key=lambda c: c[0])
+        lo, hi = _reconcile(lo, hi, phi, n)
+        bracket = NormBracket(lo, hi, SOURCE_OPTIMIZER, hi_src)
+        phi._cache[key] = LevelEntry(n, bracket, outcome.coords)
+    return phi._cache[key]
 
 
 def _reconcile(lo: float, hi: float, phi: LinearMapRep, n: int) -> tuple[float, float]:
@@ -284,43 +271,31 @@ def _reconcile(lo: float, hi: float, phi: LinearMapRep, n: int) -> tuple[float, 
     return lo, hi
 
 
+def _table_through(phi: LinearMapRep, n: int, budget: OptBudget, seed: int) -> LevelNormTable:
+    """The table whose last row serves level n: levels 1..min(n, m)."""
+    if not isinstance(n, int) or n < 1:
+        raise InvalidLevel(f"level must be a positive integer, got {n!r}")
+    return build_level_table(phi, min(n, phi.codomain.ambient_dim), budget, seed)
+
+
 def level_norm_bracket(
     phi: LinearMapRep, n: int, budget: OptBudget = DEFAULT_BUDGET, seed: int = 0
 ) -> NormBracket:
-    """Certified bracket for ||phi_n||.
+    """Certified bracket for ||phi_n||: row n of the level table.
 
-    Levels above the codomain's ambient dimension m reuse the level-m
-    bracket: the inclusion of the codomain in M_m stabilizes the sequence
-    there, so the value is equal, not just capped.
+    Levels above the codomain's ambient dimension m read the level-m row:
+    the inclusion of the codomain in M_m stabilizes the sequence there, so
+    the value is equal, not just capped.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidLevel(f"level must be a positive integer, got {n!r}")
-    return _level_entry(phi, n, budget, seed).bracket
+    return _table_through(phi, n, budget, seed).bracket_at(n)
 
 
 def level_witness(
     phi: LinearMapRep, n: int, budget: OptBudget = DEFAULT_BUDGET, seed: int = 0
 ) -> SpaceElement:
-    """The optimizer's witness for the level-n lower bound."""
-    entry = _level_entry(phi, n, budget, seed)
-    return SpaceElement(phi.domain, n, entry.witness)
-
-
-def _level_entry(phi: LinearMapRep, n: int, budget: OptBudget, seed: int) -> LevelEntry:
-    if not isinstance(n, int) or n < 1:
-        raise InvalidLevel(f"level must be a positive integer, got {n!r}")
-    if phi.is_zero:
-        return _zero_entry(phi, n)
-    m = phi.codomain.ambient_dim
-    if n <= m:
-        return _raw_level_entry(phi, n, budget, seed)
-    key = _cache_key("stab", n, budget, seed)
-    if key not in phi._cache:
-        at_m = _raw_level_entry(phi, m, budget, seed)
-        bracket = NormBracket(at_m.bracket.lo, at_m.bracket.hi, SOURCE_SMITH, SOURCE_SMITH)
-        witness = pad_to(SpaceElement(phi.domain, m, at_m.witness), n).coords
-        phi._cache[key] = LevelEntry(n, bracket, witness)
-    return phi._cache[key]
+    """The witness for the level-n lower bound, padded up from level min(n, m)."""
+    row = _table_through(phi, n, budget, seed).entries[-1]
+    return pad_to(SpaceElement(phi.domain, row.level, row.witness), n)
 
 
 def base_norm(
@@ -339,10 +314,9 @@ def cb_norm(
     itself; for a proper subspace it follows by applying the same statement
     to the (completely isometric) ambient inclusion.
     """
+    inner = level_norm_bracket(phi, phi.codomain.ambient_dim, budget, seed)
     if phi.is_zero:
-        return NormBracket(0.0, 0.0, SOURCE_TRIVIAL_ZERO, SOURCE_TRIVIAL_ZERO)
-    m = phi.codomain.ambient_dim
-    inner = level_norm_bracket(phi, m, budget, seed)
+        return inner
     return NormBracket(inner.lo, inner.hi, SOURCE_SMITH, SOURCE_SMITH)
 
 
@@ -352,68 +326,65 @@ def build_level_table(
     budget: OptBudget = DEFAULT_BUDGET,
     seed: int = 0,
 ) -> LevelNormTable:
-    """Brackets for n = 1..max_level with all cross-level bounds applied."""
+    """Brackets for n = 1..max_level with all cross-level bounds applied.
+
+    Every level bracket is made here.  Levels n <= m (the codomain's ambient
+    dimension) start from their own ascent, levels above m as copies of level
+    m (stabilization).  Each cross-level rule then runs once, in order: lo
+    upward, hi downward, the cap n * hi_1, level m's hi above m.  After that
+    lo and hi are nondecreasing, hi_n <= n hi_1 and the levels from m on
+    share one bracket, so a second pass could change nothing.
+    """
     if not isinstance(max_level, int) or max_level < 1:
         raise InvalidLevel(f"max_level must be a positive integer, got {max_level!r}")
     if phi.is_zero:
         entries = tuple(_zero_entry(phi, n) for n in range(1, max_level + 1))
         return LevelNormTable(phi, entries, 1, budget, seed)
 
-    raw = [_level_entry(phi, n, budget, seed) for n in range(1, max_level + 1)]
-    los = [e.bracket.lo for e in raw]
-    his = [e.bracket.hi for e in raw]
-    lo_srcs = [e.bracket.lo_source for e in raw]
-    hi_srcs = [e.bracket.hi_source for e in raw]
-    witnesses = [e.witness for e in raw]
     m = phi.codomain.ambient_dim
+    rows = [_ascent_entry(phi, n, budget, seed) for n in range(1, min(max_level, m) + 1)]
+    los = [e.bracket.lo for e in rows]
+    his = [e.bracket.hi for e in rows]
+    lo_srcs = [e.bracket.lo_source for e in rows]
+    hi_srcs = [e.bracket.hi_source for e in rows]
+    witnesses = [e.witness for e in rows]
+    # Levels above m equal level m (Smith stabilization).
+    for n in range(m + 1, max_level + 1):
+        los.append(los[m - 1])
+        his.append(his[m - 1])
+        lo_srcs.append(SOURCE_SMITH)
+        hi_srcs.append(SOURCE_SMITH)
+        witnesses.append(pad_to(SpaceElement(phi.domain, m, witnesses[m - 1]), n).coords)
 
-    for _ in range(4):
-        changed = False
-        # Monotonicity: lower bounds propagate upward (witnesses padded along).
-        for i in range(1, max_level):
-            if los[i - 1] > los[i]:
-                los[i] = los[i - 1]
-                lo_srcs[i] = SOURCE_MONOTONICITY
-                witnesses[i] = pad_to(
-                    SpaceElement(phi.domain, i, witnesses[i - 1]), i + 1
-                ).coords
-                changed = True
-        # Upper bounds propagate downward; caps descending from the
-        # stabilized range are cb caps, the rest plain monotone caps.
-        for i in range(max_level - 2, -1, -1):
-            if his[i + 1] < his[i]:
-                his[i] = his[i + 1]
-                hi_srcs[i] = SOURCE_CB_CAP if i + 2 >= m else SOURCE_MONOTONICITY
-                changed = True
-        # n times the level-1 bound.
-        for i in range(1, max_level):
-            cap = (i + 1) * his[0]
-            if cap < his[i]:
-                his[i] = cap
-                hi_srcs[i] = SOURCE_N_TIMES_NORM
-                changed = True
-        # Levels at or beyond the ambient dimension share one value.
-        if m <= max_level:
-            group = range(m - 1, max_level)
-            glo = max(los[i] for i in group)
-            ghi = min(his[i] for i in group)
-            for i in group:
-                if los[i] != glo or his[i] != ghi:
-                    if los[i] != glo:
-                        lo_srcs[i] = SOURCE_SMITH
-                    if his[i] != ghi:
-                        hi_srcs[i] = SOURCE_SMITH
-                    los[i], his[i] = glo, ghi
-                    changed = True
-        if not changed:
-            break
+    # Monotonicity: lower bounds propagate upward (witnesses padded along).
+    for i in range(1, max_level):
+        if los[i - 1] > los[i]:
+            los[i] = los[i - 1]
+            lo_srcs[i] = SOURCE_MONOTONICITY
+            witnesses[i] = pad_to(SpaceElement(phi.domain, i, witnesses[i - 1]), i + 1).coords
+    # Upper bounds propagate downward; caps descending from the stabilized
+    # range are cb caps, the rest plain monotone caps.
+    for i in range(max_level - 2, -1, -1):
+        if his[i + 1] < his[i]:
+            his[i] = his[i + 1]
+            hi_srcs[i] = SOURCE_CB_CAP if i + 2 >= m else SOURCE_MONOTONICITY
+    # n times the level-1 bound.
+    for i in range(1, max_level):
+        cap = (i + 1) * his[0]
+        if cap < his[i]:
+            his[i] = cap
+            hi_srcs[i] = SOURCE_N_TIMES_NORM
+    # Levels above m take level m's upper bound.
+    for i in range(m, max_level):
+        if his[i] != his[m - 1]:
+            his[i] = his[m - 1]
+            hi_srcs[i] = SOURCE_SMITH
 
     entries = []
     for i in range(max_level):
         lo, hi = _reconcile(los[i], his[i], phi, i + 1)
-        entries.append(
-            LevelEntry(i + 1, NormBracket(lo, hi, lo_srcs[i], hi_srcs[i]), witnesses[i])
-        )
+        bracket = NormBracket(lo, hi, lo_srcs[i], hi_srcs[i])
+        entries.append(LevelEntry(i + 1, bracket, witnesses[i]))
     return LevelNormTable(phi, tuple(entries), m, budget, seed)
 
 

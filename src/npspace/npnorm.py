@@ -17,8 +17,9 @@ from typing import Iterable
 import numpy as np
 
 from .bracket import SOURCE_MONOTONICITY, SOURCE_SMITH, SOURCE_TRIVIAL_ZERO, NormBracket
-from .errors import InsufficientData
+from .errors import InsufficientData, SpaceMismatch
 from .maps import LevelNormTable, LinearMapRep, build_level_table
+from .spaces import _same_space
 
 VERDICT_MEMBER = "member"
 VERDICT_NOT_MEMBER = "not_member"
@@ -75,6 +76,14 @@ def zeta_tail(p: float, K: int) -> tuple[float, float]:
     return lo, hi
 
 
+def over_power(x: float, n: int, p: float) -> float:
+    """x / n**p, or x * n**-p (which underflows instead) once n**p overflows."""
+    try:
+        return x / n**p
+    except OverflowError:
+        return x * n**-p
+
+
 def _check_truncation(K: int) -> int:
     K = int(K)
     if K > MAX_TRUNCATION:
@@ -125,6 +134,17 @@ def default_truncation(table: LevelNormTable) -> int:
     return max(64, 4 * table.stabilization_level)
 
 
+def _require_table_for(phi: LinearMapRep, table: LevelNormTable) -> None:
+    """A table answers only for the map it was built for, or an equal one."""
+    t = table.map
+    if t is not phi and not (
+        _same_space(t.domain, phi.domain)
+        and _same_space(t.codomain, phi.codomain)
+        and np.array_equal(t.coeff, phi.coeff)
+    ):
+        raise SpaceMismatch(f"table was built for map {t.label!r}, not for {phi.label!r}")
+
+
 def np_norm(phi: LinearMapRep, p, table: LevelNormTable, K: int | None = None) -> NpResult:
     """Bracket the series sum_{n >= 1} ||phi_n|| / n^p using a level table.
 
@@ -132,8 +152,10 @@ def np_norm(phi: LinearMapRep, p, table: LevelNormTable, K: int | None = None) -
     series is the termwise sum over n < s plus [lo_s, hi_s] times
     sum_{n >= s} n^-p; K (raised to s - 1 if lower) is where that zeta sum
     hands over from partial sums to ``zeta_tail``.  A table that stops short
-    of s is first extended to s.
+    of s is first extended to s.  A table built for another map raises
+    SpaceMismatch.
     """
+    _require_table_for(phi, table)
     pp = _as_p(p)
     K = _check_truncation(default_truncation(table) if K is None else K)
     if K < 1:
@@ -166,7 +188,7 @@ def np_norm(phi: LinearMapRep, p, table: LevelNormTable, K: int | None = None) -
     zlo, zhi = zeta_tail(pp, K)
     tail_lo = bs.lo * zlo
     tail_hi = bs.hi * zhi
-    terms = [(b.lo / n**pp, b.hi / n**pp) for n, b in enumerate(head, start=1)]
+    terms = [(over_power(b.lo, n, pp), over_power(b.hi, n, pp)) for n, b in enumerate(head, 1)]
     terms += [(bs.lo * zeta_head, bs.hi * zeta_head), (tail_lo, tail_hi)]
     lo, hi = (math.fsum(side) for side in zip(*terms))
     closed = CLOSED_FORM_FUNCTIONAL if phi.codomain.ambient_dim == 1 else CLOSED_FORM_STABILIZED

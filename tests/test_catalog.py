@@ -1,5 +1,7 @@
 """Catalog entries: closed-form rules validated against the oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,17 @@ def test_expected_np_bracket_identity_p2():
     lo, hi = expected_np_bracket(entry, 2.0, 64)
     assert lo - 1e-12 <= 1.6449340668482264 <= hi + 1e-12
     assert hi - lo <= 1e-6
+
+
+@pytest.mark.parametrize("p", [171.0, 1025.0, 1e6, 1e300])
+def test_expected_np_bracket_at_huge_p(p):
+    # With K = 64 the partial sum once divided by 64**p, which overflows
+    # from p = 171 on.
+    for entry in list_entries():
+        lo, hi = expected_np_bracket(entry, p, 64)
+        assert math.isfinite(lo) and math.isfinite(hi) and lo <= hi, entry.name
+    lo, hi = expected_np_bracket(get_entry("transpose_M3"), p, 64)
+    assert lo <= 1.0 <= hi
 
 
 def test_expected_np_bracket_zero():

@@ -94,6 +94,19 @@ def test_npnorm_at_a_huge_p_keeps_a_finite_ordered_bracket(tmp_path, p):
     assert data["lo"] <= 1.0 <= data["hi"]
 
 
+def test_series_at_p_above_1024_with_stabilization_level_3_exit_0(tmp_path):
+    out = tmp_path / "np.json"
+    assert run(["npnorm", "catalog:transpose_M3", "--p", "1025", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["lo"] <= 1.0 <= data["hi"]
+    csv = tmp_path / "plot.csv"
+    grid = ["--p-grid", "1000:1100:50", "--out", str(csv)]
+    assert run(["plotdata", "catalog:transpose_M3", *grid]) == 0
+    rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == [1000.0, 1050.0, 1100.0]
+    assert all(float(lo) <= 1.0 <= float(hi) for _, lo, hi in rows)
+
+
 def test_npnorm_identity_p1_not_member(tmp_path):
     out = tmp_path / "np1.json"
     code = run(["npnorm", "catalog:identity_M2", "--p", "1", "--seed", "7", "--out", str(out)])

@@ -8,6 +8,7 @@ from npspace import (
     InvalidLevel,
     NonFiniteInput,
     OptBudget,
+    SpaceElement,
     amplify,
     base_norm,
     build_level_table,
@@ -16,16 +17,37 @@ from npspace import (
     level_norm,
     level_norm_bracket,
     level_witness,
+    list_entries,
     make_map,
     make_space,
     map_from_dict,
     map_to_dict,
+    pad_to,
     random_element,
+    random_subspace,
     realize,
     realize_amplified,
     scaled_map,
 )
-from npspace.maps import witness_to_dict
+from npspace.bracket import (
+    SOURCE_CB_CAP,
+    SOURCE_COEFF_RELAXATION,
+    SOURCE_MONOTONICITY,
+    SOURCE_N_TIMES_NORM,
+    SOURCE_OPTIMIZER,
+    SOURCE_SMITH,
+    NormBracket,
+)
+from npspace.maps import (
+    _CERT_SLACK,
+    LevelEntry,
+    LinearMapRep,
+    _reconcile,
+    _zero_entry,
+    coefficient_relaxation_bound,
+    witness_to_dict,
+)
+from npspace.optimize import maximize_amplified_norm
 
 SEED = 11
 
@@ -349,6 +371,7 @@ def test_table_lo_nondecreasing_hi_capped(catalog_tables):
         los = [e.bracket.lo for e in table.entries]
         his = [e.bracket.hi for e in table.entries]
         assert all(a <= b for a, b in zip(los, los[1:]))
+        assert all(a <= b for a, b in zip(his, his[1:]))
         assert all(h <= (i + 1) * his[0] * (1 + 1e-12) for i, h in enumerate(his))
 
 
@@ -385,6 +408,165 @@ def test_subspace_domain_inclusion_is_complete_isometry():
     for e in table.entries:
         assert abs(e.bracket.lo - 1.0) <= 1e-8
         assert e.bracket.hi >= 1.0 - 1e-12  # upper bound stays valid
+
+
+def _reference_raw_entry(phi, n, budget, seed, cache):
+    """Reference per-level bracket with its own n * hi(1) candidate."""
+    key = ("raw", n)
+    if key in cache:
+        return cache[key]
+    if phi.is_zero:
+        cache[key] = _zero_entry(phi, n)
+        return cache[key]
+    outcome = maximize_amplified_norm(phi.domain, phi.images(), n, budget, seed)
+    lo = outcome.value
+    candidates = []
+    if phi.domain.is_full_matrix_algebra and outcome.converged:
+        candidates.append((lo * (1.0 + _CERT_SLACK), SOURCE_OPTIMIZER))
+    if n > 1:
+        base = _reference_raw_entry(phi, 1, budget, seed, cache).bracket
+        candidates.append((n * base.hi, SOURCE_N_TIMES_NORM))
+    candidates.append((coefficient_relaxation_bound(phi, n), SOURCE_COEFF_RELAXATION))
+    hi, hi_src = min(candidates, key=lambda c: c[0])
+    lo, hi = _reconcile(lo, hi, phi, n)
+    cache[key] = LevelEntry(n, NormBracket(lo, hi, SOURCE_OPTIMIZER, hi_src), outcome.coords)
+    return cache[key]
+
+
+def _reference_level_entry(phi, n, budget, seed, cache):
+    """Reference reader: raw up to m, a Smith-tagged copy of level m above."""
+    if phi.is_zero:
+        return _zero_entry(phi, n)
+    m = phi.codomain.ambient_dim
+    if n <= m:
+        return _reference_raw_entry(phi, n, budget, seed, cache)
+    at_m = _reference_raw_entry(phi, m, budget, seed, cache)
+    bracket = NormBracket(at_m.bracket.lo, at_m.bracket.hi, SOURCE_SMITH, SOURCE_SMITH)
+    witness = pad_to(SpaceElement(phi.domain, m, at_m.witness), n).coords
+    return LevelEntry(n, bracket, witness)
+
+
+def _reference_table_rows(phi, max_level, budget, seed, cache):
+    """Reference table: every rule re-applied for up to four rounds."""
+    if phi.is_zero:
+        return [_zero_entry(phi, n) for n in range(1, max_level + 1)]
+    raw = [_reference_level_entry(phi, n, budget, seed, cache) for n in range(1, max_level + 1)]
+    los = [e.bracket.lo for e in raw]
+    his = [e.bracket.hi for e in raw]
+    lo_srcs = [e.bracket.lo_source for e in raw]
+    hi_srcs = [e.bracket.hi_source for e in raw]
+    witnesses = [e.witness for e in raw]
+    m = phi.codomain.ambient_dim
+    for _ in range(4):
+        changed = False
+        for i in range(1, max_level):
+            if los[i - 1] > los[i]:
+                los[i] = los[i - 1]
+                lo_srcs[i] = SOURCE_MONOTONICITY
+                witnesses[i] = pad_to(SpaceElement(phi.domain, i, witnesses[i - 1]), i + 1).coords
+                changed = True
+        for i in range(max_level - 2, -1, -1):
+            if his[i + 1] < his[i]:
+                his[i] = his[i + 1]
+                hi_srcs[i] = SOURCE_CB_CAP if i + 2 >= m else SOURCE_MONOTONICITY
+                changed = True
+        for i in range(1, max_level):
+            cap = (i + 1) * his[0]
+            if cap < his[i]:
+                his[i] = cap
+                hi_srcs[i] = SOURCE_N_TIMES_NORM
+                changed = True
+        if m <= max_level:
+            group = range(m - 1, max_level)
+            glo = max(los[i] for i in group)
+            ghi = min(his[i] for i in group)
+            for i in group:
+                if los[i] != glo or his[i] != ghi:
+                    if los[i] != glo:
+                        lo_srcs[i] = SOURCE_SMITH
+                    if his[i] != ghi:
+                        hi_srcs[i] = SOURCE_SMITH
+                    los[i], his[i] = glo, ghi
+                    changed = True
+        if not changed:
+            break
+    rows = []
+    for i in range(max_level):
+        lo, hi = _reconcile(los[i], his[i], phi, i + 1)
+        rows.append(LevelEntry(i + 1, NormBracket(lo, hi, lo_srcs[i], hi_srcs[i]), witnesses[i]))
+    return rows
+
+
+def _row_bits(entry):
+    b = entry.bracket
+    return (entry.level, b.lo.hex(), b.hi.hex(), b.lo_source, b.hi_source, entry.witness.tobytes())
+
+
+def _random_map(d, m, dom_dim, cod_dim, seed):
+    rng = np.random.default_rng([20261018, d, m, dom_dim or 0, cod_dim or 0, seed])
+    dom = random_subspace(d, dom_dim, rng, "V") if dom_dim else full_matrix_space(d)
+    cod = random_subspace(m, cod_dim, rng, "W") if cod_dim else full_matrix_space(m)
+    coeff = rng.standard_normal((cod.dim, dom.dim)) + 1j * rng.standard_normal((cod.dim, dom.dim))
+    return LinearMapRep(dom, cod, coeff, f"rand_{d}_{m}_{dom_dim}_{cod_dim}_s{seed}")
+
+
+# (d, m, domain dim, codomain dim); None is the full matrix algebra.
+RANDOM_SPECS = (
+    (1, 2, None, None), (1, 3, None, None), (2, 1, None, None), (2, 2, None, None),
+    (2, 3, None, None), (3, 2, None, None), (3, 3, None, None), (2, 1, 2, None),
+    (2, 2, 3, None), (2, 3, 2, None), (3, 1, 4, None), (3, 2, 5, None),
+    (3, 3, 4, None), (2, 2, 3, 3), (3, 3, None, 5),
+)
+TABLE_BUDGETS = (OptBudget(20, 200, 1e-11), OptBudget(1, 200, 1e-11), OptBudget(3, 4, 1e-11),
+                 OptBudget(1, 2, 1e-11), OptBudget(5, 3, 1e-6))
+
+
+def test_table_is_the_four_round_propagation_bitwise():
+    # One pass over per-level ascent brackets must give, bit for bit, what
+    # per-level brackets carrying their own n * hi(1) candidate, Smith-tagged
+    # copies above m and four rounds of every rule gave.  The short budgets
+    # leave the per-level brackets out of order, so every rule fires.
+    maps = [e.map for e in list_entries()]
+    maps += [_random_map(*spec, seed) for seed, spec in enumerate(RANDOM_SPECS)]
+    fired = set()
+    for phi, budget, seed in (
+        (phi, budget, seed) for phi in maps for budget in TABLE_BUDGETS for seed in (0, 7)
+    ):
+        cache = {}
+        for max_level in (1, 2, 3, 5):
+            ref = _reference_table_rows(phi, max_level, budget, seed, cache)
+            table = build_level_table(phi, max_level, budget, seed)
+            where = (phi.label, budget, seed, max_level)
+            assert [_row_bits(e) for e in table.entries] == [_row_bits(e) for e in ref], where
+            fired.update((e.bracket.lo_source, e.bracket.hi_source) for e in ref)
+    lo_fired = {lo for lo, _ in fired}
+    hi_fired = {hi for _, hi in fired}
+    assert SOURCE_MONOTONICITY in lo_fired
+    assert {SOURCE_CB_CAP, SOURCE_MONOTONICITY, SOURCE_N_TIMES_NORM, SOURCE_SMITH} <= hi_fired
+
+
+CONSISTENCY_MAPS = [
+    _random_map(d, m, None, None, seed)
+    for d in (2, 3) for m in (2, 3) for seed in range(100, 105)
+]
+
+
+@pytest.mark.parametrize("phi", CONSISTENCY_MAPS, ids=lambda phi: phi.label)
+def test_level_readers_match_the_table_row(phi):
+    budget = OptBudget(restarts=1)
+    m = phi.codomain.ambient_dim
+    for n in (1, 2, 3):
+        table = build_level_table(phi, min(n, m), budget, seed=SEED)
+        assert level_norm_bracket(phi, n, budget, seed=SEED) == table.bracket_at(n), n
+        row = table.entries[-1]
+        want = pad_to(SpaceElement(phi.domain, row.level, row.witness), n)
+        got = level_witness(phi, n, budget, seed=SEED)
+        assert (got.level, got.coords.tobytes()) == (n, want.coords.tobytes()), n
+    row1 = build_level_table(phi, 1, budget, SEED).entries[0]
+    assert base_norm(phi, budget, seed=SEED) == row1.bracket
+    at_m = build_level_table(phi, m, budget, SEED).entries[-1].bracket
+    cb = cb_norm(phi, budget, seed=SEED)
+    assert cb == NormBracket(at_m.lo, at_m.hi, SOURCE_SMITH, SOURCE_SMITH)
 
 
 # ---------------------------------------------------------------------------

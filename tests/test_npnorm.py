@@ -9,6 +9,7 @@ import pytest
 from npspace import (
     InsufficientData,
     NpParameter,
+    SpaceMismatch,
     build_level_table,
     full_matrix_space,
     inclusion_check,
@@ -110,6 +111,18 @@ def test_truncation_above_the_cap_is_rejected_before_any_sum(catalog_tables, cat
     assert r.bracket.lo - 1e-9 <= want <= r.bracket.hi + 1e-9
     lo, hi = zeta_bracket(2.0, MAX_TRUNCATION)
     assert lo <= ZETA2 <= hi
+
+
+@pytest.mark.parametrize("p", [171.0, 1025.0, 1e6, 1e300])
+def test_series_head_terms_do_not_overflow_for_huge_p(catalog_tables, catalog_entries, p):
+    # transpose_M3 stabilizes at 3, so the head has a term over 2**p, which
+    # once overflowed for p above about 1024; the series rounds to 1.0.
+    for name in ("transpose_M3", "identity_M3", "schur_M2"):
+        r = np_norm(catalog_entries[name].map, p, catalog_tables[name])
+        assert math.isfinite(r.bracket.lo) and math.isfinite(r.bracket.hi), name
+        assert r.bracket.lo <= r.bracket.hi, name
+    r = np_norm(catalog_entries["transpose_M3"].map, p, catalog_tables["transpose_M3"])
+    assert r.bracket.lo - 1e-9 <= 1.0 <= r.bracket.hi + 1e-9
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 5.0])
@@ -389,6 +402,27 @@ def test_inclusion_transpose(catalog_tables, catalog_entries):
 def test_inclusion_zero(catalog_tables, catalog_entries):
     rep = inclusion_check(catalog_entries["zero_M2"].map, 1.0, 2.0, catalog_tables["zero_M2"])
     assert rep.passed
+
+
+def test_a_table_of_another_map_is_rejected(catalog_tables, catalog_entries):
+    # The transpose table once gave identity_M3 the series [2.6848, 2.6848]
+    # at p = 2, where the truth is zeta(2) = 1.645.
+    phi = catalog_entries["identity_M3"].map
+    other = catalog_tables["transpose_M3"]
+    with pytest.raises(SpaceMismatch, match="transpose_M3"):
+        np_norm(phi, 2.0, other)
+    with pytest.raises(SpaceMismatch):
+        membership(phi, 2.0, other)
+    with pytest.raises(SpaceMismatch):
+        inclusion_check(phi, 2.0, 3.0, other)
+    with pytest.raises(SpaceMismatch):
+        np_norm(catalog_entries["zero_M2"].map, 2.0, catalog_tables["identity_M2"])
+    # An equal map, built separately on separately built spaces, may use it.
+    m3 = full_matrix_space(3)
+    twin = make_map(m3, m3, [np.array(b) for b in m3.basis], "twin")
+    assert twin.domain is not phi.domain
+    r = np_norm(twin, 2.0, catalog_tables["identity_M3"])
+    assert r.bracket.lo - 1e-9 <= ZETA2 <= r.bracket.hi + 1e-9
 
 
 def test_inclusion_requires_ordered_exponents(catalog_tables, catalog_entries):
