@@ -206,7 +206,8 @@ class LevelNormTable:
             return self.entries[n - 1].bracket
         s = self.stabilization_level
         if s <= self.max_level:
-            return self.entries[s - 1].bracket
+            b = self.entries[s - 1].bracket  # named as the table's own rows above s
+            return b if self.map.is_zero else NormBracket(b.lo, b.hi, SOURCE_SMITH, SOURCE_SMITH)
         raise InsufficientTable(
             f"table covers levels 1..{self.max_level} and stabilizes at {s}; "
             f"cannot serve level {n}"

@@ -20,10 +20,11 @@ the restart ends at its first rejected step.  It counts as converged
 exactly when the stall rule (``_STALL_LIMIT`` iterations without a rise)
 would have been met within the ``max_iter`` budget left.
 
-The top singular pairs come from the top eigenpair of the Gram matrix
-A A* (``spaces.top_singular_pairs``), one batched eigensolve per
-realization; only the polar step takes a full SVD.  The returned value is
-re-checked through the SVD path (``spaces.spectral_norm``) on the witness.
+An evaluation realizes both sides in one product, and one eigensolve of
+the A A* gives both sides' top singular pairs when their sizes agree
+(``spaces.top_singular_pairs``).  Representers are one product, a step's
+length comes from the Gram matrix V^H V, and only the polar step takes a
+full SVD.  The value is re-checked by ``spaces.spectral_norm``, rounded down.
 """
 
 from __future__ import annotations
@@ -36,8 +37,10 @@ import numpy as np
 from .spaces import (
     OperatorSpace,
     SpaceElement,
+    block_matrices,
     realize,
     realize_batch,
+    rounded_down,
     spectral_norm,
     top_singular_pairs,
     unrealize,
@@ -87,14 +90,13 @@ class AscentOutcome:
     support: int  # number of restarts agreeing with the best value
 
 
-def _representer(gram_inv, stack, n, u, v) -> np.ndarray:
-    """Coordinates of the element w of M_n(V) with Re<w, x>_F = Re<u, y(x) v>.
-
-    y(x) is x realized against ``stack``: the domain basis, or its images.
-    """
-    e = stack.shape[-1]
-    g = np.einsum("ria,tab,rjb->rijt", u.reshape(-1, n, e).conj(), stack, v.reshape(-1, n, e))
-    return g.conj() @ gram_inv.T
+def _representer(rep, n, *sides) -> np.ndarray:
+    """Coordinates of the element w of M_n(V) with Re<w, x>_F = sum Re<u, y(x) v>
+    over the (u, v) in ``sides``, from the sides' stacked matrices ``rep``."""
+    r = len(sides[0][0])
+    outer = [u.reshape(r, n, 1, -1, 1) * v.conj().reshape(r, 1, n, 1, -1) for u, v in sides]
+    flat = np.concatenate([o.reshape(r * n * n, -1) for o in outer], axis=-1) @ rep
+    return flat.reshape(r, n, n, -1)
 
 
 def maximize_amplified_norm(
@@ -105,32 +107,40 @@ def maximize_amplified_norm(
     seed: int = 0,
 ) -> AscentOutcome:
     """Multi-restart batched ascent; deterministic for a fixed seed."""
-    n = int(level)
+    n, k, m, d = int(level), space.dim, images.shape[-1], space.ambient_dim
     if not np.any(images):
-        k = images.shape[0]
         return AscentOutcome(0.0, np.zeros((n, n, k), dtype=complex), True, budget.restarts)
 
-    stack = space._stack
-    gram_inv = space._vec_pinv @ space._vec_pinv.conj().T
     full = space.is_full_matrix_algebra
+    # `reps` stacks the representer matrices conj(S) G^T of both sides (S the flattened
+    # columns, G = (V^H V)^{-1}; the domain's is _vec_pinv^T); `gram` is V^H V.
+    sides = np.concatenate([images.reshape(k, -1), space._stack.reshape(k, -1)], axis=1)
+    gram_inv = space._vec_pinv @ space._vec_pinv.conj().T
+    reps = np.concatenate([images.reshape(k, -1).T.conj() @ gram_inv.T, space._vec_pinv.T])
+    gram = space._vec.conj().T @ space._vec
 
     def unit(rng, size):
         z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         return z / np.linalg.norm(z)
 
-    ne = n * images.shape[1]
     starts = []
     for r in range(budget.restarts):
         rng = np.random.default_rng([_SEED_TAG, abs(int(seed)), n, r])
-        starts.append((unit(rng, ne), unit(rng, ne)))
+        starts.append((unit(rng, n * m), unit(rng, n * m)))
     u0, v0 = (np.stack(side) for side in zip(*starts))
 
     def evaluate(coords):
-        img, img_u, img_v = top_singular_pairs(realize_batch(images, coords))
-        dom, dom_u, dom_v = top_singular_pairs(realize_batch(stack, coords))
-        return img / dom, (img, img_u, img_v, dom, dom_u, dom_v)
+        r, flat = len(coords), coords.reshape(-1, k) @ sides
+        if m == d:  # one eigensolve, image blocks first
+            mats = block_matrices(flat.reshape(r, n, n, 2, -1).transpose(3, 0, 1, 2, 4), d)
+            s, u, v = top_singular_pairs(mats.reshape(2 * r, n * d, n * d))
+            img, dom = (s[:r], u[:r], v[:r]), (s[r:], u[r:], v[r:])
+        else:
+            parts = np.split(flat.reshape(r, n, n, -1), [m * m], axis=-1)
+            img, dom = (top_singular_pairs(block_matrices(p, e)) for p, e in zip(parts, (m, d)))
+        return img[0] / dom[0], (*img, *dom)
 
-    x = _representer(gram_inv, images, n, u0, v0)
+    x = _representer(reps[: m * m], n, (u0, v0))
     ratio, pairs = evaluate(x)
     step = np.full(budget.restarts, _STEP_START)
     stall = np.zeros(budget.restarts, dtype=int)
@@ -140,16 +150,16 @@ def maximize_amplified_norm(
         live = np.flatnonzero(~done)
         if live.size == 0:
             break
-        img, img_u, img_v, dom, dom_u, dom_v = (p[live] for p in pairs)
-        w = _representer(gram_inv, images, n, img_u, img_v)
+        every = live.size == budget.restarts  # the gathers copy: skip them if all are live
+        img, img_u, img_v, dom, dom_u, dom_v = pairs if every else [p[live] for p in pairs]
         if full:
-            pu, _, pvh = np.linalg.svd(realize_batch(stack, w))
+            w = _representer(reps[: m * m], n, (img_u, img_v))
+            pu, _, pvh = np.linalg.svd(realize_batch(space._stack, w))
             prop = unrealize(space, n, pu @ pvh)
         else:
-            grad = w / img[:, None, None, None] - _representer(
-                gram_inv, stack, n, dom_u, dom_v
-            ) / dom[:, None, None, None]
-            size = np.linalg.norm(realize_batch(stack, grad), axis=(-2, -1))
+            uv = (img_u / img[:, None], img_v), (dom_u / -dom[:, None], dom_v)
+            grad = _representer(reps, n, *uv)  # of log(img / dom)
+            size = np.sqrt(np.einsum("rijs,st,rijt->r", grad.conj(), gram, grad).real.clip(0.0))
             # A vanishing gradient (a constant ratio) leaves x where it is.
             t = np.divide(step[live] * dom, size, out=np.zeros_like(size), where=size > 0)
             prop = x[live] + t[:, None, None, None] * grad
@@ -157,9 +167,7 @@ def maximize_amplified_norm(
         old = ratio[live]
         keep = new_ratio > old
         took = live[keep]
-        x[took] = prop[keep]
-        ratio[took] = new_ratio[keep]
-        for p, q in zip(pairs, new_pairs):
+        for p, q in zip((x, ratio, *pairs), (prop, new_ratio, *new_pairs)):
             p[took] = q[keep]
         step[live] *= np.where(keep, _STEP_GROW, _STEP_SHRINK)
         small = new_ratio - old < budget.tol * np.maximum(1.0, ratio[live])
@@ -178,6 +186,6 @@ def maximize_amplified_norm(
 
     # Re-check the witness through the plain evaluation path.
     best_x = x[best] / spectral_norm(realize(SpaceElement(space, n, x[best])))
-    value = spectral_norm(realize_batch(images, best_x))
+    value = rounded_down(spectral_norm(realize_batch(images, best_x)), n, d, m)
     conv = bool(converged[best]) and (support >= 2 or budget.restarts == 1)
     return AscentOutcome(value, best_x, conv, support)

@@ -16,7 +16,7 @@ Both climbs score candidates by sqrt(lambda_max(A A*)) of the realized
 batch A, which is cheaper than an SVD and agrees with it to rounding.
 Every returned value is re-evaluated through the plain SVD path
 (``spaces.spectral_norm``) on the witness, rescaled into the unit ball if
-needed, so a reported value is always an SVD norm of a feasible witness.
+needed, and rounded down, so it is a lower bound from a feasible witness.
 
 The unitary climb realizes A from the blocks of U against phi's images of
 the matrix units, with no coordinates in between.  A climb's random draws
@@ -39,6 +39,7 @@ from .spaces import (
     matrix_blocks,
     realize,
     realize_batch,
+    rounded_down,
     spectral_norm,
     top_singular_values,
     unrealize,
@@ -181,13 +182,9 @@ def brute_search(
     else:
         witness = _search_coords(phi, n, trials, rng)
     # Re-evaluate through the plain single-element path, exactly feasible.
-    x = SpaceElement(phi.domain, n, witness)
-    nrm = spectral_norm(realize(x))
-    if nrm > 1.0:
-        witness = witness / nrm
-        x = SpaceElement(phi.domain, n, witness)
-    value = spectral_norm(realize_amplified(phi, x))
-    return value, witness
+    witness = witness / max(spectral_norm(realize(SpaceElement(phi.domain, n, witness))), 1.0)
+    value = spectral_norm(realize_amplified(phi, SpaceElement(phi.domain, n, witness)))
+    return rounded_down(value, n, phi.domain.ambient_dim, phi.codomain.ambient_dim), witness
 
 
 def brute_level_norm(

@@ -20,6 +20,12 @@ from .errors import DependentBasis, DimensionMismatch, InvalidLevel, NonFiniteIn
 INDEPENDENCE_CUTOFF = 1e-10
 
 
+def rounded_down(value: float, level: int, d: int, m: int) -> float:
+    """value, a ratio of two SVD norms of size <= N matrices, each within N eps, lowered by
+    4 N eps; N is one bound for every level <= m, so a table's levels keep their order."""
+    return float(value * (1.0 - 4 * max(level, m) * max(d, m) * np.finfo(float).eps))
+
+
 def spectral_norm(matrix: np.ndarray) -> float:
     """Largest singular value of a dense matrix."""
     return float(np.linalg.svd(np.asarray(matrix, dtype=complex), compute_uv=False)[0])
@@ -178,14 +184,17 @@ def realize_batch(stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Realize (..., n, n, k) coordinates against a (k, d, d) stack.
 
     The result has shape (..., nd, nd); its (i, j) block of size d x d is
-    sum_t coords[..., i, j, t] * stack[t].  All blocks come from one
-    (blocks, k) x (k, d*d) matrix product; the block transpose that follows
-    fixes the layout, and ``matrix_blocks`` inverts it.
+    sum_t coords[..., i, j, t] * stack[t], all from one (blocks, k) x (k, d*d)
+    matrix product laid out by ``block_matrices``.
     """
-    k, d = stack.shape[0], stack.shape[-1]
-    lead, n = coords.shape[:-3], coords.shape[-2]
-    flat = coords.reshape(-1, k) @ stack.reshape(k, d * d)
-    return flat.reshape(*lead, n, n, d, d).swapaxes(-3, -2).reshape(*lead, n * d, n * d)
+    flat = coords.reshape(-1, stack.shape[0]) @ stack.reshape(stack.shape[0], -1)
+    return block_matrices(flat.reshape(*coords.shape[:-1], -1), stack.shape[-1])
+
+
+def block_matrices(blocks: np.ndarray, d: int) -> np.ndarray:
+    """(..., nd, nd) matrices from their (..., n, n, d*d) blocks (``matrix_blocks`` inverse)."""
+    *lead, n = blocks.shape[:-2]
+    return blocks.reshape(*lead, n, n, d, d).swapaxes(-3, -2).reshape(*lead, n * d, n * d)
 
 
 def matrix_blocks(mats: np.ndarray, n: int) -> np.ndarray:

@@ -14,6 +14,7 @@ from npspace import (
     build_level_table,
     cb_norm,
     full_matrix_space,
+    get_entry,
     level_norm,
     level_norm_bracket,
     level_witness,
@@ -390,6 +391,26 @@ def test_table_serves_levels_beyond_storage():
     table = build_level_table(_transpose(M2), 4, seed=SEED)
     b = table.bracket_at(50)
     assert abs(b.lo - 2.0) <= 1e-6 and abs(b.hi - 2.0) <= 1e-6
+
+
+def test_levels_above_the_table_name_smith_stabilization():
+    # A level above the table reads the stabilized row with the sources a
+    # longer table gives it, not level m's own.
+    phi = get_entry("transpose_M2").map
+    want = build_level_table(phi, 4, seed=SEED).entries[2].bracket
+    assert want.lo_source == want.hi_source == SOURCE_SMITH
+    assert level_norm_bracket(phi, 3, seed=SEED) == want
+    assert build_level_table(phi, 2, seed=SEED).bracket_at(9) == want
+    zero = build_level_table(_zero(), 2, seed=SEED).bracket_at(9)
+    assert (zero.lo_source, zero.hi_source) == ("trivial_zero", "trivial_zero")
+
+
+def test_witnessed_lo_is_a_lower_bound_under_rounding():
+    # ||phi_1|| = 1 exactly for the transpose on M3; the re-checked SVD
+    # value once rounded up to 1.0000000000000004 at this seed.
+    table = build_level_table(get_entry("transpose_M3").map, 4, seed=SEED)
+    assert table.entries[0].bracket.lo <= 1.0
+    assert 1.0 - table.entries[0].bracket.lo <= 1e-13
 
 
 def test_table_insufficient_coverage():

@@ -8,6 +8,9 @@ from npspace.optimize import (
     _AGREE_REL,
     _SEED_TAG,
     _STALL_LIMIT,
+    _STEP_GROW,
+    _STEP_SHRINK,
+    _STEP_START,
     DEFAULT_BUDGET,
     AscentOutcome,
     OptBudget,
@@ -19,6 +22,7 @@ from npspace.spaces import (
     level_norm,
     realize,
     realize_batch,
+    rounded_down,
     spectral_norm,
     top_singular_pairs,
     unrealize,
@@ -74,16 +78,30 @@ def test_budget_rejects_tol_that_is_not_a_positive_finite_number(tol):
         OptBudget(tol=tol)
 
 
-def _reference_ascent(space, images, level, budget, seed):
-    """Reference M_d ascent that iterates every restart until it stalls.
+def _reference_representer(gram_inv, stack, n, u, v):
+    """Coordinates of the element w of M_n(V) with Re<w, x>_F = Re<u, y(x) v>,
+    y(x) being x realized against ``stack``, by one einsum per call."""
+    e = stack.shape[-1]
+    g = np.einsum("ria,tab,rjb->rijt", u.reshape(-1, n, e).conj(), stack, v.reshape(-1, n, e))
+    return g.conj() @ gram_inv.T
 
-    Rejected polar steps are proposed again until the stall rule fires.
-    Also returns, per restart, the iterations it took up to and including
-    its first rejection (or until it left the loop without one).
+
+def _reference_ascent(space, images, level, budget, seed):
+    """Reference ascent: each side realized, represented and sized on its own.
+
+    On M_d it iterates every restart until it stalls: rejected polar steps
+    are proposed again until the stall rule fires.  It uses the ascent's own
+    representer there, so that only the early end differs.  On a proper
+    subspace it is the gradient loop that realizes, represents and sizes
+    each side on its own, with two eigensolves per evaluation.  Also
+    returns, per restart, the iterations it took up to and including its
+    first rejection (or until it left the loop without one), and the number
+    of restarts each evaluation realized.
     """
     n = int(level)
     stack = space._stack
     gram_inv = space._vec_pinv @ space._vec_pinv.conj().T
+    full = space.is_full_matrix_algebra
 
     def unit(rng, size):
         z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
@@ -95,14 +113,22 @@ def _reference_ascent(space, images, level, budget, seed):
         rng = np.random.default_rng([_SEED_TAG, abs(int(seed)), n, r])
         starts.append((unit(rng, ne), unit(rng, ne)))
     u0, v0 = (np.stack(side) for side in zip(*starts))
+    evaluated = []
 
     def evaluate(coords):
+        evaluated.append(len(coords))
         img, img_u, img_v = top_singular_pairs(realize_batch(images, coords))
         dom, dom_u, dom_v = top_singular_pairs(realize_batch(stack, coords))
         return img / dom, (img, img_u, img_v, dom, dom_u, dom_v)
 
-    x = _representer(gram_inv, images, n, u0, v0)
+    if full:
+        rep = images.reshape(len(images), -1).T.conj() @ gram_inv.T
+        represent = lambda u, v: _representer(rep, n, (u, v))  # noqa: E731
+    else:
+        represent = lambda u, v: _reference_representer(gram_inv, images, n, u, v)  # noqa: E731
+    x = represent(u0, v0)
     ratio, pairs = evaluate(x)
+    step = np.full(budget.restarts, _STEP_START)
     stall = np.zeros(budget.restarts, dtype=int)
     converged = np.zeros(budget.restarts, dtype=bool)
     rejected = np.zeros(budget.restarts, dtype=bool)
@@ -112,9 +138,17 @@ def _reference_ascent(space, images, level, budget, seed):
         if live.size == 0:
             break
         img, img_u, img_v, dom, dom_u, dom_v = (p[live] for p in pairs)
-        w = _representer(gram_inv, images, n, img_u, img_v)
-        pu, _, pvh = np.linalg.svd(realize_batch(stack, w))
-        prop = unrealize(space, n, pu @ pvh)
+        w = represent(img_u, img_v)
+        if full:
+            pu, _, pvh = np.linalg.svd(realize_batch(stack, w))
+            prop = unrealize(space, n, pu @ pvh)
+        else:
+            grad = w / img[:, None, None, None] - _reference_representer(
+                gram_inv, stack, n, dom_u, dom_v
+            ) / dom[:, None, None, None]
+            size = np.linalg.norm(realize_batch(stack, grad), axis=(-2, -1))
+            t = np.divide(step[live] * dom, size, out=np.zeros_like(size), where=size > 0)
+            prop = x[live] + t[:, None, None, None] * grad
         new_ratio, new_pairs = evaluate(prop)
         old = ratio[live]
         keep = new_ratio > old
@@ -125,6 +159,7 @@ def _reference_ascent(space, images, level, budget, seed):
         ratio[took] = new_ratio[keep]
         for p, q in zip(pairs, new_pairs):
             p[took] = q[keep]
+        step[live] *= np.where(keep, _STEP_GROW, _STEP_SHRINK)
         small = new_ratio - old < budget.tol * np.maximum(1.0, ratio[live])
         stall[live] = np.where(small, stall[live] + 1, 0)
         converged[live] = stall[live] >= _STALL_LIMIT
@@ -135,8 +170,10 @@ def _reference_ascent(space, images, level, budget, seed):
     )
     best_x = x[best] / spectral_norm(realize(SpaceElement(space, n, x[best])))
     value = spectral_norm(realize_batch(images, best_x))
+    # The same rounding down as the ascent's, so that only the loops differ.
+    value = rounded_down(value, n, space.ambient_dim, images.shape[1])
     conv = bool(converged[best]) and (support >= 2 or budget.restarts == 1)
-    return AscentOutcome(value, best_x, conv, support), taken
+    return AscentOutcome(value, best_x, conv, support), taken, evaluated
 
 
 def _random_full_map(d, m, seed):
@@ -166,7 +203,7 @@ def test_full_algebra_ascent_matches_the_stall_loop(which, budget):
     for level in range(1, phi.codomain.ambient_dim + 1):
         for seed in (0, 7):
             got = maximize_amplified_norm(phi.domain, images, level, budget, seed)
-            ref, _ = _reference_ascent(phi.domain, images, level, budget, seed)
+            ref, _, _ = _reference_ascent(phi.domain, images, level, budget, seed)
             assert (got.converged, got.support) == (ref.converged, ref.support), level
             assert abs(got.value - ref.value) <= 1e-12 * max(1.0, ref.value), level
 
@@ -177,7 +214,7 @@ def test_full_algebra_restart_evaluates_nothing_after_its_first_rejection(
 ):
     phi = get_entry(name).map
     images = phi.images()
-    _, taken = _reference_ascent(phi.domain, images, level, DEFAULT_BUDGET, 3)
+    _, taken, _ = _reference_ascent(phi.domain, images, level, DEFAULT_BUDGET, 3)
 
     counted = []
 
@@ -190,3 +227,62 @@ def test_full_algebra_restart_evaluates_nothing_after_its_first_rejection(
     # Two realizations (image and domain) per restart: the starts, then
     # every iteration up to and including the first rejection.
     assert sum(counted) == 2 * (DEFAULT_BUDGET.restarts + int(taken.sum()))
+
+
+def _random_subspace_map(d, kdim, m, seed):
+    rng = np.random.default_rng([20261018, d, kdim, m, seed])
+    V = random_subspace(d, kdim, rng, f"sub{kdim}_of_M{d}")
+    images = rng.standard_normal((kdim, m, m)) + 1j * rng.standard_normal((kdim, m, m))
+    return make_map(V, full_matrix_space(m), list(images), f"sub{kdim}_of_M{d}_to_M{m}")
+
+
+def _inclusion_map():
+    V = random_subspace(3, 4, np.random.default_rng([20261018, 3, 4]), "sub4_of_M3")
+    return make_map(V, full_matrix_space(3), list(V._stack), "inclusion_sub4_of_M3")
+
+
+SUBSPACE_MAPS = {
+    phi().label: phi
+    for phi in (
+        _subspace_map,
+        lambda: _random_subspace_map(2, 2, 2, 0),
+        lambda: _random_subspace_map(3, 4, 3, 1),
+        lambda: _random_subspace_map(3, 7, 3, 2),
+        lambda: _random_subspace_map(2, 3, 3, 3),  # d != m: two eigensolves
+        lambda: _random_subspace_map(3, 5, 2, 4),  # d != m: two eigensolves
+        _inclusion_map,
+    )
+}
+
+
+@pytest.mark.parametrize("budget", BUDGETS, ids=str)
+@pytest.mark.parametrize("which", sorted(SUBSPACE_MAPS))
+def test_subspace_ascent_matches_the_two_sided_loop(which, budget):
+    # Realizing, representing and sizing both sides together moves only
+    # rounding: the same search, the same restarts converge and agree.
+    phi = SUBSPACE_MAPS[which]()
+    images = phi.images()
+    for level in range(1, phi.codomain.ambient_dim + 1):
+        for seed in (0, 7):
+            got = maximize_amplified_norm(phi.domain, images, level, budget, seed)
+            ref, _, _ = _reference_ascent(phi.domain, images, level, budget, seed)
+            assert (got.converged, got.support) == (ref.converged, ref.support), level
+            assert abs(got.value - ref.value) <= 1e-12 * max(1.0, ref.value), level
+
+
+@pytest.mark.parametrize("level", (1, 2))
+def test_subspace_evaluation_is_one_eigensolve_of_both_sides(monkeypatch, level):
+    # V < M2 -> M2: the image and domain realizations share one batch.
+    phi = _subspace_map()
+    images = phi.images()
+    _, _, evaluated = _reference_ascent(phi.domain, images, level, DEFAULT_BUDGET, 3)
+
+    counted = []
+
+    def counting(mats):
+        counted.append(mats.shape[0])
+        return top_singular_pairs(mats)
+
+    monkeypatch.setattr(optimize, "top_singular_pairs", counting)
+    maximize_amplified_norm(phi.domain, images, level, DEFAULT_BUDGET, 3)
+    assert counted == [2 * r for r in evaluated]
