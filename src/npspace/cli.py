@@ -46,12 +46,20 @@ def _budget(args) -> OptBudget:
     return OptBudget(restarts=args.restarts, max_iter=args.max_iter, tol=args.tol)
 
 
-def _series_levels(args, phi: LinearMapRep) -> int:
-    """--max-level as given (0 is rejected downstream), or max(2, m) when absent.
+# Most levels --max-level may ask for; a larger value is a parse error.  Each row
+# above m keeps its own padded witness, so a table's memory grows like max_level**3.
+MAX_LEVEL = 64
 
-    ``np_norm`` extends a table that stops below m to m.
+
+def _table_levels(args, phi: LinearMapRep) -> int:
+    """--max-level as given (at most MAX_LEVEL; 0 is rejected downstream), or
+    max(2, m) when absent.  ``np_norm`` extends a table that stops below m to m.
     """
-    return max(2, phi.codomain.ambient_dim) if args.max_level is None else args.max_level
+    if args.max_level is None:
+        return max(2, phi.codomain.ambient_dim)
+    if args.max_level > MAX_LEVEL:
+        raise ValueError(f"--max-level must be at most {MAX_LEVEL}, got {args.max_level}")
+    return args.max_level
 
 
 def _add_budget_options(sub):
@@ -87,7 +95,7 @@ def _table_csv(table) -> str:
 
 def cmd_levels(args) -> int:
     phi = _resolve_map(args.map)
-    table = build_level_table(phi, args.max_level, _budget(args), args.seed)
+    table = build_level_table(phi, _table_levels(args, phi), _budget(args), args.seed)
     _write_or_print(_table_csv(table), args.out)
     if args.json:
         _write_or_print(json.dumps(table.to_json_dict(), sort_keys=True, indent=2) + "\n", args.json)
@@ -100,7 +108,7 @@ def cmd_levels(args) -> int:
 def cmd_npnorm(args) -> int:
     p = NpParameter(args.p)  # checked before any level is computed
     phi = _resolve_map(args.map)
-    table = build_level_table(phi, _series_levels(args, phi), _budget(args), args.seed)
+    table = build_level_table(phi, _table_levels(args, phi), _budget(args), args.seed)
     result = np_norm(phi, p, table)
     payload = json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n"
     print(
@@ -132,7 +140,7 @@ def cmd_index(args) -> int:
         if not args.map:
             raise ValueError("cmd_index needs a map or --synthetic")
         phi = _resolve_map(args.map)
-        table = build_level_table(phi, args.max_level, _budget(args), args.seed)
+        table = build_level_table(phi, _table_levels(args, phi), _budget(args), args.seed)
         est = index_estimate(table)
     payload = json.dumps(est.to_json_dict(), sort_keys=True, indent=2) + "\n"
     print(
@@ -239,7 +247,7 @@ def _parse_grid(text: str) -> list[float]:
 def cmd_plotdata(args) -> int:
     grid = _parse_grid(args.p_grid)
     phi = _resolve_map(args.map)
-    table = build_level_table(phi, _series_levels(args, phi), _budget(args), args.seed)
+    table = build_level_table(phi, _table_levels(args, phi), _budget(args), args.seed)
     lines = ["p,lo,hi"]
     for p in grid:
         result = np_norm(phi, p, table)

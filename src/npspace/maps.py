@@ -38,12 +38,14 @@ from .spaces import (
     OperatorSpace,
     SpaceElement,
     _same_space,
+    from_pairs,
     pad_to,
     realize,
     require_finite,
     space_from_dict,
     space_to_dict,
     spectral_norm,
+    to_pairs,
 )
 
 # Relative slack applied to a converged full-domain search value when it is
@@ -394,18 +396,12 @@ def build_level_table(
 # ---------------------------------------------------------------------------
 
 
-def _complex_to_pair(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
-
-
 def map_to_dict(phi: LinearMapRep) -> dict:
     return {
         "label": phi.label,
         "domain": space_to_dict(phi.domain),
         "codomain": space_to_dict(phi.codomain),
-        "action": [
-            [_complex_to_pair(z) for z in phi.coeff[:, t]] for t in range(phi.domain.dim)
-        ],
+        "action": to_pairs(phi.coeff.T),
     }
 
 
@@ -430,14 +426,7 @@ def map_from_dict(data: dict, resolve_space=None) -> LinearMapRep:
 
     domain = load_slot("domain")
     codomain = load_slot("codomain")
-    action = []
-    for entry in data["action"]:
-        arr = np.asarray(entry, dtype=float)
-        if arr.shape != (codomain.dim, 2):
-            raise ValueError(
-                f"action entry has shape {arr.shape}, expected ({codomain.dim}, 2)"
-            )
-        action.append(arr[:, 0] + 1j * arr[:, 1])
+    action = [from_pairs(a, (codomain.dim,), f"action[{t}]") for t, a in enumerate(data["action"])]
     return make_map(domain, codomain, action, str(data.get("label", "phi")))
 
 
@@ -462,10 +451,5 @@ def save_map(phi: LinearMapRep, path: str) -> None:
 
 
 def witness_to_dict(entry: LevelEntry) -> dict:
-    coords = entry.witness
-    serial = None
-    if coords is not None:
-        serial = [
-            [[_complex_to_pair(z) for z in cell] for cell in row] for row in coords
-        ]
-    return {"level": entry.level, "achieved": entry.bracket.lo, "coords": serial}
+    coords = None if entry.witness is None else to_pairs(entry.witness)
+    return {"level": entry.level, "achieved": entry.bracket.lo, "coords": coords}

@@ -24,7 +24,7 @@ An evaluation realizes both sides in one product, and one eigensolve of
 the A A* gives both sides' top singular pairs when their sizes agree
 (``spaces.top_singular_pairs``).  Representers are one product, a step's
 length comes from the Gram matrix V^H V, and only the polar step takes a
-full SVD.  The value is re-checked by ``spaces.spectral_norm``, rounded down.
+full SVD.  The best restart's value is certified by ``spaces.witnessed_value``.
 """
 
 from __future__ import annotations
@@ -36,14 +36,11 @@ import numpy as np
 
 from .spaces import (
     OperatorSpace,
-    SpaceElement,
     block_matrices,
-    realize,
     realize_batch,
-    rounded_down,
-    spectral_norm,
     top_singular_pairs,
     unrealize,
+    witnessed_value,
 )
 
 # Stream-separation constant mixed into every RNG seed sequence.
@@ -184,8 +181,6 @@ def maximize_amplified_norm(
         np.sum(converged & (np.abs(ratio - ratio[best]) <= _AGREE_REL * max(1.0, ratio[best])))
     )
 
-    # Re-check the witness through the plain evaluation path.
-    best_x = x[best] / spectral_norm(realize(SpaceElement(space, n, x[best])))
-    value = rounded_down(spectral_norm(realize_batch(images, best_x)), n, d, m)
+    value, witness = witnessed_value(space, images, n, x[best])
     conv = bool(converged[best]) and (support >= 2 or budget.restarts == 1)
-    return AscentOutcome(value, best_x, conv, support)
+    return AscentOutcome(value, witness, conv, support)

@@ -10,21 +10,20 @@ objective is convex on the unit ball, so its maximum sits at an extreme
 point, and the extreme points of the spectral ball are exactly the
 unitaries.  Climbing there avoids the nonsmooth corner that defeats raw
 coordinate perturbations.  Proper subspace domains fall back to normalized
-coordinate perturbations.
+coordinate perturbations.  Both searches run one hill-climb (``_climb``,
+which holds the start selection, accept rule, step schedule and stop
+rule) with their own first candidates, step sizes, proposals and score.
 
-Both climbs score candidates by sqrt(lambda_max(A A*)) of the realized
-batch A, which is cheaper than an SVD and agrees with it to rounding.
-Every returned value is re-evaluated through the plain SVD path
-(``spaces.spectral_norm``) on the witness, rescaled into the unit ball if
-needed, and rounded down, so it is a lower bound from a feasible witness.
-
-The unitary climb realizes A from the blocks of U against phi's images of
-the matrix units, with no coordinates in between.  A climb's random draws
-do not depend on its state, so they are made _BLOCK steps at a time, the
-same numbers in the same order as one draw per step, and the unitary climb
-eigendecomposes a block's rotation generators in one call.  The accept and
-step rule still runs step by step, so the search does not depend on the
-block size.
+Candidates are scored by sqrt(lambda_max(A A*)) of the realized batch A,
+which is cheaper than an SVD and agrees with it to rounding; the unitary
+climb realizes A from the blocks of U against phi's images of the matrix
+units.  The best point is certified as the ascent's is, by
+``spaces.witnessed_value``: scaled by its SVD norm into the unit ball,
+with its image's SVD norm rounded down.  The random draws do not depend on
+the climb's state, so they are made _BLOCK steps at a time (the same
+numbers in the same order as one draw per step), and a block's rotation
+generators are eigendecomposed in one call; the accept and step rule still
+runs step by step, so the search does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -33,16 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import LevelNormTable, LinearMapRep, realize_amplified
+from .maps import LevelNormTable, LinearMapRep
 from .spaces import (
-    SpaceElement,
     matrix_blocks,
-    realize,
     realize_batch,
-    rounded_down,
-    spectral_norm,
+    to_pairs,
     top_singular_values,
     unrealize,
+    witnessed_value,
 )
 
 _SEED_TAG = 0x4F52
@@ -64,7 +61,7 @@ def _batch_norms(stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return top_singular_values(realize_batch(stack, coords))
 
 
-def _step_draws(rng, shape: tuple, prepare=lambda z: (z,)):
+def _step_draws(rng, shape: tuple, prepare):
     """Yield, for every climb step, the step's slice of each array of prepare(z).
 
     z stacks the steps' complex gaussians, each drawn as
@@ -87,8 +84,34 @@ def _rotation_generators(z: np.ndarray):
     return w, v, v.conj().swapaxes(-1, -2)
 
 
+def _climb(xs, vals, step0: float, step_max: float, rng, propose, score, prepare=lambda z: (z,)):
+    """Climb from the best _CLIMB_STARTS of the points xs (scores vals); returns the best.
+
+    Each start moves to the best of its propose(cur, step, *draws) candidates
+    that beats it; its step then grows up to step_max, and decays otherwise.
+    """
+    starts = min(_CLIMB_STARTS, len(xs))
+    keep = np.argsort(vals)[::-1][:starts]
+    cur = xs[keep].copy()
+    best = vals[keep].copy()
+    step = np.full(starts, step0)
+    shape = (starts, _CLIMB_PROPOSALS, *xs.shape[1:])
+    for draws in _step_draws(rng, shape, prepare):
+        cand = propose(cur, step, *draws)
+        cv = score(cand).reshape(starts, _CLIMB_PROPOSALS)
+        bi = np.argmax(cv, axis=1)
+        bv = cv[np.arange(starts), bi]
+        improved = bv > best
+        cur[improved] = cand.reshape(shape)[improved, bi[improved]]
+        best[improved] = bv[improved]
+        step = np.where(improved, np.minimum(step * _CLIMB_GROW, step_max), step * _CLIMB_DECAY)
+        if step.max() < _STOP_STEP:
+            break
+    return cur[int(np.argmax(best))]
+
+
 def _search_unitary(phi: LinearMapRep, n: int, trials: int, rng) -> np.ndarray:
-    """Climb over unitaries U, x = coords(U); returns the best coordinates."""
+    """Climb over unitaries U by random rotations; returns coords(U) of the best."""
     d = phi.domain.ambient_dim
     nd = n * d
     images = phi.images()
@@ -100,38 +123,21 @@ def _search_unitary(phi: LinearMapRep, n: int, trials: int, rng) -> np.ndarray:
     def values(mats: np.ndarray) -> np.ndarray:
         return _batch_norms(unit_images, matrix_blocks(mats, n))
 
+    def rotate(cur, step, w, v, vh):
+        phase = np.exp(1j * step[:, None, None] * w)
+        rot = (v * phase[..., None, :]) @ vh
+        return (rot @ cur[:, None]).reshape(-1, nd, nd)
+
     g = rng.standard_normal((trials, nd, nd)) + 1j * rng.standard_normal((trials, nd, nd))
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r, axis1=1, axis2=2)
     q = q * (diag / np.abs(diag))[:, None, :]
-    vals = values(q)
-
-    starts = min(_CLIMB_STARTS, trials)
-    keep = np.argsort(vals)[::-1][:starts]
-    cur = q[keep].copy()
-    best = vals[keep].copy()
-    step = np.full(starts, 0.3)
-    shape = (starts, _CLIMB_PROPOSALS, nd, nd)
-    for w, v, vh in _step_draws(rng, shape, _rotation_generators):
-        phase = np.exp(1j * step[:, None, None] * w)
-        rot = (v * phase[..., None, :]) @ vh
-        cand = (rot @ cur[:, None]).reshape(starts * _CLIMB_PROPOSALS, nd, nd)
-        cv = values(cand).reshape(starts, _CLIMB_PROPOSALS)
-        bi = np.argmax(cv, axis=1)
-        bv = cv[np.arange(starts), bi]
-        improved = bv > best
-        cur[improved] = cand.reshape(shape)[improved, bi[improved]]
-        best[improved] = bv[improved]
-        step = np.where(improved, np.minimum(step * _CLIMB_GROW, 1.0), step * _CLIMB_DECAY)
-        if step.max() < _STOP_STEP:
-            break
-    top = int(np.argmax(best))
-    return unrealize(phi.domain, n, cur[top])
+    best = _climb(q, values(q), 0.3, 1.0, rng, rotate, values, _rotation_generators)
+    return unrealize(phi.domain, n, best)
 
 
 def _search_coords(phi: LinearMapRep, n: int, trials: int, rng) -> np.ndarray:
-    """Climb over normalized coordinate arrays; returns the best coordinates."""
-    k = phi.domain.dim
+    """Climb over normalized coordinate arrays by random perturbations; returns the best."""
     stack = phi.domain._stack
     images = phi.images()
 
@@ -139,29 +145,14 @@ def _search_coords(phi: LinearMapRep, n: int, trials: int, rng) -> np.ndarray:
         norms = np.maximum(_batch_norms(stack, batch), 1e-300)
         return batch / norms[:, None, None, None]
 
-    shape = (trials, n, n, k)
+    def perturb(cur, step, noise):
+        cand = cur[:, None] + step[:, None, None, None, None] * noise
+        return normalize(cand.reshape(-1, *cur.shape[1:]))
+
+    shape = (trials, n, n, phi.domain.dim)
     xs = normalize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     vals = _batch_norms(images, xs)
-
-    starts = min(_CLIMB_STARTS, trials)
-    keep = np.argsort(vals)[::-1][:starts]
-    cur = xs[keep].copy()
-    best = vals[keep].copy()
-    step = np.full(starts, 0.5)
-    shape = (starts, _CLIMB_PROPOSALS, n, n, k)
-    for (noise,) in _step_draws(rng, shape):
-        cand = cur[:, None] + step[:, None, None, None, None] * noise
-        cand = normalize(cand.reshape(starts * _CLIMB_PROPOSALS, n, n, k))
-        cv = _batch_norms(images, cand).reshape(starts, _CLIMB_PROPOSALS)
-        bi = np.argmax(cv, axis=1)
-        bv = cv[np.arange(starts), bi]
-        improved = bv > best
-        cur[improved] = cand.reshape(shape)[improved, bi[improved]]
-        best[improved] = bv[improved]
-        step = np.where(improved, np.minimum(step * _CLIMB_GROW, 2.0), step * _CLIMB_DECAY)
-        if step.max() < _STOP_STEP:
-            break
-    return cur[int(np.argmax(best))]
+    return _climb(xs, vals, 0.5, 2.0, rng, perturb, lambda c: _batch_norms(images, c))
 
 
 def brute_search(
@@ -173,18 +164,11 @@ def brute_search(
     n = int(level)
     if n < 1:
         raise ValueError("level must be >= 1")
-    k = phi.domain.dim
     if phi.is_zero:
-        return 0.0, np.zeros((n, n, k), dtype=complex)
+        return 0.0, np.zeros((n, n, phi.domain.dim), dtype=complex)
     rng = np.random.default_rng([_SEED_TAG, abs(int(seed)), n])
-    if phi.domain.is_full_matrix_algebra:
-        witness = _search_unitary(phi, n, trials, rng)
-    else:
-        witness = _search_coords(phi, n, trials, rng)
-    # Re-evaluate through the plain single-element path, exactly feasible.
-    witness = witness / max(spectral_norm(realize(SpaceElement(phi.domain, n, witness))), 1.0)
-    value = spectral_norm(realize_amplified(phi, SpaceElement(phi.domain, n, witness)))
-    return rounded_down(value, n, phi.domain.ambient_dim, phi.codomain.ambient_dim), witness
+    search = _search_unitary if phi.domain.is_full_matrix_algebra else _search_coords
+    return witnessed_value(phi.domain, phi.images(), n, search(phi, n, trials, rng))
 
 
 def brute_level_norm(
@@ -204,16 +188,7 @@ class CrossValidationReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        rows = []
-        for r in self.rows:
-            row = dict(r)
-            w = row.get("witness")
-            if w is not None:
-                row["witness"] = [
-                    [[[float(z.real), float(z.imag)] for z in cell] for cell in line]
-                    for line in np.asarray(w)
-                ]
-            rows.append(row)
+        rows = [dict(r, witness=to_pairs(r["witness"])) for r in self.rows]
         return {"label": self.label, "passed": self.passed, "rows": rows}
 
 

@@ -96,7 +96,7 @@ class OperatorSpace:
 
     def __post_init__(self):
         d = self.ambient_dim
-        if not isinstance(d, int) or d < 1:
+        if type(d) is not int or d < 1:  # a bool is an int, but not a dimension
             raise DimensionMismatch(f"ambient_dim must be a positive integer, got {d!r}")
         mats = tuple(_readonly(b) for b in self.basis)
         if not mats:
@@ -224,6 +224,17 @@ def realize(x: SpaceElement) -> np.ndarray:
 def level_norm(x: SpaceElement) -> float:
     """Spectral norm of the realized element (the M_n(V) norm)."""
     return spectral_norm(realize(x))
+
+
+def witnessed_value(
+    space: OperatorSpace, images: np.ndarray, level: int, coords: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """(value, witness): ``coords`` scaled by the SVD norm of their realization into
+    the unit ball of M_n(V), and the SVD norm of the witness realized against
+    ``images`` (the map's images of the basis), rounded down: a certified lower bound."""
+    witness = coords / spectral_norm(realize_batch(space._stack, coords))
+    value = spectral_norm(realize_batch(images, witness))
+    return rounded_down(value, level, space.ambient_dim, images.shape[-1]), witness
 
 
 def element_from_matrix(space: OperatorSpace, level: int, matrix: np.ndarray) -> SpaceElement:
@@ -394,14 +405,23 @@ def verify_axioms(
 # ---------------------------------------------------------------------------
 
 
-def _matrix_to_pairs(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+def to_pairs(arr) -> list:
+    """A complex array as nested lists with each entry an [re, im] pair of floats."""
+    a = np.asarray(arr, dtype=complex)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
-def _pairs_to_matrix(rows, d: int) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
-    if arr.shape != (d, d, 2):
-        raise ValueError(f"matrix entry has shape {arr.shape}, expected ({d}, {d}, 2)")
+def from_pairs(rows, shape: tuple, what: str) -> np.ndarray:
+    """The complex array of the given shape that ``to_pairs`` wrote as ``rows``.
+
+    A malformed ``rows`` raises ValueError naming ``what``, the part of the file it is.
+    """
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} is not an array of [re, im] pairs") from None
+    if arr.shape != (*shape, 2):
+        raise ValueError(f"{what} has shape {arr.shape}, expected {(*shape, 2)}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -409,7 +429,7 @@ def space_to_dict(space: OperatorSpace) -> dict:
     return {
         "label": space.label,
         "ambient_dim": space.ambient_dim,
-        "basis": [_matrix_to_pairs(b) for b in space.basis],
+        "basis": to_pairs(space._stack),
     }
 
 
@@ -417,9 +437,9 @@ def space_from_dict(data: dict) -> OperatorSpace:
     if not isinstance(data, dict):
         raise ValueError("space definition must be a JSON object")
     d = data["ambient_dim"]
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:  # rejects a JSON true too
         raise ValueError(f"ambient_dim must be a positive integer, got {d!r}")
-    basis = [_pairs_to_matrix(m, d) for m in data["basis"]]
+    basis = [from_pairs(m, (d, d), f"basis[{i}]") for i, m in enumerate(data["basis"])]
     return make_space(d, basis, str(data.get("label", "V")))
 
 

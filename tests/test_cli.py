@@ -291,6 +291,36 @@ def test_max_level_zero_exit_2(command, capsys):
     assert "max_level must be a positive integer, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["levels", "catalog:transpose_M2"],
+        ["npnorm", "catalog:transpose_M2", "--p", "2"],
+        ["plotdata", "catalog:transpose_M2", "--p-grid", "2:3:0.5"],
+        ["index", "catalog:transpose_M2"],
+    ],
+)
+def test_max_level_above_the_cap_exit_2(command, monkeypatch, capsys):
+    # A table's memory grows like max_level**3; the cap is checked before any level.
+    import npspace.cli as cli
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("level table built before --max-level was checked")
+
+    monkeypatch.setattr(cli, "build_level_table", no_table)
+    assert cli.main(command + ["--max-level", str(cli.MAX_LEVEL + 1)]) == 2
+    assert f"--max-level must be at most {cli.MAX_LEVEL}" in capsys.readouterr().err
+
+
+def test_max_level_at_the_cap_is_accepted(tmp_path):
+    from npspace.cli import MAX_LEVEL
+
+    out = tmp_path / "t.csv"
+    assert run(["levels", "catalog:transpose_M2", "--max-level", str(MAX_LEVEL), "--seed", "7",
+                "--restarts", "2", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == MAX_LEVEL + 1
+
+
 def test_seeded_runs_are_byte_identical(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

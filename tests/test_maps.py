@@ -48,6 +48,7 @@ from npspace.maps import (
     coefficient_relaxation_bound,
     witness_to_dict,
 )
+from npspace import maps
 from npspace.optimize import maximize_amplified_norm
 
 SEED = 11
@@ -566,6 +567,55 @@ def test_table_is_the_four_round_propagation_bitwise():
     assert {SOURCE_CB_CAP, SOURCE_MONOTONICITY, SOURCE_N_TIMES_NORM, SOURCE_SMITH} <= hi_fired
 
 
+def _synthetic_ascent(monkeypatch, rows):
+    """Start build_level_table from the given (lo, hi, hi_source) at each level n <= m.
+
+    Each level's witness is filled with n, so a padded one shows where it came from.
+    """
+
+    def entry(phi, n, budget, seed):
+        lo, hi, hi_src = rows[n - 1]
+        witness = np.full((n, n, phi.domain.dim), n, dtype=complex)
+        return LevelEntry(n, NormBracket(lo, hi, SOURCE_OPTIMIZER, hi_src), witness)
+
+    monkeypatch.setattr(maps, "_ascent_entry", entry)
+
+
+OPT, COEFF = SOURCE_OPTIMIZER, SOURCE_COEFF_RELAXATION
+MONO, CB, NX, SMITH = SOURCE_MONOTONICITY, SOURCE_CB_CAP, SOURCE_N_TIMES_NORM, SOURCE_SMITH
+
+
+@pytest.mark.parametrize(
+    "rows, want_his",
+    [
+        # hi_2 = 5 > 2 hi_1: the cap binds by a margin, and level m's hi goes above m.
+        ([(0.5, 1.0, OPT), (0.9, 5.0, COEFF), (1.0, 6.0, COEFF)],
+         [(1.0, OPT), (2.0, NX), (3.0, NX), (3.0, SMITH), (3.0, SMITH)]),
+        # hi_3 = 2 caps level 2 from level m (cb_cap) and level 1 below it (monotonicity).
+        ([(0.5, 4.0, COEFF), (0.6, 4.0, COEFF), (0.7, 2.0, OPT)],
+         [(2.0, MONO), (2.0, CB), (2.0, OPT), (2.0, SMITH), (2.0, SMITH)]),
+    ],
+    ids=("n_times_norm_bound", "cb_cap_and_monotonicity"),
+)
+def test_hi_rules_fire_by_a_margin(rows, want_his, monkeypatch):
+    _synthetic_ascent(monkeypatch, rows)
+    table = build_level_table(get_entry("transpose_M3").map, 5)
+    assert [(e.bracket.hi, e.bracket.hi_source) for e in table.entries] == want_his
+
+
+def test_lo_rises_by_a_margin_with_the_witness_padded(monkeypatch):
+    _synthetic_ascent(monkeypatch, [(1.5, 2.0, COEFF), (1.0, 4.0, COEFF), (1.2, 6.0, COEFF)])
+    phi = get_entry("transpose_M3").map
+    table = build_level_table(phi, 4)
+    los = [(e.bracket.lo, e.bracket.lo_source) for e in table.entries]
+    assert los == [(1.5, OPT), (1.5, MONO), (1.5, MONO), (1.5, MONO)]
+    first = SpaceElement(phi.domain, 1, table.entries[0].witness)
+    for e in table.entries:
+        assert e.witness.tobytes() == pad_to(first, e.level).coords.tobytes(), e.level
+    his = [(e.bracket.hi, e.bracket.hi_source) for e in table.entries]
+    assert his == [(2.0, COEFF), (4.0, COEFF), (6.0, COEFF), (6.0, SMITH)]
+
+
 CONSISTENCY_MAPS = [
     _random_map(d, m, None, None, seed)
     for d in (2, 3) for m in (2, 3) for seed in range(100, 105)
@@ -600,6 +650,49 @@ def test_map_json_round_trip():
     back = map_from_dict(map_to_dict(phi))
     assert np.allclose(back.coeff, phi.coeff)
     assert back.label == phi.label
+
+
+def _old_pairs(a):
+    # The per-element encoder the JSON writers used before spaces.to_pairs.
+    return [float(a.real), float(a.imag)] if np.ndim(a) == 0 else [_old_pairs(b) for b in a]
+
+
+def _old_space_dict(sp):
+    return {"label": sp.label, "ambient_dim": sp.ambient_dim,
+            "basis": [_old_pairs(b) for b in sp.basis]}
+
+
+def test_map_and_witness_dumps_match_the_per_element_encoder():
+    import json
+
+    for phi in [e.map for e in list_entries()] + [_random_map(3, 2, 5, None, 0)]:
+        old = {
+            "label": phi.label,
+            "domain": _old_space_dict(phi.domain),
+            "codomain": _old_space_dict(phi.codomain),
+            "action": [_old_pairs(phi.coeff[:, t]) for t in range(phi.domain.dim)],
+        }
+        assert json.dumps(map_to_dict(phi), indent=2) == json.dumps(old, indent=2), phi.label
+    table = build_level_table(_random_map(2, 2, 3, None, 0), 3, OptBudget(2, 20), seed=SEED)
+    for e in table.entries:
+        old = {"level": e.level, "achieved": e.bracket.lo, "coords": _old_pairs(e.witness)}
+        assert json.dumps(witness_to_dict(e), sort_keys=True) == json.dumps(old, sort_keys=True)
+    bare = LevelEntry(1, table.entries[0].bracket, None)
+    assert witness_to_dict(bare)["coords"] is None
+
+
+def test_map_json_names_a_malformed_action_entry():
+    spec = map_to_dict(_transpose(M2))
+    spec["action"][2] = spec["action"][2][:3]
+    with pytest.raises(ValueError, match=r"action\[2\] has shape \(3, 2\), expected \(4, 2\)"):
+        map_from_dict(spec)
+    spec["action"][2] = [[1.0, 0.0], [0.0], [0.0, 0.0], [0.0, 0.0]]
+    with pytest.raises(ValueError, match=r"action\[2\] is not an array of \[re, im\] pairs"):
+        map_from_dict(spec)
+    spec = map_to_dict(_transpose(M2))
+    spec["codomain"]["basis"][1] = spec["codomain"]["basis"][1][:1]
+    with pytest.raises(ValueError, match=r"basis\[1\] has shape \(1, 2, 2\)"):
+        map_from_dict(spec)
 
 
 def test_witness_dump_shape():

@@ -22,7 +22,7 @@ from npspace.maps import LevelEntry, LevelNormTable
 from npspace.optimize import DEFAULT_BUDGET
 from npspace import oracle
 from npspace.oracle import _batch_norms
-from npspace.spaces import SpaceElement, realize_batch
+from npspace.spaces import SpaceElement, matrix_blocks, realize_batch, unrealize
 
 SEED = 11
 
@@ -100,6 +100,113 @@ def test_brute_search_does_not_depend_on_block(make_phi, level, early, block, mo
     got_value, got_witness = brute_search(phi, level, trials=200, seed=4)
     assert got_value == value
     assert got_witness.tobytes() == witness.tobytes()
+
+
+def _reference_search_unitary(phi, n, trials, rng):
+    """The unitary climb as written before the two climbs shared one loop."""
+    d = phi.domain.ambient_dim
+    nd = n * d
+    images = phi.images()
+    unit_images = (phi.domain._vec_pinv.T @ images.reshape(images.shape[0], -1)).reshape(
+        d * d, *images.shape[1:]
+    )
+
+    def values(mats):
+        return _batch_norms(unit_images, matrix_blocks(mats, n))
+
+    g = rng.standard_normal((trials, nd, nd)) + 1j * rng.standard_normal((trials, nd, nd))
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    q = q * (diag / np.abs(diag))[:, None, :]
+    vals = values(q)
+
+    starts = min(oracle._CLIMB_STARTS, trials)
+    keep = np.argsort(vals)[::-1][:starts]
+    cur = q[keep].copy()
+    best = vals[keep].copy()
+    step = np.full(starts, 0.3)
+    shape = (starts, oracle._CLIMB_PROPOSALS, nd, nd)
+    for w, v, vh in oracle._step_draws(rng, shape, oracle._rotation_generators):
+        phase = np.exp(1j * step[:, None, None] * w)
+        rot = (v * phase[..., None, :]) @ vh
+        cand = (rot @ cur[:, None]).reshape(starts * oracle._CLIMB_PROPOSALS, nd, nd)
+        cv = values(cand).reshape(starts, oracle._CLIMB_PROPOSALS)
+        bi = np.argmax(cv, axis=1)
+        bv = cv[np.arange(starts), bi]
+        improved = bv > best
+        cur[improved] = cand.reshape(shape)[improved, bi[improved]]
+        best[improved] = bv[improved]
+        step = np.where(improved, np.minimum(step * oracle._CLIMB_GROW, 1.0),
+                        step * oracle._CLIMB_DECAY)
+        if step.max() < oracle._STOP_STEP:
+            break
+    top = int(np.argmax(best))
+    return unrealize(phi.domain, n, cur[top])
+
+
+def _reference_search_coords(phi, n, trials, rng):
+    """The coordinate climb as written before the two climbs shared one loop."""
+    k = phi.domain.dim
+    stack = phi.domain._stack
+    images = phi.images()
+
+    def normalize(batch):
+        norms = np.maximum(_batch_norms(stack, batch), 1e-300)
+        return batch / norms[:, None, None, None]
+
+    shape = (trials, n, n, k)
+    xs = normalize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    vals = _batch_norms(images, xs)
+
+    starts = min(oracle._CLIMB_STARTS, trials)
+    keep = np.argsort(vals)[::-1][:starts]
+    cur = xs[keep].copy()
+    best = vals[keep].copy()
+    step = np.full(starts, 0.5)
+    shape = (starts, oracle._CLIMB_PROPOSALS, n, n, k)
+    for (noise,) in oracle._step_draws(rng, shape, lambda z: (z,)):
+        cand = cur[:, None] + step[:, None, None, None, None] * noise
+        cand = normalize(cand.reshape(starts * oracle._CLIMB_PROPOSALS, n, n, k))
+        cv = _batch_norms(images, cand).reshape(starts, oracle._CLIMB_PROPOSALS)
+        bi = np.argmax(cv, axis=1)
+        bv = cv[np.arange(starts), bi]
+        improved = bv > best
+        cur[improved] = cand.reshape(shape)[improved, bi[improved]]
+        best[improved] = bv[improved]
+        step = np.where(improved, np.minimum(step * oracle._CLIMB_GROW, 2.0),
+                        step * oracle._CLIMB_DECAY)
+        if step.max() < oracle._STOP_STEP:
+            break
+    return cur[int(np.argmax(best))]
+
+
+def _random_subspace_map():
+    rng = np.random.default_rng([20261018, 5])
+    V = random_subspace(2, 3, rng)
+    images = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    return make_map(V, full_matrix_space(2), list(images), "random_sub3")
+
+
+@pytest.mark.parametrize(
+    "make_phi, level",
+    [
+        (lambda: get_entry("schur_M2").map, 2),
+        (_embedding_of_m1, 1),
+        (_upper_triangular_inclusion, 2),
+        (_random_subspace_map, 2),
+    ],
+    ids=("unitary", "unitary_stops_early", "coordinate_stops_early", "coordinate_random"),
+)
+def test_climbs_match_the_reference_bitwise(make_phi, level):
+    phi = make_phi()
+    full = phi.domain.is_full_matrix_algebra
+    search = oracle._search_unitary if full else oracle._search_coords
+    reference = _reference_search_unitary if full else _reference_search_coords
+    for seed in (0, 4):
+        rng_args = [oracle._SEED_TAG, seed, level]
+        got = search(phi, level, 200, np.random.default_rng(rng_args))
+        want = reference(phi, level, 200, np.random.default_rng(rng_args))
+        assert got.tobytes() == want.tobytes(), seed
 
 
 def test_brute_subspace_domain_fallback():
@@ -194,3 +301,10 @@ def test_report_json_serializable():
     report = cross_validate(table, trials=100, seed=3, max_level=2)
     payload = json.dumps(report.to_json_dict(), sort_keys=True)
     assert "brute_lo" in payload
+
+    def old_pairs(a):  # the per-element encoder used before spaces.to_pairs
+        return [float(a.real), float(a.imag)] if np.ndim(a) == 0 else [old_pairs(b) for b in a]
+
+    old_rows = [dict(r, witness=old_pairs(np.asarray(r["witness"]))) for r in report.rows]
+    old = {"label": report.label, "passed": report.passed, "rows": old_rows}
+    assert payload == json.dumps(old, sort_keys=True)

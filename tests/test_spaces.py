@@ -16,6 +16,7 @@ from npspace import (
     get_entry,
     level_norm,
     NonFiniteInput,
+    OperatorSpace,
     make_space,
     pad_to,
     random_element,
@@ -28,11 +29,15 @@ from npspace import (
     verify_axioms,
 )
 from npspace.spaces import (
+    from_pairs,
     matrix_blocks,
     realize_batch,
+    rounded_down,
+    to_pairs,
     top_singular_pairs,
     top_singular_values,
     unrealize,
+    witnessed_value,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -333,10 +338,66 @@ def test_space_json_decimal_exactness(tmp_path):
 
 
 def test_space_json_rejects_bad_shapes():
-    with pytest.raises(ValueError):
+    shape_error = r"basis\[0\] has shape \(1, 1, 2\), expected \(2, 2, 2\)"
+    with pytest.raises(ValueError, match=shape_error):
         space_from_dict({"label": "x", "ambient_dim": 2, "basis": [[[[1.0, 0.0]]]]})
+    ragged = [[[[1, 0]]], [[[1, 0], [2]]]]
+    with pytest.raises(ValueError, match=r"basis\[1\] is not an array of \[re, im\] pairs"):
+        space_from_dict({"label": "x", "ambient_dim": 1, "basis": ragged})
     with pytest.raises(ValueError):
         space_from_dict({"label": "x", "ambient_dim": 0, "basis": []})
+
+
+def test_space_json_rejects_a_bool_ambient_dim():
+    # A JSON true is a Python bool, which is an int; it once loaded as M1.
+    with pytest.raises(ValueError, match="ambient_dim must be a positive integer, got True"):
+        space_from_dict({"ambient_dim": True, "basis": [[[[1, 0]]]]})
+    with pytest.raises(DimensionMismatch, match="got True"):
+        OperatorSpace(True, (np.eye(1),))
+
+
+def _old_pairs(a):
+    # The per-element encoder the JSON writers used before to_pairs.
+    return [float(a.real), float(a.imag)] if np.ndim(a) == 0 else [_old_pairs(b) for b in a]
+
+
+def test_pairs_codec_matches_the_per_element_encoder(rng):
+    special = np.array([-0.0, 1e-300, -1e-300, 5e-324])
+    for shape in ((3, 3), (5,), (2, 2, 4)):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        flat = z.reshape(-1)
+        flat[: special.size] = special + 1j * special[::-1]
+        flat[-1] = complex(-0.0, -0.0)
+        old = _old_pairs(z)
+        got = to_pairs(z)
+        assert json.dumps(got) == json.dumps(old)
+        assert np.asarray(got).shape == (*shape, 2)
+        rows = json.loads(json.dumps(got))
+        back = from_pairs(rows, shape, "entry")
+        assert np.array_equal(back, z)
+        pairs = np.asarray(rows, dtype=float)  # the decoders' old arithmetic, bit for bit
+        assert back.tobytes() == (pairs[..., 0] + 1j * pairs[..., 1]).tobytes()
+        with pytest.raises(ValueError, match=r"entry has shape"):
+            from_pairs(got, (*shape, 1), "entry")
+
+
+def test_space_dump_matches_the_per_element_encoder(rng):
+    sp = random_subspace(3, 4, rng, "dump")
+    old = {
+        "label": sp.label,
+        "ambient_dim": sp.ambient_dim,
+        "basis": [_old_pairs(b) for b in sp.basis],
+    }
+    assert json.dumps(space_to_dict(sp), indent=2) == json.dumps(old, indent=2)
+
+
+def test_witnessed_value_scales_the_witness_into_the_ball(rng):
+    phi = get_entry("transpose_M3").map
+    coords = 7.0 * (rng.standard_normal((1, 1, 9)) + 1j * rng.standard_normal((1, 1, 9)))
+    value, witness = witnessed_value(phi.domain, phi.images(), 1, coords)
+    assert abs(level_norm(phi.domain.element(1, witness)) - 1.0) <= 1e-15
+    assert value <= 1.0  # ||phi_1|| = 1 exactly
+    assert value == rounded_down(spectral_norm(realize_batch(phi.images(), witness)), 1, 3, 3)
 
 
 # ---------------------------------------------------------------------------
