@@ -309,10 +309,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (json.JSONDecodeError, OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NpSpaceError as exc:
+    except (json.JSONDecodeError, OSError, KeyError, TypeError, ValueError, NpSpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

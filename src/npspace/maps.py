@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -124,16 +124,7 @@ def make_map(
             raise DimensionMismatch(
                 f"action[{t}] has shape {arr.shape}; expected ({codomain.dim},) or ({e}, {e})"
             )
-    phi = LinearMapRep(domain, codomain, np.stack(cols, axis=1), label)
-    # Construction invariant: realized action on each basis element agrees
-    # with the coordinate action.
-    images = phi.images()
-    for t, col in enumerate(cols):
-        direct = np.einsum("s,sab->ab", np.asarray(col), codomain._stack)
-        scale = max(float(np.abs(direct).max()), 1.0)
-        if np.abs(images[t] - direct).max() > 1e-12 * scale:
-            raise InconsistentAction(f"coordinate action disagrees on basis element {t}")
-    return phi
+    return LinearMapRep(domain, codomain, np.stack(cols, axis=1), label)
 
 
 def amplify(phi: LinearMapRep, x: SpaceElement) -> SpaceElement:
@@ -208,12 +199,16 @@ class LevelNormTable:
             return self.entries[n - 1].bracket
         s = self.stabilization_level
         if s <= self.max_level:
-            b = self.entries[s - 1].bracket  # named as the table's own rows above s
-            return b if self.map.is_zero else NormBracket(b.lo, b.hi, SOURCE_SMITH, SOURCE_SMITH)
+            return self._stable_bracket()
         raise InsufficientTable(
             f"table covers levels 1..{self.max_level} and stabilizes at {s}; "
             f"cannot serve level {n}"
         )
+
+    def _stable_bracket(self) -> NormBracket:
+        """Row s's bracket as every level above s has it (Smith stabilization)."""
+        b = self.entries[self.stabilization_level - 1].bracket
+        return b if self.map.is_zero else NormBracket(b.lo, b.hi, SOURCE_SMITH, SOURCE_SMITH)
 
     def to_json_dict(self) -> dict:
         return {
@@ -311,16 +306,13 @@ def base_norm(
 def cb_norm(
     phi: LinearMapRep, budget: OptBudget = DEFAULT_BUDGET, seed: int = 0
 ) -> NormBracket:
-    """Bracket for sup_n ||phi_n||, which equals ||phi_m|| at the ambient m.
+    """Bracket for sup_n ||phi_n||: the bracket of any level above the ambient m.
 
     For a full matrix-algebra codomain this is the stabilization statement
     itself; for a proper subspace it follows by applying the same statement
     to the (completely isometric) ambient inclusion.
     """
-    inner = level_norm_bracket(phi, phi.codomain.ambient_dim, budget, seed)
-    if phi.is_zero:
-        return inner
-    return NormBracket(inner.lo, inner.hi, SOURCE_SMITH, SOURCE_SMITH)
+    return level_norm_bracket(phi, phi.codomain.ambient_dim + 1, budget, seed)
 
 
 def build_level_table(
@@ -331,64 +323,59 @@ def build_level_table(
 ) -> LevelNormTable:
     """Brackets for n = 1..max_level with all cross-level bounds applied.
 
-    Every level bracket is made here.  Levels n <= m (the codomain's ambient
-    dimension) start from their own ascent, levels above m as copies of level
-    m (stabilization).  Each cross-level rule then runs once, in order: lo
-    upward, hi downward, the cap n * hi_1, level m's hi above m.  After that
-    lo and hi are nondecreasing, hi_n <= n hi_1 and the levels from m on
-    share one bracket, so a second pass could change nothing.
+    Every level bracket is made here.  The stabilization level s is the
+    codomain's ambient dimension m (1 for a zero map, whose one row is
+    ``trivial_zero``).  Each level n <= s starts from its own ascent, and
+    each cross-level rule then runs once over those rows, in order: lo
+    upward, hi downward, the cap n * hi_1.  After that lo and hi are
+    nondecreasing and hi_n <= n hi_1, so a second pass could change nothing.
+    Every level above s is row s (Smith stabilization): the same bracket,
+    named ``smith_stabilization`` on both sides, and row s's witness padded.
     """
     if not isinstance(max_level, int) or max_level < 1:
         raise InvalidLevel(f"max_level must be a positive integer, got {max_level!r}")
     if phi.is_zero:
-        entries = tuple(_zero_entry(phi, n) for n in range(1, max_level + 1))
-        return LevelNormTable(phi, entries, 1, budget, seed)
-
-    m = phi.codomain.ambient_dim
-    rows = [_ascent_entry(phi, n, budget, seed) for n in range(1, min(max_level, m) + 1)]
+        s, rows = 1, [_zero_entry(phi, 1)]
+    else:
+        s = phi.codomain.ambient_dim
+        rows = [_ascent_entry(phi, n, budget, seed) for n in range(1, min(max_level, s) + 1)]
+    top = len(rows)
     los = [e.bracket.lo for e in rows]
     his = [e.bracket.hi for e in rows]
     lo_srcs = [e.bracket.lo_source for e in rows]
     hi_srcs = [e.bracket.hi_source for e in rows]
     witnesses = [e.witness for e in rows]
-    # Levels above m equal level m (Smith stabilization).
-    for n in range(m + 1, max_level + 1):
-        los.append(los[m - 1])
-        his.append(his[m - 1])
-        lo_srcs.append(SOURCE_SMITH)
-        hi_srcs.append(SOURCE_SMITH)
-        witnesses.append(pad_to(SpaceElement(phi.domain, m, witnesses[m - 1]), n).coords)
 
     # Monotonicity: lower bounds propagate upward (witnesses padded along).
-    for i in range(1, max_level):
+    for i in range(1, top):
         if los[i - 1] > los[i]:
             los[i] = los[i - 1]
             lo_srcs[i] = SOURCE_MONOTONICITY
             witnesses[i] = pad_to(SpaceElement(phi.domain, i, witnesses[i - 1]), i + 1).coords
-    # Upper bounds propagate downward; caps descending from the stabilized
-    # range are cb caps, the rest plain monotone caps.
-    for i in range(max_level - 2, -1, -1):
+    # Upper bounds propagate downward; a cap from level s is a cb cap, the
+    # rest plain monotone caps.
+    for i in range(top - 2, -1, -1):
         if his[i + 1] < his[i]:
             his[i] = his[i + 1]
-            hi_srcs[i] = SOURCE_CB_CAP if i + 2 >= m else SOURCE_MONOTONICITY
+            hi_srcs[i] = SOURCE_CB_CAP if i + 2 == s else SOURCE_MONOTONICITY
     # n times the level-1 bound.
-    for i in range(1, max_level):
+    for i in range(1, top):
         cap = (i + 1) * his[0]
         if cap < his[i]:
             his[i] = cap
             hi_srcs[i] = SOURCE_N_TIMES_NORM
-    # Levels above m take level m's upper bound.
-    for i in range(m, max_level):
-        if his[i] != his[m - 1]:
-            his[i] = his[m - 1]
-            hi_srcs[i] = SOURCE_SMITH
 
     entries = []
-    for i in range(max_level):
+    for i in range(top):
         lo, hi = _reconcile(los[i], his[i], phi, i + 1)
         bracket = NormBracket(lo, hi, lo_srcs[i], hi_srcs[i])
         entries.append(LevelEntry(i + 1, bracket, witnesses[i]))
-    return LevelNormTable(phi, tuple(entries), m, budget, seed)
+    table = LevelNormTable(phi, tuple(entries), s, budget, seed)
+    if max_level <= s:
+        return table
+    stable, at_s = table._stable_bracket(), SpaceElement(phi.domain, s, witnesses[-1])
+    above = [LevelEntry(n, stable, pad_to(at_s, n).coords) for n in range(s + 1, max_level + 1)]
+    return replace(table, entries=tuple(entries + above))
 
 
 # ---------------------------------------------------------------------------

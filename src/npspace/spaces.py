@@ -145,7 +145,13 @@ class OperatorSpace:
 
 
 def make_space(ambient_dim: int, basis: Sequence[np.ndarray], label: str = "V") -> OperatorSpace:
-    """Validate and construct an OperatorSpace from a basis list."""
+    """Validate and construct an OperatorSpace from a basis list.
+
+    ``ambient_dim`` may be any integer type (a numpy integer too), but not a
+    bool or a float: those raise DimensionMismatch.
+    """
+    if isinstance(ambient_dim, bool) or not isinstance(ambient_dim, (int, np.integer)):
+        raise DimensionMismatch(f"ambient_dim must be an integer, got {ambient_dim!r}")
     return OperatorSpace(int(ambient_dim), tuple(basis), label)
 
 
@@ -422,7 +428,9 @@ def from_pairs(rows, shape: tuple, what: str) -> np.ndarray:
         raise ValueError(f"{what} is not an array of [re, im] pairs") from None
     if arr.shape != (*shape, 2):
         raise ValueError(f"{what} has shape {arr.shape}, expected {(*shape, 2)}")
-    return arr[..., 0] + 1j * arr[..., 1]
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = arr[..., 0], arr[..., 1]
+    return out
 
 
 def space_to_dict(space: OperatorSpace) -> dict:

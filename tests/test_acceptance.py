@@ -155,7 +155,7 @@ def run_battery(seed: int) -> dict:
         ok5 = ok5 and t_table.bracket_at(n).hi <= want + 1e-9
     zl, zh = zeta_bracket(3.0, 2048)
     closed_lo, closed_hi = 1.0 + 2.0 * (zl - 1.0), 1.0 + 2.0 * (zh - 1.0)
-    r5 = np_norm(t_phi, 3.0, t_table, K=64)
+    r5 = np_norm(t_phi, 3.0, t_table)
     ok5 = ok5 and r5.bracket.lo - 1e-12 <= closed_lo
     ok5 = ok5 and r5.bracket.hi + 1e-12 >= closed_hi
     ok5 = ok5 and r5.bracket.width <= 1e-5
@@ -175,7 +175,7 @@ def run_battery(seed: int) -> dict:
     ok6 = True
     payload6 = {}
     for p in (2.0, 3.0):
-        r = np_norm(tr_phi, p, tables["trace_M2"], K=64)
+        r = np_norm(tr_phi, p, tables["trace_M2"])
         zl, zh = zeta_bracket(p, 2048)
         prod_lo, prod_hi = f_bracket.lo * zl, f_bracket.hi * zh
         ok6 = ok6 and r.bracket.lo <= prod_hi + 1e-12

@@ -108,7 +108,7 @@ def test_np_norm_matches_expected_brackets(catalog_tables, p):
     # Computed brackets intersect the closed-form brackets and stay narrow.
     for entry in list_entries():
         table = catalog_tables[entry.name]
-        got = np_norm(entry.map, p, table, K=64)
+        got = np_norm(entry.map, p, table)
         lo, hi = expected_np_bracket(entry, p, 64)
         assert got.bracket.lo <= hi + 1e-9
         assert got.bracket.hi >= lo - 1e-9

@@ -37,6 +37,7 @@ from npspace.bracket import (
     SOURCE_N_TIMES_NORM,
     SOURCE_OPTIMIZER,
     SOURCE_SMITH,
+    SOURCE_TRIVIAL_ZERO,
     NormBracket,
 )
 from npspace.maps import (
@@ -49,7 +50,7 @@ from npspace.maps import (
     witness_to_dict,
 )
 from npspace import maps
-from npspace.optimize import maximize_amplified_norm
+from npspace.optimize import DEFAULT_BUDGET, maximize_amplified_norm
 
 SEED = 11
 
@@ -547,7 +548,9 @@ def test_table_is_the_four_round_propagation_bitwise():
     # One pass over per-level ascent brackets must give, bit for bit, what
     # per-level brackets carrying their own n * hi(1) candidate, Smith-tagged
     # copies above m and four rounds of every rule gave.  The short budgets
-    # leave the per-level brackets out of order, so every rule fires.
+    # leave the per-level brackets out of order, so every rule fires.  A row
+    # above m is row m under the name smith_stabilization on both sides, also
+    # where the reference names monotonicity for a lo it raised.
     maps = [e.map for e in list_entries()]
     maps += [_random_map(*spec, seed) for seed, spec in enumerate(RANDOM_SPECS)]
     fired = set()
@@ -559,7 +562,11 @@ def test_table_is_the_four_round_propagation_bitwise():
             ref = _reference_table_rows(phi, max_level, budget, seed, cache)
             table = build_level_table(phi, max_level, budget, seed)
             where = (phi.label, budget, seed, max_level)
-            assert [_row_bits(e) for e in table.entries] == [_row_bits(e) for e in ref], where
+            want = [_row_bits(e) for e in ref]
+            above = SOURCE_TRIVIAL_ZERO if phi.is_zero else SOURCE_SMITH
+            m = phi.codomain.ambient_dim
+            want[m:] = [(n, lo, hi, above, above, w) for n, lo, hi, _, _, w in want[m:]]
+            assert [_row_bits(e) for e in table.entries] == want, where
             fired.update((e.bracket.lo_source, e.bracket.hi_source) for e in ref)
     lo_fired = {lo for lo, _ in fired}
     hi_fired = {hi for _, hi in fired}
@@ -608,7 +615,7 @@ def test_lo_rises_by_a_margin_with_the_witness_padded(monkeypatch):
     phi = get_entry("transpose_M3").map
     table = build_level_table(phi, 4)
     los = [(e.bracket.lo, e.bracket.lo_source) for e in table.entries]
-    assert los == [(1.5, OPT), (1.5, MONO), (1.5, MONO), (1.5, MONO)]
+    assert los == [(1.5, OPT), (1.5, MONO), (1.5, MONO), (1.5, SMITH)]
     first = SpaceElement(phi.domain, 1, table.entries[0].witness)
     for e in table.entries:
         assert e.witness.tobytes() == pad_to(first, e.level).coords.tobytes(), e.level
@@ -638,6 +645,28 @@ def test_level_readers_match_the_table_row(phi):
     at_m = build_level_table(phi, m, budget, SEED).entries[-1].bracket
     cb = cb_norm(phi, budget, seed=SEED)
     assert cb == NormBracket(at_m.lo, at_m.hi, SOURCE_SMITH, SOURCE_SMITH)
+
+
+@pytest.mark.parametrize("budget", (DEFAULT_BUDGET, OptBudget(restarts=1)), ids=("default", "r1"))
+def test_rows_above_s_agree_with_every_reader(budget):
+    # A row above the stabilization level s is what every reader of level
+    # n > s says: the stable bracket, named smith_stabilization on both sides
+    # (trivial_zero for a zero map), with row s's witness padded.
+    for entry in list_entries():
+        phi = entry.map
+        for seed in range(10):
+            s = build_level_table(phi, 1, budget, seed).stabilization_level
+            short = build_level_table(phi, s, budget, seed)
+            at_s = SpaceElement(phi.domain, s, short.entries[-1].witness)
+            name = SOURCE_TRIVIAL_ZERO if phi.is_zero else SOURCE_SMITH
+            for e in build_level_table(phi, s + 2, budget, seed).entries[s:]:
+                n, where = e.level, (entry.name, seed, e.level)
+                assert e.bracket.lo_source == e.bracket.hi_source == name, where
+                assert e.bracket == short.bracket_at(n), where
+                assert e.bracket == level_norm_bracket(phi, n, budget, seed), where
+                if n == s + 1:
+                    assert e.bracket == cb_norm(phi, budget, seed), where
+                assert e.witness.tobytes() == pad_to(at_s, n).coords.tobytes(), where
 
 
 # ---------------------------------------------------------------------------

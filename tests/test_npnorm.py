@@ -98,17 +98,9 @@ def test_zeta_bounds_stay_finite_for_huge_p(p, K):
     assert lo <= 1.0 <= hi  # zeta(p) rounds to 1.0
 
 
-def test_truncation_above_the_cap_is_rejected_before_any_sum(catalog_tables, catalog_entries):
-    phi = catalog_entries["transpose_M2"].map
-    table = catalog_tables["transpose_M2"]
-    with pytest.raises(ValueError, match="MAX_TRUNCATION"):
-        np_norm(phi, 2.0, table, K=10**8)
+def test_truncation_above_the_cap_is_rejected_before_any_sum():
     with pytest.raises(ValueError, match="MAX_TRUNCATION"):
         zeta_bracket(2.0, 10**8)
-    r = np_norm(phi, 2.0, table, K=MAX_TRUNCATION)
-    assert r.truncation_level == MAX_TRUNCATION
-    want = 2.0 * ZETA2 - 1.0  # ||phi_1|| = 1, ||phi_n|| = 2 from n = 2 on
-    assert r.bracket.lo - 1e-9 <= want <= r.bracket.hi + 1e-9
     lo, hi = zeta_bracket(2.0, MAX_TRUNCATION)
     assert lo <= ZETA2 <= hi
 
@@ -163,11 +155,12 @@ def test_np_norm_identity_p2_is_zeta2(catalog_tables, catalog_entries):
     assert r.bracket.lo - 1e-9 <= ZETA2 <= r.bracket.hi + 1e-9
     assert r.bracket.width <= 1e-6
     assert r.closed_form == "stabilized"
+    assert r.truncation_level == 64  # K = max(64, 4 s) with s = 2
 
 
 def test_np_norm_transpose_p3_closed_form(catalog_tables, catalog_entries):
     want = 1.0 + 2.0 * (ZETA3 - 1.0)
-    r = np_norm(catalog_entries["transpose_M2"].map, 3.0, catalog_tables["transpose_M2"], K=64)
+    r = np_norm(catalog_entries["transpose_M2"].map, 3.0, catalog_tables["transpose_M2"])
     assert r.bracket.lo - 1e-9 <= want <= r.bracket.hi + 1e-9
     assert r.bracket.width <= 1e-5
 
@@ -194,30 +187,6 @@ def test_np_norm_extends_a_short_table(p, catalog_entries):
     short = build_level_table(phi, 2, seed=SEED)
     full = build_level_table(phi, 3, seed=SEED)
     assert np_norm(phi, p, short).to_json_dict() == np_norm(phi, p, full).to_json_dict()
-
-
-def test_np_norm_small_k_hands_over_at_the_stabilization_level(catalog_entries):
-    # K below m - 1 is raised to m - 1: levels below m are never counted at
-    # the level-m value.
-    phi = catalog_entries["transpose_M3"].map
-    table = build_level_table(phi, 3, seed=SEED)
-    r = np_norm(phi, 2.0, table, K=1)
-    assert r.truncation_level == 2
-    want = 1.0 + 2.0 / 4.0 + 3.0 * (ZETA2 - 1.25)  # ||phi_n|| = min(n, 3)
-    assert r.bracket.lo - 1e-9 <= want <= r.bracket.hi + 1e-9
-    assert r.to_json_dict() == np_norm(phi, 2.0, table, K=2).to_json_dict()
-
-
-def test_np_norm_monotone_refinement_in_k(catalog_tables, catalog_entries):
-    phi = catalog_entries["schur_M2"].map
-    table = catalog_tables["schur_M2"]
-    prev = None
-    for K in (8, 16, 32, 64, 128):
-        r = np_norm(phi, 2.2, table, K)
-        if prev is not None:
-            assert r.bracket.lo >= prev.bracket.lo
-            assert r.bracket.hi <= prev.bracket.hi
-        prev = r
 
 
 def test_np_norm_homogeneity(catalog_tables, catalog_entries):
@@ -256,7 +225,7 @@ def test_np_norm_bounded_by_cb_times_zeta(catalog_tables, catalog_entries):
         if phi.is_zero:
             continue
         for p in (1.5, 2.0, 3.0):
-            r = np_norm(phi, p, table, K=64)
+            r = np_norm(phi, p, table)
             cb_hi = cb_norm(phi, seed=SEED).hi
             zeta_hi = zeta_bracket(p, 64)[1]
             assert r.bracket.hi <= cb_hi * zeta_hi + 1e-9
