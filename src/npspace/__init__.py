@@ -10,7 +10,6 @@ from .errors import (
     InsufficientTable,
     InvalidLevel,
     InvariantViolation,
-    NoClosedForm,
     NonFiniteInput,
     NpSpaceError,
     SpaceMismatch,

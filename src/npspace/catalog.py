@@ -16,10 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoClosedForm
 from .maps import LinearMapRep, make_map, map_to_dict
 from .npnorm import over_power, zeta_tail
-from .spaces import full_matrix_space, make_space
+from .spaces import full_matrix_space, make_space, require_int
 
 PROVENANCE_PAPER_COROLLARY = "paper_corollary"
 PROVENANCE_DERIVED_ORACLE = "derived_oracle"
@@ -28,12 +27,12 @@ PROVENANCE_TRIVIAL = "trivial"
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A named map plus its expected level-norm rule, when one is known."""
+    """A named map, its closed-form rule n -> ||phi_n|| and the level the rule stabilizes at."""
 
     name: str
     map: LinearMapRep
-    expected_level_norms: Callable[[int], float] | None
-    expected_stabilization: int | None
+    expected_level_norms: Callable[[int], float]
+    expected_stabilization: int
     provenance: str
 
 
@@ -146,15 +145,10 @@ def resolve_uri(uri: str) -> CatalogEntry:
 
 def expected_np_bracket(entry: CatalogEntry, p: float, K: int) -> tuple[float, float]:
     """Evaluate the entry's closed-form rule as a partial sum plus zeta tail."""
-    if entry.expected_level_norms is None:
-        raise NoClosedForm(f"catalog entry {entry.name!r} has no closed-form rule")
     p = float(p)
     if not p > 1.0:
         raise ValueError(f"closed-form evaluation needs p > 1, got {p}")
-    K = int(K)
-    stab = entry.expected_stabilization or 1
-    if K < stab:
-        raise ValueError(f"K={K} is below the rule's stabilization level {stab}")
+    K = require_int(K, "K", minimum=entry.expected_stabilization)
     rule = entry.expected_level_norms
     partial = math.fsum(over_power(rule(n), n, p) for n in range(1, K + 1))
     stable_value = rule(K + 1)

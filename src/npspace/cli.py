@@ -24,7 +24,7 @@ from .maps import (
 from .npnorm import NpParameter, index_estimate, inclusion_check, np_norm
 from .optimize import OptBudget
 from .oracle import cross_validate
-from .spaces import full_matrix_space, random_subspace, verify_axioms
+from .spaces import full_matrix_space, random_subspace, require_int, verify_axioms
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -51,12 +51,8 @@ def _budget(args) -> OptBudget:
 MAX_LEVEL = 64
 
 
-def _table_levels(args, phi: LinearMapRep) -> int:
-    """--max-level as given (at most MAX_LEVEL; 0 is rejected downstream), or
-    max(2, m) when absent.  ``np_norm`` extends a table that stops below m to m.
-    """
-    if args.max_level is None:
-        return max(2, phi.codomain.ambient_dim)
+def _table_levels(args) -> int:
+    """--max-level as given: at most MAX_LEVEL; 0 is rejected by ``build_level_table``."""
     if args.max_level > MAX_LEVEL:
         raise ValueError(f"--max-level must be at most {MAX_LEVEL}, got {args.max_level}")
     return args.max_level
@@ -69,9 +65,9 @@ def _add_budget_options(sub):
     sub.add_argument("--seed", type=int, default=0)
 
 
-def _add_map_options(sub, max_level: int | None = 4):
-    sub.add_argument("map", help="map JSON file or catalog:<name>")
-    sub.add_argument("--max-level", type=int, default=max_level)
+def _add_map_options(sub, nargs: str | None = None):
+    sub.add_argument("map", nargs=nargs, help="map JSON file or catalog:<name>")
+    sub.add_argument("--max-level", type=int, default=4)
     _add_budget_options(sub)
 
 
@@ -95,7 +91,7 @@ def _table_csv(table) -> str:
 
 def cmd_levels(args) -> int:
     phi = _resolve_map(args.map)
-    table = build_level_table(phi, _table_levels(args, phi), _budget(args), args.seed)
+    table = build_level_table(phi, _table_levels(args), _budget(args), args.seed)
     _write_or_print(_table_csv(table), args.out)
     if args.json:
         _write_or_print(json.dumps(table.to_json_dict(), sort_keys=True, indent=2) + "\n", args.json)
@@ -108,7 +104,7 @@ def cmd_levels(args) -> int:
 def cmd_npnorm(args) -> int:
     p = NpParameter(args.p)  # checked before any level is computed
     phi = _resolve_map(args.map)
-    table = build_level_table(phi, _table_levels(args, phi), _budget(args), args.seed)
+    table = build_level_table(phi, _table_levels(args), _budget(args), args.seed)
     result = np_norm(phi, p, table)
     payload = json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n"
     print(
@@ -140,7 +136,7 @@ def cmd_index(args) -> int:
         if not args.map:
             raise ValueError("cmd_index needs a map or --synthetic")
         phi = _resolve_map(args.map)
-        table = build_level_table(phi, _table_levels(args, phi), _budget(args), args.seed)
+        table = build_level_table(phi, _table_levels(args), _budget(args), args.seed)
         est = index_estimate(table)
     payload = json.dumps(est.to_json_dict(), sort_keys=True, indent=2) + "\n"
     print(
@@ -153,7 +149,7 @@ def cmd_index(args) -> int:
 
 
 def _suite_axioms(seed: int) -> list[tuple[str, bool, str]]:
-    rng = np.random.default_rng([seed, 0xA7])
+    rng = np.random.default_rng([require_int(seed, "seed", minimum=0), 0xA7])
     spaces = [
         full_matrix_space(2),
         full_matrix_space(3),
@@ -172,7 +168,7 @@ def _suite_inclusions(seed: int, budget: OptBudget) -> list[tuple[str, bool, str
     checks = []
     for entry in _catalog.list_entries():
         phi = entry.map
-        table = build_level_table(phi, max(2, phi.codomain.ambient_dim), budget, seed)
+        table = build_level_table(phi, 4, budget, seed)
         for p, q in ((2.1, 3.0), (2.5, 4.0), (3.0, 5.0)):
             rep = inclusion_check(phi, p, q, table)
             checks.append(
@@ -211,10 +207,8 @@ def cmd_verify(args) -> int:
         checks = _suite_axioms(args.seed)
     elif args.suite == "inclusions":
         checks = _suite_inclusions(args.seed, budget)
-    elif args.suite == "bounds":
-        checks = _suite_bounds(args.seed, budget, args.trials)
     else:
-        raise ValueError(f"unknown suite {args.suite!r}")
+        checks = _suite_bounds(args.seed, budget, args.trials)
     failed = 0
     for name, ok, detail in checks:
         status = "PASS" if ok else "FAIL"
@@ -247,7 +241,7 @@ def _parse_grid(text: str) -> list[float]:
 def cmd_plotdata(args) -> int:
     grid = _parse_grid(args.p_grid)
     phi = _resolve_map(args.map)
-    table = build_level_table(phi, _table_levels(args, phi), _budget(args), args.seed)
+    table = build_level_table(phi, _table_levels(args), _budget(args), args.seed)
     lines = ["p,lo,hi"]
     for p in grid:
         result = np_norm(phi, p, table)
@@ -271,16 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_levels.set_defaults(func=cmd_levels)
 
     p_np = subs.add_parser("npnorm", help="bracket the N^p norm")
-    _add_map_options(p_np, max_level=None)
+    _add_map_options(p_np)
     p_np.add_argument("--p", type=float, required=True)
     p_np.add_argument("--out", help="JSON result path")
     p_np.set_defaults(func=cmd_npnorm)
 
     p_index = subs.add_parser("index", help="estimate the summability index")
-    p_index.add_argument("map", nargs="?", help="map JSON file or catalog:<name>")
+    _add_map_options(p_index, nargs="?")
     p_index.add_argument("--synthetic", help="synthetic growth rule, e.g. 'n^1'")
-    p_index.add_argument("--max-level", type=int, default=4)
-    _add_budget_options(p_index)
     p_index.add_argument("--out", help="JSON result path")
     p_index.set_defaults(func=cmd_index)
 
@@ -291,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_plot = subs.add_parser("plotdata", help="CSV of p,lo,hi over a grid")
-    _add_map_options(p_plot, max_level=None)
+    _add_map_options(p_plot)
     p_plot.add_argument(
         "--p-grid", required=True, help=f"a:b:step, at most {MAX_GRID_POINTS} points"
     )
@@ -309,7 +301,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (json.JSONDecodeError, OSError, KeyError, TypeError, ValueError, NpSpaceError) as exc:
+    except (OSError, KeyError, ValueError, NpSpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

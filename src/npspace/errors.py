@@ -26,7 +26,7 @@ class InconsistentAction(NpSpaceError):
 
 
 class InvalidLevel(NpSpaceError):
-    """A matrix level n < 1 was requested."""
+    """A matrix level that is not an integer >= 1 was requested."""
 
 
 class InsufficientTable(NpSpaceError):
@@ -35,10 +35,6 @@ class InsufficientTable(NpSpaceError):
 
 class InsufficientData(NpSpaceError):
     """Not enough (or unusable) data points for an estimate."""
-
-
-class NoClosedForm(NpSpaceError):
-    """The catalog entry carries no closed-form expectation."""
 
 
 class InvariantViolation(NpSpaceError):

@@ -39,9 +39,11 @@ from .spaces import (
     SpaceElement,
     _same_space,
     from_pairs,
+    json_field,
     pad_to,
     realize,
     require_finite,
+    require_int,
     space_from_dict,
     space_to_dict,
     spectral_norm,
@@ -170,7 +172,7 @@ class LevelEntry:
 
     level: int
     bracket: NormBracket
-    witness: np.ndarray | None
+    witness: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -193,8 +195,7 @@ class LevelNormTable:
         return len(self.entries)
 
     def bracket_at(self, n: int) -> NormBracket:
-        if n < 1:
-            raise InvalidLevel(f"level must be >= 1, got {n}")
+        n = require_int(n, "level", InvalidLevel)
         if n <= self.max_level:
             return self.entries[n - 1].bracket
         s = self.stabilization_level
@@ -271,8 +272,7 @@ def _reconcile(lo: float, hi: float, phi: LinearMapRep, n: int) -> tuple[float, 
 
 def _table_through(phi: LinearMapRep, n: int, budget: OptBudget, seed: int) -> LevelNormTable:
     """The table whose last row serves level n: levels 1..min(n, m)."""
-    if not isinstance(n, int) or n < 1:
-        raise InvalidLevel(f"level must be a positive integer, got {n!r}")
+    n = require_int(n, "level", InvalidLevel)
     return build_level_table(phi, min(n, phi.codomain.ambient_dim), budget, seed)
 
 
@@ -332,8 +332,8 @@ def build_level_table(
     Every level above s is row s (Smith stabilization): the same bracket,
     named ``smith_stabilization`` on both sides, and row s's witness padded.
     """
-    if not isinstance(max_level, int) or max_level < 1:
-        raise InvalidLevel(f"max_level must be a positive integer, got {max_level!r}")
+    max_level = require_int(max_level, "max_level", InvalidLevel)
+    seed = require_int(seed, "seed", minimum=0)
     if phi.is_zero:
         s, rows = 1, [_zero_entry(phi, 1)]
     else:
@@ -398,11 +398,10 @@ def map_from_dict(data: dict, resolve_space=None) -> LinearMapRep:
     ``resolve_space`` maps a path string to an OperatorSpace and defaults to
     loading JSON from the filesystem.
     """
-    if not isinstance(data, dict):
-        raise ValueError("map definition must be a JSON object")
+    what = "map definition"
 
     def load_slot(slot):
-        value = data[slot]
+        value = json_field(data, slot, what)
         if isinstance(value, str):
             if resolve_space is None:
                 from .spaces import load_space
@@ -413,7 +412,8 @@ def map_from_dict(data: dict, resolve_space=None) -> LinearMapRep:
 
     domain = load_slot("domain")
     codomain = load_slot("codomain")
-    action = [from_pairs(a, (codomain.dim,), f"action[{t}]") for t, a in enumerate(data["action"])]
+    action = json_field(data, "action", what, list)
+    action = [from_pairs(a, (codomain.dim,), f"action[{t}]") for t, a in enumerate(action)]
     return make_map(domain, codomain, action, str(data.get("label", "phi")))
 
 
@@ -438,5 +438,4 @@ def save_map(phi: LinearMapRep, path: str) -> None:
 
 
 def witness_to_dict(entry: LevelEntry) -> dict:
-    coords = None if entry.witness is None else to_pairs(entry.witness)
-    return {"level": entry.level, "achieved": entry.bracket.lo, "coords": coords}
+    return {"level": entry.level, "achieved": entry.bracket.lo, "coords": to_pairs(entry.witness)}

@@ -17,9 +17,9 @@ from typing import Iterable
 import numpy as np
 
 from .bracket import SOURCE_MONOTONICITY, SOURCE_SMITH, SOURCE_TRIVIAL_ZERO, NormBracket
-from .errors import InsufficientData, SpaceMismatch
+from .errors import InsufficientData, InvalidLevel, SpaceMismatch
 from .maps import LevelNormTable, LinearMapRep, build_level_table
-from .spaces import _same_space
+from .spaces import _same_space, require_int
 
 VERDICT_MEMBER = "member"
 VERDICT_NOT_MEMBER = "not_member"
@@ -58,9 +58,7 @@ def zeta_tail(p: float, K: int) -> tuple[float, float]:
     signaled as (+inf, +inf), not raised.
     """
     p = float(p)
-    K = int(K)
-    if K < 0:
-        raise ValueError(f"K must be >= 0, got {K}")
+    K = require_int(K, "K", minimum=0)
     if p <= 1.0:
         return math.inf, math.inf
     a = float(K + 1)
@@ -86,7 +84,7 @@ def over_power(x: float, n: int, p: float) -> float:
 
 def zeta_bracket(p: float, K: int = 64) -> tuple[float, float]:
     """Certified bounds on the full sum zeta(p), p > 1."""
-    K = int(K)
+    K = require_int(K, "K", minimum=0)
     if K > MAX_TRUNCATION:
         raise ValueError(f"K must be at most MAX_TRUNCATION = {MAX_TRUNCATION}, got {K}")
     p = float(p)
@@ -228,7 +226,7 @@ def index_estimate(
     if isinstance(source, LevelNormTable):
         s = source.stabilization_level
         return IndexEstimate(1.0, 0.0, (s, max(s, source.max_level)), 0.0)
-    pairs = sorted((int(n), float(v)) for n, v in source)
+    pairs = sorted((require_int(n, "level", InvalidLevel), float(v)) for n, v in source)
     if len(pairs) < 3:
         raise InsufficientData(f"index fit needs at least 3 levels, got {len(pairs)}")
     if fit_window is not None:

@@ -34,10 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidLevel
 from .spaces import (
     OperatorSpace,
     block_matrices,
     realize_batch,
+    require_int,
     top_singular_pairs,
     unrealize,
     witnessed_value,
@@ -63,14 +65,16 @@ _STEP_SHRINK = 0.5
 
 @dataclass(frozen=True)
 class OptBudget:
-    """Search effort: independent restarts, per-restart iterations, stop tol."""
+    """Search effort: restarts and per-restart max_iter (``spaces.require_int``), stop tol > 0."""
 
     restarts: int = 20
     max_iter: int = 200
     tol: float = 1e-11
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iter < 1 or not 0 < self.tol < math.inf:
+        for name in ("restarts", "max_iter"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
+        if not 0 < self.tol < math.inf:
             raise ValueError(f"invalid budget {self!r}")
 
 
@@ -104,7 +108,9 @@ def maximize_amplified_norm(
     seed: int = 0,
 ) -> AscentOutcome:
     """Multi-restart batched ascent; deterministic for a fixed seed."""
-    n, k, m, d = int(level), space.dim, images.shape[-1], space.ambient_dim
+    n = require_int(level, "level", InvalidLevel)
+    seed = require_int(seed, "seed", minimum=0)
+    k, m, d = space.dim, images.shape[-1], space.ambient_dim
     if not np.any(images):
         return AscentOutcome(0.0, np.zeros((n, n, k), dtype=complex), True, budget.restarts)
 
@@ -122,7 +128,7 @@ def maximize_amplified_norm(
 
     starts = []
     for r in range(budget.restarts):
-        rng = np.random.default_rng([_SEED_TAG, abs(int(seed)), n, r])
+        rng = np.random.default_rng([_SEED_TAG, seed, n, r])
         starts.append((unit(rng, n * m), unit(rng, n * m)))
     u0, v0 = (np.stack(side) for side in zip(*starts))
 

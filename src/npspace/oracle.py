@@ -32,10 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidLevel
 from .maps import LevelNormTable, LinearMapRep
 from .spaces import (
     matrix_blocks,
     realize_batch,
+    require_int,
     to_pairs,
     top_singular_values,
     unrealize,
@@ -159,14 +161,12 @@ def brute_search(
     phi: LinearMapRep, level: int, trials: int = 2000, seed: int = 0
 ) -> tuple[float, np.ndarray]:
     """Best value and witness found by random search plus hill-climbing."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    n = int(level)
-    if n < 1:
-        raise ValueError("level must be >= 1")
+    n = require_int(level, "level", InvalidLevel)
+    trials = require_int(trials, "trials")
+    seed = require_int(seed, "seed", minimum=0)
     if phi.is_zero:
         return 0.0, np.zeros((n, n, phi.domain.dim), dtype=complex)
-    rng = np.random.default_rng([_SEED_TAG, abs(int(seed)), n])
+    rng = np.random.default_rng([_SEED_TAG, seed, n])
     search = _search_unitary if phi.domain.is_full_matrix_algebra else _search_coords
     return witnessed_value(phi.domain, phi.images(), n, search(phi, n, trials, rng))
 
@@ -202,6 +202,8 @@ def cross_validate(
     relative of the brute value (else the ascent is underperforming).
     """
     phi = table.map
+    max_level = require_int(max_level, "max_level", InvalidLevel)
+    seed = require_int(seed, "seed", minimum=0)
     rows = []
     ok = True
     for n in range(1, min(max_level, table.max_level) + 1):

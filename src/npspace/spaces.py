@@ -70,6 +70,15 @@ def require_finite(arr: np.ndarray, what: str) -> None:
         raise NonFiniteInput(f"{what}: entry {idx} is {arr[idx]}, not a finite number")
 
 
+def require_int(value, what: str, error: type = ValueError, minimum: int = 1) -> int:
+    """value as a plain int if it is a Python or numpy integer >= minimum; a bool, a float
+    (2.0 too), a string or a smaller value raises ``error`` naming ``what`` and the value."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= minimum:
+        return int(value)
+    kind = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
+    raise error(f"{what} must be {kind}, got {value!r}")
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)
     out.setflags(write=False)
@@ -95,9 +104,8 @@ class OperatorSpace:
     _vec_smax: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = self.ambient_dim
-        if type(d) is not int or d < 1:  # a bool is an int, but not a dimension
-            raise DimensionMismatch(f"ambient_dim must be a positive integer, got {d!r}")
+        d = require_int(self.ambient_dim, "ambient_dim", DimensionMismatch)
+        object.__setattr__(self, "ambient_dim", d)
         mats = tuple(_readonly(b) for b in self.basis)
         if not mats:
             raise DimensionMismatch("basis must be nonempty")
@@ -145,18 +153,13 @@ class OperatorSpace:
 
 
 def make_space(ambient_dim: int, basis: Sequence[np.ndarray], label: str = "V") -> OperatorSpace:
-    """Validate and construct an OperatorSpace from a basis list.
-
-    ``ambient_dim`` may be any integer type (a numpy integer too), but not a
-    bool or a float: those raise DimensionMismatch.
-    """
-    if isinstance(ambient_dim, bool) or not isinstance(ambient_dim, (int, np.integer)):
-        raise DimensionMismatch(f"ambient_dim must be an integer, got {ambient_dim!r}")
-    return OperatorSpace(int(ambient_dim), tuple(basis), label)
+    """An OperatorSpace from a basis list; ``ambient_dim`` follows ``require_int``."""
+    return OperatorSpace(ambient_dim, tuple(basis), label)
 
 
 def full_matrix_space(d: int, label: str | None = None) -> OperatorSpace:
     """The full matrix algebra M_d with the matrix-unit basis, row-major order."""
+    d = require_int(d, "ambient_dim", DimensionMismatch)
     units = []
     for a in range(d):
         for b in range(d):
@@ -175,8 +178,7 @@ class SpaceElement:
     coords: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.level, int) or self.level < 1:
-            raise InvalidLevel(f"level must be a positive integer, got {self.level!r}")
+        object.__setattr__(self, "level", require_int(self.level, "level", InvalidLevel))
         c = _readonly(self.coords)
         n, k = self.level, self.space.dim
         if c.shape != (n, n, k):
@@ -245,10 +247,10 @@ def witnessed_value(
 
 def element_from_matrix(space: OperatorSpace, level: int, matrix: np.ndarray) -> SpaceElement:
     """Blockwise least-squares coordinates of an (nd) x (nd) matrix."""
-    d = space.ambient_dim
+    nd = require_int(level, "level", InvalidLevel) * space.ambient_dim
     m = np.asarray(matrix, dtype=complex)
-    if m.shape != (level * d, level * d):
-        raise DimensionMismatch(f"expected ({level * d},)*2, got {m.shape}")
+    if m.shape != (nd, nd):
+        raise DimensionMismatch(f"expected ({nd},)*2, got {m.shape}")
     return SpaceElement(space, level, unrealize(space, level, m))
 
 
@@ -278,9 +280,8 @@ def sandwich(alpha: np.ndarray, x: SpaceElement, beta: np.ndarray) -> SpaceEleme
 
 
 def pad_to(x: SpaceElement, level: int) -> SpaceElement:
-    """Embed into a higher level by appending zero rows/columns."""
-    if level < x.level:
-        raise InvalidLevel(f"cannot pad level {x.level} down to {level}")
+    """Embed into a level >= x.level by appending zero rows/columns."""
+    level = require_int(level, "level", InvalidLevel, minimum=x.level)
     if level == x.level:
         return x
     coords = np.zeros((level, level, x.space.dim), dtype=complex)
@@ -292,6 +293,7 @@ def random_element(
     space: OperatorSpace, level: int, rng: np.random.Generator, unit: bool = False
 ) -> SpaceElement:
     """Element with iid complex-gaussian coordinates; unit realized norm if asked."""
+    level = require_int(level, "level", InvalidLevel)
     shape = (level, level, space.dim)
     coords = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     x = SpaceElement(space, level, coords)
@@ -306,7 +308,8 @@ def random_subspace(
     ambient_dim: int, dim: int, rng: np.random.Generator, label: str = "random"
 ) -> OperatorSpace:
     """A random dim-dimensional subspace of M_{ambient_dim}."""
-    d = ambient_dim
+    d = require_int(ambient_dim, "ambient_dim", DimensionMismatch)
+    dim = require_int(dim, "dim", DimensionMismatch)
     mats = rng.standard_normal((dim, d, d)) + 1j * rng.standard_normal((dim, d, d))
     return make_space(d, list(mats), label)
 
@@ -365,10 +368,9 @@ def verify_axioms(
     slack.  ``norm_fn`` exists as a test hook: substituting a corrupted norm
     must surface as reported failures.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    samples = require_int(samples, "samples")
     nf = norm_fn or level_norm
-    rng = np.random.default_rng([abs(int(seed)), 0x4E50])
+    rng = np.random.default_rng([require_int(seed, "seed", minimum=0), 0x4E50])
     failures = []
     m1_worst = 0.0
     m2_worst = 0.0
@@ -441,13 +443,24 @@ def space_to_dict(space: OperatorSpace) -> dict:
     }
 
 
-def space_from_dict(data: dict) -> OperatorSpace:
+def json_field(data, key: str, what: str, kind: type = object):
+    """data[key] of the JSON object ``what``, which must exist and be a ``kind``; else ValueError."""
     if not isinstance(data, dict):
-        raise ValueError("space definition must be a JSON object")
-    d = data["ambient_dim"]
-    if type(d) is not int or d < 1:  # rejects a JSON true too
-        raise ValueError(f"ambient_dim must be a positive integer, got {d!r}")
-    basis = [from_pairs(m, (d, d), f"basis[{i}]") for i, m in enumerate(data["basis"])]
+        raise ValueError(f"{what} must be a JSON object")
+    if key not in data:
+        raise ValueError(f'{what} has no "{key}"')
+    if not isinstance(data[key], kind):
+        raise ValueError(f"{key} must be a {kind.__name__}, got {data[key]!r}")
+    return data[key]
+
+
+def space_from_dict(data: dict) -> OperatorSpace:
+    """The space of a decoded space file; ``ambient_dim`` (``require_int``, DimensionMismatch)
+    is checked before the basis is decoded."""
+    what = "space definition"
+    d = require_int(json_field(data, "ambient_dim", what), "ambient_dim", DimensionMismatch)
+    basis = json_field(data, "basis", what, list)
+    basis = [from_pairs(m, (d, d), f"basis[{i}]") for i, m in enumerate(basis)]
     return make_space(d, basis, str(data.get("label", "V")))
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from npspace import (
-    NoClosedForm,
     brute_level_norm,
     expected_np_bracket,
     get_entry,
@@ -15,7 +14,7 @@ from npspace import (
     map_from_dict,
     np_norm,
 )
-from npspace.catalog import CatalogEntry, export_entry, resolve_uri
+from npspace.catalog import export_entry, resolve_uri
 
 SEED = 11
 
@@ -95,12 +94,6 @@ def test_expected_np_bracket_at_huge_p(p):
 def test_expected_np_bracket_zero():
     lo, hi = expected_np_bracket(get_entry("zero_M2"), 2.0, 64)
     assert lo == hi == 0.0
-
-
-def test_expected_np_bracket_requires_rule():
-    bare = CatalogEntry("bare", get_entry("zero_M2").map, None, None, "trivial")
-    with pytest.raises(NoClosedForm):
-        expected_np_bracket(bare, 2.0, 64)
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0])

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from npspace.cli import main
@@ -353,3 +354,69 @@ def test_file_based_map_with_space_paths(tmp_path):
     assert run(["levels", str(path), "--max-level", "2", "--seed", "7", "--out", str(out)]) == 0
     rows = out.read_text().strip().splitlines()[1:]
     assert abs(float(rows[1].split(",")[1]) - 2.0) <= 1e-6
+
+
+def _upper_triangular_inclusion_file(tmp_path):
+    """A map file whose domain is a proper subspace: upper triangles of M2 into M2."""
+    from npspace import full_matrix_space, make_map, make_space, save_map
+
+    units = [np.array(b) for b in full_matrix_space(2).basis]
+    upper = make_space(2, [units[0], units[1], units[3]], "upper(M2)")
+    phi = make_map(upper, full_matrix_space(2), [units[0], units[1], units[3]], "upper_incl")
+    path = tmp_path / "upper.json"
+    save_map(phi, str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("ref", ["catalog:transpose_M3", "catalog:trace_M2", "upper"])
+def test_series_output_does_not_depend_on_max_level(ref, tmp_path, capsys):
+    # np_norm extends a table that stops below the stabilization level, so
+    # --max-level changes neither npnorm nor plotdata.
+    if ref == "upper":
+        ref = _upper_triangular_inclusion_file(tmp_path)
+    budget = ["--seed", "7", "--restarts", "3", "--max-iter", "40"]
+    commands = {"npnorm": ["--p", "2.5"], "plotdata": ["--p-grid", "1:3:0.5"]}
+    for command, options in commands.items():
+        outputs = set()
+        for levels in ([], ["--max-level", "1"], ["--max-level", "2"], ["--max-level", "4"]):
+            out = tmp_path / f"{command}{levels}.out"
+            assert run([command, ref, *options, *budget, *levels, "--out", str(out)]) == 0
+            assert run([command, ref, *options, *budget, *levels]) == 0
+            outputs.add((out.read_bytes(), capsys.readouterr().out))
+        assert len(outputs) == 1, command
+
+
+def _write_map(tmp_path, edit):
+    from npspace.catalog import export_entry
+    from npspace import get_entry
+
+    spec = export_entry(get_entry("transpose_M2"))
+    edit(spec)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda s: s.pop("domain"), 'map definition has no "domain"'),
+        (lambda s: s.pop("codomain"), 'map definition has no "codomain"'),
+        (lambda s: s.pop("action"), 'map definition has no "action"'),
+        (lambda s: s["domain"].pop("basis"), 'space definition has no "basis"'),
+        (lambda s: s["codomain"].pop("ambient_dim"), 'space definition has no "ambient_dim"'),
+        (lambda s: s.update(action=5), "action must be a list, got 5"),
+        (lambda s: s["domain"].update(basis=5), "basis must be a list, got 5"),
+        (lambda s: s["domain"].update(ambient_dim=True), "ambient_dim must be a positive integer, got True"),
+        (lambda s: s["domain"].update(ambient_dim=2.0), "ambient_dim must be a positive integer, got 2.0"),
+        (lambda s: s["domain"].update(ambient_dim="2"), "ambient_dim must be a positive integer, got '2'"),
+        (lambda s: s["domain"].update(ambient_dim=0), "ambient_dim must be a positive integer, got 0"),
+    ],
+    ids=(
+        "no_domain", "no_codomain", "no_action", "no_basis", "no_ambient_dim", "action_5",
+        "basis_5", "ambient_dim_true", "ambient_dim_2.0", "ambient_dim_str", "ambient_dim_0",
+    ),
+)
+def test_malformed_map_file_names_the_key(edit, message, tmp_path, capsys):
+    assert run(["levels", _write_map(tmp_path, edit)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err

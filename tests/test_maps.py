@@ -706,8 +706,6 @@ def test_map_and_witness_dumps_match_the_per_element_encoder():
     for e in table.entries:
         old = {"level": e.level, "achieved": e.bracket.lo, "coords": _old_pairs(e.witness)}
         assert json.dumps(witness_to_dict(e), sort_keys=True) == json.dumps(old, sort_keys=True)
-    bare = LevelEntry(1, table.entries[0].bracket, None)
-    assert witness_to_dict(bare)["coords"] is None
 
 
 def test_map_json_names_a_malformed_action_entry():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from npspace import (
+    InvalidLevel,
     NormBracket,
     base_norm,
     brute_level_norm,
@@ -218,7 +219,7 @@ def test_brute_subspace_domain_fallback():
 
 @pytest.mark.parametrize("level", (0, -1))
 def test_brute_search_rejects_level_below_one(level):
-    with pytest.raises(ValueError, match="level must be >= 1"):
+    with pytest.raises(InvalidLevel, match="level must be a positive integer"):
         brute_search(get_entry("identity_M2").map, level)
 
 

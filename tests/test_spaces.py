@@ -344,13 +344,13 @@ def test_space_json_rejects_bad_shapes():
     ragged = [[[[1, 0]]], [[[1, 0], [2]]]]
     with pytest.raises(ValueError, match=r"basis\[1\] is not an array of \[re, im\] pairs"):
         space_from_dict({"label": "x", "ambient_dim": 1, "basis": ragged})
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch, match="ambient_dim must be a positive integer, got 0"):
         space_from_dict({"label": "x", "ambient_dim": 0, "basis": []})
 
 
 def test_space_json_rejects_a_bool_ambient_dim():
     # A JSON true is a Python bool, which is an int; it once loaded as M1.
-    with pytest.raises(ValueError, match="ambient_dim must be a positive integer, got True"):
+    with pytest.raises(DimensionMismatch, match="ambient_dim must be a positive integer, got True"):
         space_from_dict({"ambient_dim": True, "basis": [[[[1, 0]]]]})
     with pytest.raises(DimensionMismatch, match="got True"):
         OperatorSpace(True, (np.eye(1),))
@@ -359,7 +359,7 @@ def test_space_json_rejects_a_bool_ambient_dim():
 @pytest.mark.parametrize("d", (True, np.True_, 2.7, 2.0, np.float64(2.0), "2"), ids=repr)
 def test_make_space_rejects_a_bool_or_non_integral_ambient_dim(d):
     # int() once turned 2.7 into M2 and True into M1.
-    with pytest.raises(DimensionMismatch, match="ambient_dim must be an integer"):
+    with pytest.raises(DimensionMismatch, match="ambient_dim must be a positive integer"):
         make_space(d, [np.eye(2)])
 
 
