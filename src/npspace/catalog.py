@@ -36,10 +36,6 @@ class CatalogEntry:
     provenance: str
 
 
-def _matrix_units(d: int) -> list[np.ndarray]:
-    return [np.array(b) for b in full_matrix_space(d).basis]
-
-
 @lru_cache(maxsize=1)
 def _entries() -> tuple[CatalogEntry, ...]:
     m1 = full_matrix_space(1, "M1")
@@ -108,7 +104,7 @@ def _entries() -> tuple[CatalogEntry, ...]:
         )
     )
 
-    units = _matrix_units(2)
+    units = m2.basis
     diag_space = make_space(2, [units[0], units[3]], "diag(M2)")
     diag = make_map(
         m2,

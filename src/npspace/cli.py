@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import catalog as _catalog
-from .errors import InvariantViolation, NpSpaceError
+from .errors import InvalidLevel, InvariantViolation, NpSpaceError
 from .maps import (
     LinearMapRep,
     build_level_table,
@@ -38,24 +38,16 @@ def _fmt(x: float) -> str:
 
 def _resolve_map(ref: str) -> LinearMapRep:
     if ref.startswith("catalog:"):
-        return _catalog.resolve_uri(ref).map
+        try:
+            return _catalog.resolve_uri(ref).map
+        except KeyError as exc:  # an unknown name: a parse error like any other
+            raise ValueError(exc.args[0]) from None
     return load_map(ref)
-
-
-def _budget(args) -> OptBudget:
-    return OptBudget(restarts=args.restarts, max_iter=args.max_iter, tol=args.tol)
 
 
 # Most levels --max-level may ask for; a larger value is a parse error.  Each row
 # above m keeps its own padded witness, so a table's memory grows like max_level**3.
 MAX_LEVEL = 64
-
-
-def _table_levels(args) -> int:
-    """--max-level as given: at most MAX_LEVEL; 0 is rejected by ``build_level_table``."""
-    if args.max_level > MAX_LEVEL:
-        raise ValueError(f"--max-level must be at most {MAX_LEVEL}, got {args.max_level}")
-    return args.max_level
 
 
 def _add_budget_options(sub):
@@ -91,7 +83,7 @@ def _table_csv(table) -> str:
 
 def cmd_levels(args) -> int:
     phi = _resolve_map(args.map)
-    table = build_level_table(phi, _table_levels(args), _budget(args), args.seed)
+    table = build_level_table(phi, args.max_level, args.budget, args.seed)
     _write_or_print(_table_csv(table), args.out)
     if args.json:
         _write_or_print(json.dumps(table.to_json_dict(), sort_keys=True, indent=2) + "\n", args.json)
@@ -102,10 +94,9 @@ def cmd_levels(args) -> int:
 
 
 def cmd_npnorm(args) -> int:
-    p = NpParameter(args.p)  # checked before any level is computed
     phi = _resolve_map(args.map)
-    table = build_level_table(phi, _table_levels(args), _budget(args), args.seed)
-    result = np_norm(phi, p, table)
+    table = build_level_table(phi, args.max_level, args.budget, args.seed)
+    result = np_norm(phi, args.p, table)
     payload = json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n"
     print(
         f"|{phi.label}|_p for p={_fmt(args.p)}: "
@@ -131,13 +122,10 @@ def _parse_synthetic(expr: str, levels: int = 16):
 
 def cmd_index(args) -> int:
     if args.synthetic:
-        est = index_estimate(_parse_synthetic(args.synthetic))
+        est = index_estimate(args.synthetic)
     else:
-        if not args.map:
-            raise ValueError("cmd_index needs a map or --synthetic")
         phi = _resolve_map(args.map)
-        table = build_level_table(phi, _table_levels(args), _budget(args), args.seed)
-        est = index_estimate(table)
+        est = index_estimate(build_level_table(phi, args.max_level, args.budget, args.seed))
     payload = json.dumps(est.to_json_dict(), sort_keys=True, indent=2) + "\n"
     print(
         f"r_hat={_fmt(est.r_hat)} alpha_hat={_fmt(est.alpha_hat)} "
@@ -171,13 +159,8 @@ def _suite_inclusions(seed: int, budget: OptBudget) -> list[tuple[str, bool, str
         table = build_level_table(phi, 4, budget, seed)
         for p, q in ((2.1, 3.0), (2.5, 4.0), (3.0, 5.0)):
             rep = inclusion_check(phi, p, q, table)
-            checks.append(
-                (
-                    f"inclusion[{entry.name},p={p},q={q}]",
-                    rep.passed,
-                    f"lo_q={rep.result_q.bracket.lo:.9g} hi_p={rep.result_p.bracket.hi:.9g}",
-                )
-            )
+            detail = f"lo_q={rep.result_q.bracket.lo:.9g} hi_p={rep.result_p.bracket.hi:.9g}"
+            checks.append((f"inclusion[{entry.name},p={p},q={q}]", rep.passed, detail))
     return checks
 
 
@@ -202,13 +185,12 @@ def _suite_bounds(seed: int, budget: OptBudget, trials: int) -> list[tuple[str, 
 
 
 def cmd_verify(args) -> int:
-    budget = _budget(args)
     if args.suite == "axioms":
         checks = _suite_axioms(args.seed)
     elif args.suite == "inclusions":
-        checks = _suite_inclusions(args.seed, budget)
+        checks = _suite_inclusions(args.seed, args.budget)
     else:
-        checks = _suite_bounds(args.seed, budget, args.trials)
+        checks = _suite_bounds(args.seed, args.budget, args.trials)
     failed = 0
     for name, ok, detail in checks:
         status = "PASS" if ok else "FAIL"
@@ -239,11 +221,10 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_plotdata(args) -> int:
-    grid = _parse_grid(args.p_grid)
     phi = _resolve_map(args.map)
-    table = build_level_table(phi, _table_levels(args), _budget(args), args.seed)
+    table = build_level_table(phi, args.max_level, args.budget, args.seed)
     lines = ["p,lo,hi"]
-    for p in grid:
+    for p in args.p_grid:
         result = np_norm(phi, p, table)
         lines.append(f"{_fmt(p)},{_fmt(result.bracket.lo)},{_fmt(result.bracket.hi)}")
     _write_or_print("\n".join(lines) + "\n", args.out)
@@ -293,15 +274,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_options(args) -> None:
+    """Check every option given, by the library's own rule, before any map is loaded:
+    the checked values replace the given ones, and ``args.budget`` is added."""
+    args.budget = OptBudget(restarts=args.restarts, max_iter=args.max_iter, tol=args.tol)
+    args.seed = require_int(args.seed, "seed", minimum=0)
+    if "max_level" in args:
+        args.max_level = require_int(args.max_level, "max_level", InvalidLevel)
+        if args.max_level > MAX_LEVEL:
+            raise ValueError(f"--max-level must be at most {MAX_LEVEL}, got {args.max_level}")
+    if "trials" in args:
+        args.trials = require_int(args.trials, "trials")
+    if "p" in args:
+        args.p = NpParameter(args.p).p
+    if "p_grid" in args:
+        args.p_grid = [NpParameter(p).p for p in _parse_grid(args.p_grid)]
+    if "synthetic" in args:
+        if not args.map and not args.synthetic:
+            raise ValueError("cmd_index needs a map or --synthetic")
+        if args.map and args.synthetic:
+            raise ValueError("index needs exactly one of a map and --synthetic, got both")
+        if args.synthetic:
+            args.synthetic = _parse_synthetic(args.synthetic)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (OSError, KeyError, ValueError, NpSpaceError) as exc:
+    except (OSError, ValueError, NpSpaceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -54,9 +54,6 @@ from .spaces import (
 # promoted to an upper bound; covers the convergence plateau and SVD noise.
 _CERT_SLACK = 1e-10
 
-# lo may exceed hi by at most this relative amount before we call it a bug.
-_CROSS_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class LinearMapRep:
@@ -161,6 +158,7 @@ def coefficient_relaxation_bound(phi: LinearMapRep, level: int) -> float:
     Chain: spectral <= Frobenius on the output, Frobenius-to-coordinate
     conditioning on both sides, and ||x||_F <= sqrt(nd) ||x|| on the input.
     """
+    level = require_int(level, "level", InvalidLevel)
     c2 = spectral_norm(phi.coeff)
     factor = phi.codomain._vec_smax / phi.domain._vec_smin
     return math.sqrt(level * phi.domain.ambient_dim) * c2 * factor
@@ -260,9 +258,8 @@ def _ascent_entry(phi: LinearMapRep, n: int, budget: OptBudget, seed: int) -> Le
 
 
 def _reconcile(lo: float, hi: float, phi: LinearMapRep, n: int) -> tuple[float, float]:
+    """(lo, hi) unchanged; a witnessed lo above a certified hi, by any margin, is a bug."""
     if lo > hi:
-        if lo <= hi + _CROSS_TOL * max(1.0, hi):
-            return hi, hi
         raise InvariantViolation(
             f"witnessed lower bound {lo} exceeds certified upper bound {hi} "
             f"for {phi.label!r} at level {n}"

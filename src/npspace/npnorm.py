@@ -35,14 +35,16 @@ MAX_TRUNCATION = 100_000
 
 @dataclass(frozen=True)
 class NpParameter:
-    """The exponent p of the series; restricted to finite p >= 1."""
+    """The exponent p of the series: a finite number p >= 1, and never a bool."""
 
     p: float
 
     def __post_init__(self):
-        object.__setattr__(self, "p", float(self.p))
-        if not 1.0 <= self.p < math.inf:
-            raise ValueError(f"p must satisfy 1 <= p < inf, got {self.p!r}")
+        is_bool = isinstance(self.p, (bool, np.bool_))
+        p = self.p if is_bool else float(self.p)
+        if is_bool or not 1.0 <= p < math.inf:
+            raise ValueError(f"p must satisfy 1 <= p < inf, got {p!r}")
+        object.__setattr__(self, "p", p)
 
 
 def _as_p(p) -> float:
@@ -55,9 +57,11 @@ def zeta_tail(p: float, K: int) -> tuple[float, float]:
     Integral comparison sharpened with one Euler-Maclaurin correction term;
     the correction's own error has known sign and size for this completely
     monotone summand, so both sides stay certified.  Divergence (p <= 1) is
-    signaled as (+inf, +inf), not raised.
+    signaled as (+inf, +inf), not raised; a NaN p raises ValueError.
     """
     p = float(p)
+    if math.isnan(p):
+        raise ValueError(f"p must be a number, got {p!r}")
     K = require_int(K, "K", minimum=0)
     if p <= 1.0:
         return math.inf, math.inf

@@ -38,6 +38,7 @@ from .errors import InvalidLevel
 from .spaces import (
     OperatorSpace,
     block_matrices,
+    matrix_blocks,
     realize_batch,
     require_int,
     top_singular_pairs,
@@ -95,7 +96,7 @@ def _representer(rep, n, *sides) -> np.ndarray:
     """Coordinates of the element w of M_n(V) with Re<w, x>_F = sum Re<u, y(x) v>
     over the (u, v) in ``sides``, from the sides' stacked matrices ``rep``."""
     r = len(sides[0][0])
-    outer = [u.reshape(r, n, 1, -1, 1) * v.conj().reshape(r, 1, n, 1, -1) for u, v in sides]
+    outer = [matrix_blocks(u[:, :, None] * v.conj()[:, None, :], n) for u, v in sides]
     flat = np.concatenate([o.reshape(r * n * n, -1) for o in outer], axis=-1) @ rep
     return flat.reshape(r, n, n, -1)
 

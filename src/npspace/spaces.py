@@ -160,13 +160,8 @@ def make_space(ambient_dim: int, basis: Sequence[np.ndarray], label: str = "V") 
 def full_matrix_space(d: int, label: str | None = None) -> OperatorSpace:
     """The full matrix algebra M_d with the matrix-unit basis, row-major order."""
     d = require_int(d, "ambient_dim", DimensionMismatch)
-    units = []
-    for a in range(d):
-        for b in range(d):
-            m = np.zeros((d, d), dtype=complex)
-            m[a, b] = 1.0
-            units.append(m)
-    return make_space(d, units, label or f"M{d}")
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return make_space(d, list(units), label or f"M{d}")
 
 
 @dataclass(frozen=True)

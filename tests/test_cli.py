@@ -420,3 +420,61 @@ def _write_map(tmp_path, edit):
 def test_malformed_map_file_names_the_key(edit, message, tmp_path, capsys):
     assert run(["levels", _write_map(tmp_path, edit)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("work started before every option was checked")
+
+
+SYNTHETIC = ["index", "--synthetic", "n^1"]
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (SYNTHETIC + ["--seed", "-3", "--restarts", "0", "--max-iter", "-1", "--tol", "nan",
+                      "--max-level", "0"], "restarts must be a positive integer, got 0"),
+        (SYNTHETIC + ["--seed", "-3"], "seed must be an integer >= 0, got -3"),
+        (SYNTHETIC + ["--restarts", "0"], "restarts must be a positive integer, got 0"),
+        (SYNTHETIC + ["--max-iter", "0"], "max_iter must be a positive integer, got 0"),
+        (SYNTHETIC + ["--tol", "nan"],
+         "invalid budget OptBudget(restarts=20, max_iter=200, tol=nan)"),
+        (SYNTHETIC + ["--max-level", "0"], "max_level must be a positive integer, got 0"),
+        (SYNTHETIC + ["--max-level", "65"], "--max-level must be at most 64, got 65"),
+        (["index", "catalog:transpose_M2", "--synthetic", "n^1"],
+         "index needs exactly one of a map and --synthetic, got both"),
+        (["verify", "--suite", "axioms", "--trials", "0"], "trials must be a positive integer, got 0"),
+        (["verify", "--suite", "inclusions", "--trials", "-4"],
+         "trials must be a positive integer, got -4"),
+        (["plotdata", "catalog:transpose_M3", "--p-grid", "0:3:0.5"],
+         "p must satisfy 1 <= p < inf, got 0.0"),
+    ],
+    ids=(
+        "index_all_bad", "index_seed", "index_restarts", "index_max_iter", "index_tol",
+        "index_max_level_0", "index_max_level_65", "index_map_and_synthetic",
+        "axioms_trials_0", "inclusions_trials_-4", "plotdata_grid_point_below_1",
+    ),
+)
+def test_every_option_is_checked_before_any_work(command, message, monkeypatch, capsys):
+    import npspace.cli as cli
+
+    for name in ("build_level_table", "_resolve_map", "verify_axioms", "index_estimate"):
+        monkeypatch.setattr(cli, name, _never)
+    assert cli.main(command) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_unknown_catalog_name_exit_2_without_quotes(capsys):
+    assert run(["levels", "catalog:nope"]) == 2
+    assert capsys.readouterr().err.startswith("error: no catalog entry 'nope'; known entries: ")
+
+
+def test_a_key_error_from_a_bug_is_not_a_parse_error(monkeypatch):
+    import npspace.cli as cli
+
+    def bug(args):
+        raise KeyError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_levels", bug)
+    with pytest.raises(KeyError):
+        cli.main(["levels", "catalog:zero_M2"])

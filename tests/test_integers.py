@@ -36,6 +36,7 @@ from npspace import (
     verify_axioms,
 )
 from npspace.cli import _suite_axioms, main
+from npspace.maps import coefficient_relaxation_bound
 
 BUDGET = OptBudget(restarts=2, max_iter=20)
 PHI = get_entry("transpose_M2").map
@@ -93,6 +94,9 @@ ENTRY_POINTS = {
         InvalidLevel, 1, 3, lambda n: index_estimate([(1, 1.0), (2, 2.0), (n, 3.5), (4, 4.0)])
     ),
     "brute_search.level": (InvalidLevel, 1, 2, lambda n: brute_search(PHI, n, trials=8)),
+    "coefficient_relaxation_bound.level": (
+        InvalidLevel, 1, 2, lambda n: coefficient_relaxation_bound(PHI, n)
+    ),
     "cross_validate.max_level": (
         InvalidLevel, 1, 2, lambda n: cross_validate(_table(), trials=8, max_level=n)
     ),

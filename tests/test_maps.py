@@ -6,6 +6,7 @@ import pytest
 from npspace import (
     InconsistentAction,
     InvalidLevel,
+    InvariantViolation,
     NonFiniteInput,
     OptBudget,
     SpaceElement,
@@ -608,6 +609,15 @@ def test_hi_rules_fire_by_a_margin(rows, want_his, monkeypatch):
     _synthetic_ascent(monkeypatch, rows)
     table = build_level_table(get_entry("transpose_M3").map, 5)
     assert [(e.bracket.hi, e.bracket.hi_source) for e in table.entries] == want_his
+
+
+def test_lo_one_ulp_above_hi_is_an_invariant_violation(monkeypatch):
+    # The upward lo pass lifts level 2 to 2 + 1 ulp over its hi of 2 (and the hi
+    # pass caps level 1 there): no margin excuses a crossing, however small.
+    _synthetic_ascent(monkeypatch, [(np.nextafter(2.0, 3.0), 4.0, COEFF), (1.0, 2.0, OPT),
+                                    (1.0, 6.0, COEFF)])
+    with pytest.raises(InvariantViolation, match="exceeds certified upper bound 2.0"):
+        build_level_table(get_entry("transpose_M3").map, 3)
 
 
 def test_lo_rises_by_a_margin_with_the_witness_padded(monkeypatch):

@@ -70,6 +70,14 @@ def test_zeta_tail_vanishes_for_large_k():
 def test_zeta_tail_divergent_signaled_as_inf():
     assert zeta_tail(1.0, 10) == (math.inf, math.inf)
     assert zeta_tail(0.5, 0) == (math.inf, math.inf)
+    assert zeta_bracket(-math.inf) == (math.inf, math.inf)
+
+
+def test_zeta_tail_and_bracket_reject_a_nan_p():
+    with pytest.raises(ValueError, match="p must be a number, got nan"):
+        zeta_tail(math.nan, 64)
+    with pytest.raises(ValueError, match="p must be a number, got nan"):
+        zeta_bracket(math.nan)
 
 
 @pytest.mark.parametrize("p", [1.0001, 1.5, 2.0, 2.5, 3.0, 4.0, 7.0, 12.0])
@@ -130,7 +138,7 @@ def test_np_parameter_validation():
     assert NpParameter(1.0).p == 1.0
 
 
-@pytest.mark.parametrize("p", (math.inf, -math.inf, math.nan))
+@pytest.mark.parametrize("p", (math.inf, -math.inf, math.nan, True, np.True_))
 def test_np_parameter_rejects_non_finite_p(p):
     with pytest.raises(ValueError, match="p must satisfy 1 <= p < inf"):
         NpParameter(p)
