@@ -49,6 +49,12 @@ def _resolve_map(ref: str) -> LinearMapRep:
 # above m keeps its own padded witness, so a table's memory grows like max_level**3.
 MAX_LEVEL = 64
 
+# Most oracle trials --trials may ask for; a larger value is a parse error.  The
+# unitary climb draws all its starts at once, trials x (nd)^2 complex numbers:
+# with nd = 12 (level 4 of an M3 map) that is 23 MB an array at this cap, and
+# brute_search on transpose_M3 at level 4 peaks near 200 MB resident.
+MAX_TRIALS = 10_000
+
 
 def _add_budget_options(sub):
     sub.add_argument("--restarts", type=int, default=20)
@@ -260,7 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = subs.add_parser("verify", help="run a property suite")
     p_verify.add_argument("--suite", choices=["axioms", "inclusions", "bounds"], required=True)
     _add_budget_options(p_verify)
-    p_verify.add_argument("--trials", type=int, default=300, help="oracle trials (bounds suite)")
+    p_verify.add_argument(
+        "--trials", type=int, default=300,
+        help=f"oracle trials (bounds suite), at most {MAX_TRIALS}",
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_plot = subs.add_parser("plotdata", help="CSV of p,lo,hi over a grid")
@@ -285,15 +294,16 @@ def _check_options(args) -> None:
             raise ValueError(f"--max-level must be at most {MAX_LEVEL}, got {args.max_level}")
     if "trials" in args:
         args.trials = require_int(args.trials, "trials")
+        if args.trials > MAX_TRIALS:
+            raise ValueError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     if "p" in args:
         args.p = NpParameter(args.p).p
     if "p_grid" in args:
         args.p_grid = [NpParameter(p).p for p in _parse_grid(args.p_grid)]
     if "synthetic" in args:
-        if not args.map and not args.synthetic:
-            raise ValueError("cmd_index needs a map or --synthetic")
-        if args.map and args.synthetic:
-            raise ValueError("index needs exactly one of a map and --synthetic, got both")
+        if bool(args.map) == bool(args.synthetic):
+            got = "both" if args.map else "neither"
+            raise ValueError(f"index needs exactly one of a map and --synthetic, got {got}")
         if args.synthetic:
             args.synthetic = _parse_synthetic(args.synthetic)
 

@@ -14,6 +14,15 @@ coordinate perturbations.  Both searches run one hill-climb (``_climb``,
 which holds the start selection, accept rule, step schedule and stop
 rule) with their own first candidates, step sizes, proposals and score.
 
+A candidate counts as a rise only if its score, lowered by the allowance
+that certifies every witnessed value (``spaces.rounded_down``: 4 N eps
+relative, N = max(n, m) * max(d, m)), still beats its start.  Accepting
+rises within rounding noise grew the step on a plateau, so such a climb
+never decayed to _STOP_STEP and ran all _CLIMB_STEPS; with the allowance
+the oracle workload's catalog climbs stop after 381-619 steps, and brute
+values move by at most 4e-13 relative.  The budget, the random draws and the
+cross-check tolerances are those of the plain ``>`` rule.
+
 Candidates are scored by sqrt(lambda_max(A A*)) of the realized batch A,
 which is cheaper than an SVD and agrees with it to rounding; the unitary
 climb realizes A from the blocks of U against phi's images of the matrix
@@ -38,6 +47,7 @@ from .spaces import (
     matrix_blocks,
     realize_batch,
     require_int,
+    rounded_down,
     to_pairs,
     top_singular_values,
     unrealize,
@@ -86,11 +96,19 @@ def _rotation_generators(z: np.ndarray):
     return w, v, v.conj().swapaxes(-1, -2)
 
 
-def _climb(xs, vals, step0: float, step_max: float, rng, propose, score, prepare=lambda z: (z,)):
+def _climb(
+    xs, vals, step0: float, step_max: float, accept: float, rng, propose, score,
+    prepare=lambda z: (z,),
+):
     """Climb from the best _CLIMB_STARTS of the points xs (scores vals); returns the best.
 
     Each start moves to the best of its propose(cur, step, *draws) candidates
-    that beats it; its step then grows up to step_max, and decays otherwise.
+    if that candidate beats it; its step then grows up to step_max, and
+    decays otherwise.  A candidate beats its start only if its score times
+    accept (< 1, the rounding allowance of ``spaces.rounded_down``) is still
+    higher: a rise within the score's rounding error is not a rise, so a
+    climb on a plateau decays to _STOP_STEP instead of growing its step on
+    noise until _CLIMB_STEPS runs out.
     """
     starts = min(_CLIMB_STARTS, len(xs))
     keep = np.argsort(vals)[::-1][:starts]
@@ -103,7 +121,7 @@ def _climb(xs, vals, step0: float, step_max: float, rng, propose, score, prepare
         cv = score(cand).reshape(starts, _CLIMB_PROPOSALS)
         bi = np.argmax(cv, axis=1)
         bv = cv[np.arange(starts), bi]
-        improved = bv > best
+        improved = bv * accept > best
         cur[improved] = cand.reshape(shape)[improved, bi[improved]]
         best[improved] = bv[improved]
         step = np.where(improved, np.minimum(step * _CLIMB_GROW, step_max), step * _CLIMB_DECAY)
@@ -134,7 +152,8 @@ def _search_unitary(phi: LinearMapRep, n: int, trials: int, rng) -> np.ndarray:
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r, axis1=1, axis2=2)
     q = q * (diag / np.abs(diag))[:, None, :]
-    best = _climb(q, values(q), 0.3, 1.0, rng, rotate, values, _rotation_generators)
+    accept = rounded_down(1.0, n, d, images.shape[-1])
+    best = _climb(q, values(q), 0.3, 1.0, accept, rng, rotate, values, _rotation_generators)
     return unrealize(phi.domain, n, best)
 
 
@@ -154,7 +173,8 @@ def _search_coords(phi: LinearMapRep, n: int, trials: int, rng) -> np.ndarray:
     shape = (trials, n, n, phi.domain.dim)
     xs = normalize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     vals = _batch_norms(images, xs)
-    return _climb(xs, vals, 0.5, 2.0, rng, perturb, lambda c: _batch_norms(images, c))
+    accept = rounded_down(1.0, n, phi.domain.ambient_dim, images.shape[-1])
+    return _climb(xs, vals, 0.5, 2.0, accept, rng, perturb, lambda c: _batch_norms(images, c))
 
 
 def brute_search(

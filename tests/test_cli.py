@@ -443,22 +443,27 @@ SYNTHETIC = ["index", "--synthetic", "n^1"]
         (SYNTHETIC + ["--max-level", "65"], "--max-level must be at most 64, got 65"),
         (["index", "catalog:transpose_M2", "--synthetic", "n^1"],
          "index needs exactly one of a map and --synthetic, got both"),
+        (["index"], "index needs exactly one of a map and --synthetic, got neither"),
         (["verify", "--suite", "axioms", "--trials", "0"], "trials must be a positive integer, got 0"),
         (["verify", "--suite", "inclusions", "--trials", "-4"],
          "trials must be a positive integer, got -4"),
+        (["verify", "--suite", "bounds", "--trials", "10001"],
+         "--trials must be at most 10000, got 10001"),
         (["plotdata", "catalog:transpose_M3", "--p-grid", "0:3:0.5"],
          "p must satisfy 1 <= p < inf, got 0.0"),
     ],
     ids=(
         "index_all_bad", "index_seed", "index_restarts", "index_max_iter", "index_tol",
         "index_max_level_0", "index_max_level_65", "index_map_and_synthetic",
-        "axioms_trials_0", "inclusions_trials_-4", "plotdata_grid_point_below_1",
+        "index_neither", "axioms_trials_0", "inclusions_trials_-4", "bounds_trials_10001",
+        "plotdata_grid_point_below_1",
     ),
 )
 def test_every_option_is_checked_before_any_work(command, message, monkeypatch, capsys):
     import npspace.cli as cli
 
-    for name in ("build_level_table", "_resolve_map", "verify_axioms", "index_estimate"):
+    for name in ("build_level_table", "_resolve_map", "verify_axioms", "index_estimate",
+                 "cross_validate"):
         monkeypatch.setattr(cli, name, _never)
     assert cli.main(command) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -23,7 +23,14 @@ from npspace.maps import LevelEntry, LevelNormTable
 from npspace.optimize import DEFAULT_BUDGET
 from npspace import oracle
 from npspace.oracle import _batch_norms
-from npspace.spaces import SpaceElement, matrix_blocks, realize_batch, unrealize
+from npspace.spaces import (
+    SpaceElement,
+    matrix_blocks,
+    realize_batch,
+    rounded_down,
+    unrealize,
+    witnessed_value,
+)
 
 SEED = 11
 
@@ -73,11 +80,18 @@ def _embedding_of_m1():
     return make_map(full_matrix_space(1), full_matrix_space(2), [np.eye(2)], "embed_M1")
 
 
+def _random_m3_map():
+    # A level-2 climb that still rises above rounding after step 999.
+    rng = np.random.default_rng([20261018, 9])
+    images = rng.standard_normal((9, 3, 3)) + 1j * rng.standard_normal((9, 3, 3))
+    return make_map(full_matrix_space(3), full_matrix_space(3), list(images), "random_M3")
+
+
 @pytest.mark.parametrize("block", (1, 7))
 @pytest.mark.parametrize(
     "make_phi, level, early",
     [
-        (lambda: get_entry("schur_M2").map, 2, False),
+        (_random_m3_map, 2, False),
         (_embedding_of_m1, 1, True),
         (_upper_triangular_inclusion, 2, True),
     ],
@@ -103,8 +117,17 @@ def test_brute_search_does_not_depend_on_block(make_phi, level, early, block, mo
     assert got_witness.tobytes() == witness.tobytes()
 
 
-def _reference_search_unitary(phi, n, trials, rng):
-    """The unitary climb as written before the two climbs shared one loop."""
+def _accept(phi, n):
+    """The climbs' accept factor: 1 - 4 N eps, the allowance of every witnessed value."""
+    return rounded_down(1.0, n, phi.domain.ambient_dim, phi.images().shape[-1])
+
+
+def _reference_search_unitary(phi, n, trials, rng, accept):
+    """The unitary climb as written before the two climbs shared one loop.
+
+    A candidate is accepted when its score times accept beats the start's.
+    Returns the best point's coordinates and the number of steps climbed.
+    """
     d = phi.domain.ambient_dim
     nd = n * d
     images = phi.images()
@@ -127,14 +150,15 @@ def _reference_search_unitary(phi, n, trials, rng):
     best = vals[keep].copy()
     step = np.full(starts, 0.3)
     shape = (starts, oracle._CLIMB_PROPOSALS, nd, nd)
-    for w, v, vh in oracle._step_draws(rng, shape, oracle._rotation_generators):
+    draws = oracle._step_draws(rng, shape, oracle._rotation_generators)
+    for steps, (w, v, vh) in enumerate(draws, 1):
         phase = np.exp(1j * step[:, None, None] * w)
         rot = (v * phase[..., None, :]) @ vh
         cand = (rot @ cur[:, None]).reshape(starts * oracle._CLIMB_PROPOSALS, nd, nd)
         cv = values(cand).reshape(starts, oracle._CLIMB_PROPOSALS)
         bi = np.argmax(cv, axis=1)
         bv = cv[np.arange(starts), bi]
-        improved = bv > best
+        improved = bv * accept > best
         cur[improved] = cand.reshape(shape)[improved, bi[improved]]
         best[improved] = bv[improved]
         step = np.where(improved, np.minimum(step * oracle._CLIMB_GROW, 1.0),
@@ -142,11 +166,15 @@ def _reference_search_unitary(phi, n, trials, rng):
         if step.max() < oracle._STOP_STEP:
             break
     top = int(np.argmax(best))
-    return unrealize(phi.domain, n, cur[top])
+    return unrealize(phi.domain, n, cur[top]), steps
 
 
-def _reference_search_coords(phi, n, trials, rng):
-    """The coordinate climb as written before the two climbs shared one loop."""
+def _reference_search_coords(phi, n, trials, rng, accept):
+    """The coordinate climb as written before the two climbs shared one loop.
+
+    A candidate is accepted when its score times accept beats the start's.
+    Returns the best point and the number of steps climbed.
+    """
     k = phi.domain.dim
     stack = phi.domain._stack
     images = phi.images()
@@ -165,20 +193,20 @@ def _reference_search_coords(phi, n, trials, rng):
     best = vals[keep].copy()
     step = np.full(starts, 0.5)
     shape = (starts, oracle._CLIMB_PROPOSALS, n, n, k)
-    for (noise,) in oracle._step_draws(rng, shape, lambda z: (z,)):
+    for steps, (noise,) in enumerate(oracle._step_draws(rng, shape, lambda z: (z,)), 1):
         cand = cur[:, None] + step[:, None, None, None, None] * noise
         cand = normalize(cand.reshape(starts * oracle._CLIMB_PROPOSALS, n, n, k))
         cv = _batch_norms(images, cand).reshape(starts, oracle._CLIMB_PROPOSALS)
         bi = np.argmax(cv, axis=1)
         bv = cv[np.arange(starts), bi]
-        improved = bv > best
+        improved = bv * accept > best
         cur[improved] = cand.reshape(shape)[improved, bi[improved]]
         best[improved] = bv[improved]
         step = np.where(improved, np.minimum(step * oracle._CLIMB_GROW, 2.0),
                         step * oracle._CLIMB_DECAY)
         if step.max() < oracle._STOP_STEP:
             break
-    return cur[int(np.argmax(best))]
+    return cur[int(np.argmax(best))], steps
 
 
 def _random_subspace_map():
@@ -206,8 +234,32 @@ def test_climbs_match_the_reference_bitwise(make_phi, level):
     for seed in (0, 4):
         rng_args = [oracle._SEED_TAG, seed, level]
         got = search(phi, level, 200, np.random.default_rng(rng_args))
-        want = reference(phi, level, 200, np.random.default_rng(rng_args))
+        want, _ = reference(phi, level, 200, np.random.default_rng(rng_args), _accept(phi, level))
         assert got.tobytes() == want.tobytes(), seed
+
+
+@pytest.mark.parametrize(
+    "name, level",
+    [("identity_M2", 1), ("transpose_M2", 1), ("transpose_M3", 1), ("schur_M2", 2)],
+)
+def test_climb_stops_on_a_rounding_plateau(name, level):
+    # On these maps every rise after the climb's first few hundred steps is
+    # rounding noise.  Accepting it (factor 1.0) grows the step on every
+    # noisy rise, so the climb never decays and runs all _CLIMB_STEPS; the
+    # accept factor lets it stop, at no more than the allowance's cost.
+    phi = get_entry(name).map
+    accept = _accept(phi, level)
+
+    def climb(factor):
+        rng = np.random.default_rng([oracle._SEED_TAG, 4, level])
+        coords, steps = _reference_search_unitary(phi, level, 200, rng, factor)
+        return witnessed_value(phi.domain, phi.images(), level, coords)[0], steps
+
+    old, old_steps = climb(1.0)
+    new, new_steps = climb(accept)
+    assert old_steps == oracle._CLIMB_STEPS
+    assert new_steps < oracle._CLIMB_STEPS
+    assert new >= old * accept
 
 
 def test_brute_subspace_domain_fallback():
