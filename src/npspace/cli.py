@@ -22,8 +22,8 @@ from .maps import (
     witness_to_dict,
 )
 from .npnorm import NpParameter, index_estimate, inclusion_check, np_norm
-from .optimize import OptBudget
-from .oracle import cross_validate
+from .optimize import DEFAULT_BUDGET, OptBudget
+from .oracle import MAX_TRIALS, cross_validate, require_trials
 from .spaces import full_matrix_space, random_subspace, require_int, verify_axioms
 
 EXIT_OK = 0
@@ -49,17 +49,11 @@ def _resolve_map(ref: str) -> LinearMapRep:
 # above m keeps its own padded witness, so a table's memory grows like max_level**3.
 MAX_LEVEL = 64
 
-# Most oracle trials --trials may ask for; a larger value is a parse error.  The
-# unitary climb draws all its starts at once, trials x (nd)^2 complex numbers:
-# with nd = 12 (level 4 of an M3 map) that is 23 MB an array at this cap, and
-# brute_search on transpose_M3 at level 4 peaks near 200 MB resident.
-MAX_TRIALS = 10_000
-
 
 def _add_budget_options(sub):
-    sub.add_argument("--restarts", type=int, default=20)
-    sub.add_argument("--max-iter", type=int, default=200)
-    sub.add_argument("--tol", type=float, default=1e-11)
+    sub.add_argument("--restarts", type=int, default=DEFAULT_BUDGET.restarts)
+    sub.add_argument("--max-iter", type=int, default=DEFAULT_BUDGET.max_iter)
+    sub.add_argument("--tol", type=float, default=DEFAULT_BUDGET.tol)
     sub.add_argument("--seed", type=int, default=0)
 
 
@@ -293,9 +287,7 @@ def _check_options(args) -> None:
         if args.max_level > MAX_LEVEL:
             raise ValueError(f"--max-level must be at most {MAX_LEVEL}, got {args.max_level}")
     if "trials" in args:
-        args.trials = require_int(args.trials, "trials")
-        if args.trials > MAX_TRIALS:
-            raise ValueError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
+        args.trials = require_trials(args.trials)
     if "p" in args:
         args.p = NpParameter(args.p).p
     if "p_grid" in args:

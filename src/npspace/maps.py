@@ -1,8 +1,11 @@
 """Linear maps between concrete operator spaces and their level-norm brackets.
 
-A map is stored as its coordinate matrix between bases.  Every bracket for
-a level norm ||phi_n|| is a row of ``build_level_table``: per-level ascent
-brackets joined by one propagation pass of certified cross-level bounds.
+A map is stored as its coordinate matrix between bases, and holds no
+results.  Every bracket for a level norm ||phi_n|| is a row of
+``build_level_table``: per-level ascent brackets joined by one propagation
+pass of certified cross-level bounds.  The seeded ascent is deterministic,
+so every reader recomputes the table it reads and agrees with every other
+table built from the same map, budget and seed.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .spaces import (
     _same_space,
     from_pairs,
     json_field,
+    load_space,
     pad_to,
     realize,
     require_finite,
@@ -63,7 +67,8 @@ class LinearMapRep:
     codomain: OperatorSpace
     coeff: np.ndarray
     label: str = "phi"
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Realized images of the domain basis, (k_V, e, e), filled in __post_init__.
+    _images: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.array(self.coeff, dtype=complex)
@@ -73,6 +78,9 @@ class LinearMapRep:
         require_finite(c, f"coefficients of map {self.label!r}")
         c.setflags(write=False)
         object.__setattr__(self, "coeff", c)
+        img = np.einsum("st,sab->tab", c, self.codomain._stack)
+        img.setflags(write=False)
+        object.__setattr__(self, "_images", img)
 
     @property
     def is_zero(self) -> bool:
@@ -80,12 +88,7 @@ class LinearMapRep:
 
     def images(self) -> np.ndarray:
         """Realized images of the domain basis, stacked (k_V, e, e)."""
-        key = "images"
-        if key not in self._cache:
-            img = np.einsum("st,sab->tab", self.coeff, self.codomain._stack)
-            img.setflags(write=False)
-            self._cache[key] = img
-        return self._cache[key]
+        return self._images
 
 
 def make_map(
@@ -240,21 +243,17 @@ def _zero_entry(phi: LinearMapRep, n: int) -> LevelEntry:
 
 
 def _ascent_entry(phi: LinearMapRep, n: int, budget: OptBudget, seed: int) -> LevelEntry:
-    """Level n <= m alone, cached on the map: the ascent's witnessed ``lo``, and
-    the smaller of its promoted converged value and the coefficient relaxation."""
-    key = ("ascent", n, budget, seed)
-    if key not in phi._cache:
-        outcome = maximize_amplified_norm(phi.domain, phi.images(), n, budget, seed)
-        lo = outcome.value
-        candidates = []
-        if phi.domain.is_full_matrix_algebra and outcome.converged:
-            candidates.append((lo * (1.0 + _CERT_SLACK), SOURCE_OPTIMIZER))
-        candidates.append((coefficient_relaxation_bound(phi, n), SOURCE_COEFF_RELAXATION))
-        hi, hi_src = min(candidates, key=lambda c: c[0])
-        lo, hi = _reconcile(lo, hi, phi, n)
-        bracket = NormBracket(lo, hi, SOURCE_OPTIMIZER, hi_src)
-        phi._cache[key] = LevelEntry(n, bracket, outcome.coords)
-    return phi._cache[key]
+    """Level n <= m alone: the ascent's witnessed ``lo``, and the smaller of its
+    promoted converged value and the coefficient relaxation."""
+    outcome = maximize_amplified_norm(phi.domain, phi.images(), n, budget, seed)
+    lo = outcome.value
+    candidates = []
+    if phi.domain.is_full_matrix_algebra and outcome.converged:
+        candidates.append((lo * (1.0 + _CERT_SLACK), SOURCE_OPTIMIZER))
+    candidates.append((coefficient_relaxation_bound(phi, n), SOURCE_COEFF_RELAXATION))
+    hi, hi_src = min(candidates, key=lambda c: c[0])
+    lo, hi = _reconcile(lo, hi, phi, n)
+    return LevelEntry(n, NormBracket(lo, hi, SOURCE_OPTIMIZER, hi_src), outcome.coords)
 
 
 def _reconcile(lo: float, hi: float, phi: LinearMapRep, n: int) -> tuple[float, float]:
@@ -322,8 +321,10 @@ def build_level_table(
 
     Every level bracket is made here.  The stabilization level s is the
     codomain's ambient dimension m (1 for a zero map, whose one row is
-    ``trivial_zero``).  Each level n <= s starts from its own ascent, and
-    each cross-level rule then runs once over those rows, in order: lo
+    ``trivial_zero``).  Each level n <= s starts from its own ascent, run
+    afresh on every call: a deterministic function of (phi, n, budget,
+    seed), so tables built from the same inputs share their rows bit for
+    bit.  Each cross-level rule then runs once over those rows, in order: lo
     upward, hi downward, the cap n * hi_1.  After that lo and hi are
     nondecreasing and hi_n <= n hi_1, so a second pass could change nothing.
     Every level above s is row s (Smith stabilization): the same bracket,
@@ -389,22 +390,17 @@ def map_to_dict(phi: LinearMapRep) -> dict:
     }
 
 
-def map_from_dict(data: dict, resolve_space=None) -> LinearMapRep:
+def map_from_dict(data: dict, base_dir: str | None = None) -> LinearMapRep:
     """Parse a map definition; space slots hold inline objects or file paths.
 
-    ``resolve_space`` maps a path string to an OperatorSpace and defaults to
-    loading JSON from the filesystem.
+    A relative path is read from ``base_dir`` (default: the working directory).
     """
     what = "map definition"
 
     def load_slot(slot):
         value = json_field(data, slot, what)
         if isinstance(value, str):
-            if resolve_space is None:
-                from .spaces import load_space
-
-                return load_space(value)
-            return resolve_space(value)
+            return load_space(os.path.join(base_dir or "", value))
         return space_from_dict(value)
 
     domain = load_slot("domain")
@@ -415,17 +411,10 @@ def map_from_dict(data: dict, resolve_space=None) -> LinearMapRep:
 
 
 def load_map(path: str) -> LinearMapRep:
+    """Read a map file; relative space paths in it are read from the file's directory."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    base_dir = os.path.dirname(os.path.abspath(path))
-
-    def resolve(rel: str) -> OperatorSpace:
-        from .spaces import load_space
-
-        target = rel if os.path.isabs(rel) else os.path.join(base_dir, rel)
-        return load_space(target)
-
-    return map_from_dict(data, resolve_space=resolve)
+    return map_from_dict(data, os.path.dirname(os.path.abspath(path)))
 
 
 def save_map(phi: LinearMapRep, path: str) -> None:

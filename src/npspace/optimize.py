@@ -189,5 +189,6 @@ def maximize_amplified_norm(
     )
 
     value, witness = witnessed_value(space, images, n, x[best])
-    conv = bool(converged[best]) and (support >= 2 or budget.restarts == 1)
+    # Only agreement confirms an optimum: a lone restart has nothing to agree with.
+    conv = bool(converged[best]) and support >= 2
     return AscentOutcome(value, witness, conv, support)

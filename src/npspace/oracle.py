@@ -67,6 +67,20 @@ _STOP_STEP = 1e-9
 # Climb steps whose random draws (and rotation generators) are made at once.
 _BLOCK = 20
 
+# Most trials a search may ask for.  The unitary climb draws all its starts at
+# once, trials x (nd)^2 complex numbers: with nd = 12 (level 4 of an M3 map)
+# that is 23 MB an array at this cap, and brute_search on transpose_M3 at
+# level 4 peaks near 200 MB resident.
+MAX_TRIALS = 10_000
+
+
+def require_trials(trials) -> int:
+    """``trials`` as a positive integer (``spaces.require_int``) of at most MAX_TRIALS."""
+    trials = require_int(trials, "trials")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
+    return trials
+
 
 def _batch_norms(stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Spectral norms of a batch of coordinate arrays realized against a stack."""
@@ -182,7 +196,7 @@ def brute_search(
 ) -> tuple[float, np.ndarray]:
     """Best value and witness found by random search plus hill-climbing."""
     n = require_int(level, "level", InvalidLevel)
-    trials = require_int(trials, "trials")
+    trials = require_trials(trials)
     seed = require_int(seed, "seed", minimum=0)
     if phi.is_zero:
         return 0.0, np.zeros((n, n, phi.domain.dim), dtype=complex)
@@ -222,6 +236,7 @@ def cross_validate(
     relative of the brute value (else the ascent is underperforming).
     """
     phi = table.map
+    trials = require_trials(trials)
     max_level = require_int(max_level, "max_level", InvalidLevel)
     seed = require_int(seed, "seed", minimum=0)
     rows = []

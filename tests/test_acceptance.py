@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The battery computes everything once per run from freshly cloned maps (so
-caches cannot leak state between runs); the determinism criterion runs the
+no two runs share a map object); the determinism criterion runs the
 whole battery a second time and compares the serialized results bytewise.
 """
 

@@ -448,7 +448,7 @@ SYNTHETIC = ["index", "--synthetic", "n^1"]
         (["verify", "--suite", "inclusions", "--trials", "-4"],
          "trials must be a positive integer, got -4"),
         (["verify", "--suite", "bounds", "--trials", "10001"],
-         "--trials must be at most 10000, got 10001"),
+         "trials must be at most 10000, got 10001"),
         (["plotdata", "catalog:transpose_M3", "--p-grid", "0:3:0.5"],
          "p must satisfy 1 <= p < inf, got 0.0"),
     ],
@@ -467,6 +467,20 @@ def test_every_option_is_checked_before_any_work(command, message, monkeypatch, 
         monkeypatch.setattr(cli, name, _never)
     assert cli.main(command) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["levels", "m.json"], ["npnorm", "m.json", "--p", "2"], ["index", "m.json"],
+     ["plotdata", "m.json", "--p-grid", "2:3:1"], ["verify", "--suite", "axioms"]],
+    ids=lambda c: c[0],
+)
+def test_budget_options_default_to_the_library_budget(command):
+    from npspace.cli import build_parser
+    from npspace.optimize import DEFAULT_BUDGET, OptBudget
+
+    args = build_parser().parse_args(command)
+    assert OptBudget(args.restarts, args.max_iter, args.tol) == DEFAULT_BUDGET
 
 
 def test_unknown_catalog_name_exit_2_without_quotes(capsys):

@@ -1,5 +1,8 @@
 """Maps: construction, amplification, and certified level-norm brackets."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,10 +15,14 @@ from npspace import (
     SpaceElement,
     amplify,
     base_norm,
+    brute_level_norm,
+    brute_search,
     build_level_table,
     cb_norm,
+    cross_validate,
     full_matrix_space,
     get_entry,
+    inclusion_check,
     level_norm,
     level_norm_bracket,
     level_witness,
@@ -24,11 +31,13 @@ from npspace import (
     make_space,
     map_from_dict,
     map_to_dict,
+    np_norm,
     pad_to,
     random_element,
     random_subspace,
     realize,
     realize_amplified,
+    save_space,
     scaled_map,
 )
 from npspace.bracket import (
@@ -679,9 +688,54 @@ def test_rows_above_s_agree_with_every_reader(budget):
                 assert e.witness.tobytes() == pad_to(at_s, n).coords.tobytes(), where
 
 
+def test_one_restart_promotes_no_hi():
+    # A lone converged restart has nothing to agree with, so its value is no
+    # bound: promoted, level 2's hi was 6.3516, under level 1's witnessed 6.5801.
+    rng = np.random.default_rng([5, 2, 3, 2])
+    coeff = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
+    phi = LinearMapRep(M2, M3, coeff, "restart_1")
+    table = build_level_table(phi, 3, OptBudget(restarts=1), seed=2)
+    assert [e.bracket.hi_source for e in table.entries] == [SOURCE_COEFF_RELAXATION] * 3
+    assert brute_level_norm(phi, 1, trials=500, seed=2) <= table.entries[0].bracket.hi
+
+
+@pytest.mark.parametrize("spec", ((2, 2, None, None), (2, 2, 3, None)), ids=("M2", "sub3_of_M2"))
+def test_a_map_holds_no_results(spec):
+    # Every reader and check recomputes what it needs: none of them changes the map.
+    phi = _random_map(*spec, seed=3)
+    assert all(not isinstance(getattr(phi, f.name), (dict, list, set))
+               for f in dataclasses.fields(phi))
+    assert not phi.coeff.flags.writeable and not phi.images().flags.writeable
+    before = pickle.dumps(phi)
+    budget = OptBudget(restarts=2, max_iter=20)
+    table = build_level_table(phi, 3, budget, SEED)
+    level_norm_bracket(phi, 3, budget, SEED)
+    level_witness(phi, 3, budget, SEED)
+    base_norm(phi, budget, SEED)
+    cb_norm(phi, budget, SEED)
+    np_norm(phi, 2.0, build_level_table(phi, 1, budget, SEED))  # extends the short table
+    inclusion_check(phi, 2.5, 3.0, table)
+    brute_search(phi, 2, trials=20, seed=SEED)
+    cross_validate(table, trials=20, seed=SEED, max_level=2)
+    assert pickle.dumps(phi) == before
+
+
 # ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------
+
+
+def test_relative_space_paths_are_read_from_base_dir(tmp_path, monkeypatch):
+    phi = _transpose(M2)
+    save_space(M2, str(tmp_path / "M2.json"))
+    data = dict(map_to_dict(phi), domain="M2.json", codomain="M2.json")
+    assert np.array_equal(map_from_dict(data, str(tmp_path)).coeff, phi.coeff)
+    monkeypatch.chdir(tmp_path)  # without base_dir, from the working directory
+    assert np.array_equal(map_from_dict(data).coeff, phi.coeff)
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    with pytest.raises(FileNotFoundError):
+        map_from_dict(data)
 
 
 def test_map_json_round_trip():

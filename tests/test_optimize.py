@@ -172,7 +172,7 @@ def _reference_ascent(space, images, level, budget, seed):
     value = spectral_norm(realize_batch(images, best_x))
     # The same rounding down as the ascent's, so that only the loops differ.
     value = rounded_down(value, n, space.ambient_dim, images.shape[1])
-    conv = bool(converged[best]) and (support >= 2 or budget.restarts == 1)
+    conv = bool(converged[best]) and support >= 2
     return AscentOutcome(value, best_x, conv, support), taken, evaluated
 
 

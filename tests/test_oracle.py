@@ -35,6 +35,21 @@ from npspace.spaces import (
 SEED = 11
 
 
+def test_trials_above_the_cap_raise_before_any_search(monkeypatch):
+    def never(*args):
+        raise AssertionError("a search started")
+
+    monkeypatch.setattr(oracle, "_search_unitary", never)
+    monkeypatch.setattr(oracle, "_search_coords", never)
+    phi = get_entry("transpose_M2").map
+    table = build_level_table(phi, 1, DEFAULT_BUDGET, SEED)
+    message = f"trials must be at most {oracle.MAX_TRIALS}, got 10001"
+    with pytest.raises(ValueError, match=message):
+        brute_level_norm(phi, 1, trials=10001)
+    with pytest.raises(ValueError, match=message):
+        cross_validate(table, trials=10001)
+
+
 def test_brute_transpose_m2_level2_reaches_two():
     # Pinned by the acceptance suite as well: 2000 trials find 2 - 1e-3.
     phi = get_entry("transpose_M2").map
