@@ -34,12 +34,12 @@ from .maps import (
 )
 from .npnorm import (
     IndexEstimate,
-    NpParameter,
     NpResult,
     inclusion_check,
     index_estimate,
     membership,
     np_norm,
+    require_p,
     zeta_bracket,
     zeta_tail,
 )

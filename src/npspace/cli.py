@@ -21,7 +21,7 @@ from .maps import (
     load_map,
     witness_to_dict,
 )
-from .npnorm import NpParameter, index_estimate, inclusion_check, np_norm
+from .npnorm import index_estimate, inclusion_check, np_norm, require_p
 from .optimize import DEFAULT_BUDGET, OptBudget
 from .oracle import MAX_TRIALS, cross_validate, require_trials
 from .spaces import full_matrix_space, random_subspace, require_int, verify_axioms
@@ -45,8 +45,9 @@ def _resolve_map(ref: str) -> LinearMapRep:
     return load_map(ref)
 
 
-# Most levels --max-level may ask for; a larger value is a parse error.  Each row
-# above m keeps its own padded witness, so a table's memory grows like max_level**3.
+# Most levels --max-level (levels, index) may ask for; a larger value is a parse
+# error.  Each row above m keeps its own padded witness, so a table's memory grows
+# like max_level**3.
 MAX_LEVEL = 64
 
 
@@ -59,7 +60,6 @@ def _add_budget_options(sub):
 
 def _add_map_options(sub, nargs: str | None = None):
     sub.add_argument("map", nargs=nargs, help="map JSON file or catalog:<name>")
-    sub.add_argument("--max-level", type=int, default=4)
     _add_budget_options(sub)
 
 
@@ -95,7 +95,7 @@ def cmd_levels(args) -> int:
 
 def cmd_npnorm(args) -> int:
     phi = _resolve_map(args.map)
-    table = build_level_table(phi, args.max_level, args.budget, args.seed)
+    table = build_level_table(phi, phi.stabilization_level, args.budget, args.seed)
     result = np_norm(phi, args.p, table)
     payload = json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n"
     print(
@@ -125,7 +125,8 @@ def cmd_index(args) -> int:
         est = index_estimate(args.synthetic)
     else:
         phi = _resolve_map(args.map)
-        est = index_estimate(build_level_table(phi, args.max_level, args.budget, args.seed))
+        s = phi.stabilization_level
+        est = index_estimate(phi, (s, max(s, args.max_level)))
     payload = json.dumps(est.to_json_dict(), sort_keys=True, indent=2) + "\n"
     print(
         f"r_hat={_fmt(est.r_hat)} alpha_hat={_fmt(est.alpha_hat)} "
@@ -156,7 +157,7 @@ def _suite_inclusions(seed: int, budget: OptBudget) -> list[tuple[str, bool, str
     checks = []
     for entry in _catalog.list_entries():
         phi = entry.map
-        table = build_level_table(phi, 4, budget, seed)
+        table = build_level_table(phi, phi.stabilization_level, budget, seed)
         for p, q in ((2.1, 3.0), (2.5, 4.0), (3.0, 5.0)):
             rep = inclusion_check(phi, p, q, table)
             detail = f"lo_q={rep.result_q.bracket.lo:.9g} hi_p={rep.result_p.bracket.hi:.9g}"
@@ -222,7 +223,7 @@ def _parse_grid(text: str) -> list[float]:
 
 def cmd_plotdata(args) -> int:
     phi = _resolve_map(args.map)
-    table = build_level_table(phi, args.max_level, args.budget, args.seed)
+    table = build_level_table(phi, phi.stabilization_level, args.budget, args.seed)
     lines = ["p,lo,hi"]
     for p in args.p_grid:
         result = np_norm(phi, p, table)
@@ -240,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_levels = subs.add_parser("levels", help="bracket ||phi_n|| for n = 1..N")
     _add_map_options(p_levels)
+    p_levels.add_argument("--max-level", type=int, default=4)
     p_levels.add_argument("--out", help="CSV output path (default: stdout)")
     p_levels.add_argument("--json", help="JSON table output path")
     p_levels.add_argument("--witnesses", help="JSON witness dump path")
@@ -253,6 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_index = subs.add_parser("index", help="estimate the summability index")
     _add_map_options(p_index, nargs="?")
+    p_index.add_argument("--max-level", type=int, default=4)
     p_index.add_argument("--synthetic", help="synthetic growth rule, e.g. 'n^1'")
     p_index.add_argument("--out", help="JSON result path")
     p_index.set_defaults(func=cmd_index)
@@ -289,9 +292,9 @@ def _check_options(args) -> None:
     if "trials" in args:
         args.trials = require_trials(args.trials)
     if "p" in args:
-        args.p = NpParameter(args.p).p
+        args.p = require_p(args.p)
     if "p_grid" in args:
-        args.p_grid = [NpParameter(p).p for p in _parse_grid(args.p_grid)]
+        args.p_grid = [require_p(p) for p in _parse_grid(args.p_grid)]
     if "synthetic" in args:
         if bool(args.map) == bool(args.synthetic):
             got = "both" if args.map else "neither"

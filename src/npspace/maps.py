@@ -86,6 +86,12 @@ class LinearMapRep:
     def is_zero(self) -> bool:
         return not np.any(self.coeff)
 
+    @property
+    def stabilization_level(self) -> int:
+        """The level s from which ||phi_n|| = ||phi_s|| for every n >= s: the
+        codomain's ambient dimension m (Smith, 1983), or 1 for the zero map."""
+        return 1 if self.is_zero else self.codomain.ambient_dim
+
     def images(self) -> np.ndarray:
         """Realized images of the domain basis, stacked (k_V, e, e)."""
         return self._images
@@ -180,20 +186,22 @@ class LevelEntry:
 class LevelNormTable:
     """Brackets for ||phi_n||, n = 1..max_level, after bound propagation.
 
-    ``stabilization_level`` s means ||phi_n|| = ||phi_s|| for every n >= s;
-    for a concrete codomain inside M_m this holds with s = m, so the table
-    can serve any level above its stored range.
+    A table through its map's stabilization level s can serve any level
+    above its stored range, since ||phi_n|| = ||phi_s|| for every n >= s.
     """
 
     map: LinearMapRep
     entries: tuple
-    stabilization_level: int
     budget: OptBudget
     seed: int
 
     @property
     def max_level(self) -> int:
         return len(self.entries)
+
+    @property
+    def stabilization_level(self) -> int:
+        return self.map.stabilization_level
 
     def bracket_at(self, n: int) -> NormBracket:
         n = require_int(n, "level", InvalidLevel)
@@ -267,9 +275,9 @@ def _reconcile(lo: float, hi: float, phi: LinearMapRep, n: int) -> tuple[float, 
 
 
 def _table_through(phi: LinearMapRep, n: int, budget: OptBudget, seed: int) -> LevelNormTable:
-    """The table whose last row serves level n: levels 1..min(n, m)."""
+    """The table whose last row serves level n: levels 1..min(n, s)."""
     n = require_int(n, "level", InvalidLevel)
-    return build_level_table(phi, min(n, phi.codomain.ambient_dim), budget, seed)
+    return build_level_table(phi, min(n, phi.stabilization_level), budget, seed)
 
 
 def level_norm_bracket(
@@ -277,9 +285,9 @@ def level_norm_bracket(
 ) -> NormBracket:
     """Certified bracket for ||phi_n||: row n of the level table.
 
-    Levels above the codomain's ambient dimension m read the level-m row:
-    the inclusion of the codomain in M_m stabilizes the sequence there, so
-    the value is equal, not just capped.
+    Levels above the stabilization level s read the level-s row: the
+    inclusion of the codomain in M_m stabilizes the sequence there, so the
+    value is equal, not just capped.
     """
     return _table_through(phi, n, budget, seed).bracket_at(n)
 
@@ -287,7 +295,7 @@ def level_norm_bracket(
 def level_witness(
     phi: LinearMapRep, n: int, budget: OptBudget = DEFAULT_BUDGET, seed: int = 0
 ) -> SpaceElement:
-    """The witness for the level-n lower bound, padded up from level min(n, m)."""
+    """The witness for the level-n lower bound, padded up from level min(n, s)."""
     row = _table_through(phi, n, budget, seed).entries[-1]
     return pad_to(SpaceElement(phi.domain, row.level, row.witness), n)
 
@@ -302,13 +310,13 @@ def base_norm(
 def cb_norm(
     phi: LinearMapRep, budget: OptBudget = DEFAULT_BUDGET, seed: int = 0
 ) -> NormBracket:
-    """Bracket for sup_n ||phi_n||: the bracket of any level above the ambient m.
+    """Bracket for sup_n ||phi_n||: the bracket of any level above s.
 
     For a full matrix-algebra codomain this is the stabilization statement
     itself; for a proper subspace it follows by applying the same statement
     to the (completely isometric) ambient inclusion.
     """
-    return level_norm_bracket(phi, phi.codomain.ambient_dim + 1, budget, seed)
+    return level_norm_bracket(phi, phi.stabilization_level + 1, budget, seed)
 
 
 def build_level_table(
@@ -319,23 +327,23 @@ def build_level_table(
 ) -> LevelNormTable:
     """Brackets for n = 1..max_level with all cross-level bounds applied.
 
-    Every level bracket is made here.  The stabilization level s is the
-    codomain's ambient dimension m (1 for a zero map, whose one row is
-    ``trivial_zero``).  Each level n <= s starts from its own ascent, run
-    afresh on every call: a deterministic function of (phi, n, budget,
-    seed), so tables built from the same inputs share their rows bit for
-    bit.  Each cross-level rule then runs once over those rows, in order: lo
-    upward, hi downward, the cap n * hi_1.  After that lo and hi are
-    nondecreasing and hi_n <= n hi_1, so a second pass could change nothing.
-    Every level above s is row s (Smith stabilization): the same bracket,
-    named ``smith_stabilization`` on both sides, and row s's witness padded.
+    Every level bracket is made here.  The stabilization level s is
+    ``phi.stabilization_level`` (a zero map's one row is ``trivial_zero``).
+    Each level n <= s starts from its own ascent, run afresh on every call:
+    a deterministic function of (phi, n, budget, seed), so tables built from
+    the same inputs share their rows bit for bit.  Each cross-level rule then
+    runs once over those rows, in order: lo upward, hi downward, the cap
+    n * hi_1.  After that lo and hi are nondecreasing and hi_n <= n hi_1, so
+    a second pass could change nothing.  Every level above s is row s (Smith
+    stabilization): the same bracket, named ``smith_stabilization`` on both
+    sides, and row s's witness padded.
     """
     max_level = require_int(max_level, "max_level", InvalidLevel)
     seed = require_int(seed, "seed", minimum=0)
+    s = phi.stabilization_level
     if phi.is_zero:
-        s, rows = 1, [_zero_entry(phi, 1)]
+        rows = [_zero_entry(phi, 1)]
     else:
-        s = phi.codomain.ambient_dim
         rows = [_ascent_entry(phi, n, budget, seed) for n in range(1, min(max_level, s) + 1)]
     top = len(rows)
     los = [e.bracket.lo for e in rows]
@@ -368,7 +376,7 @@ def build_level_table(
         lo, hi = _reconcile(los[i], his[i], phi, i + 1)
         bracket = NormBracket(lo, hi, lo_srcs[i], hi_srcs[i])
         entries.append(LevelEntry(i + 1, bracket, witnesses[i]))
-    table = LevelNormTable(phi, tuple(entries), s, budget, seed)
+    table = LevelNormTable(phi, tuple(entries), budget, seed)
     if max_level <= s:
         return table
     stable, at_s = table._stable_bracket(), SpaceElement(phi.domain, s, witnesses[-1])

@@ -4,8 +4,10 @@ For a codomain inside M_m, ||phi_n|| = ||phi_m|| for every n >= m (Smith,
 1983), so there is one way to close the series: the per-level brackets
 termwise below m, then the level-m bracket times sum_{n >= m} n^-p.  Every
 nonzero map is therefore a member for p > 1 and, by a divergence proof, not
-a member at p = 1.  Zeta values are never read from constants - they are
-always partial sums plus integral-comparison tails.
+a member at p = 1.  The series reads a level table and builds none: for
+p > 1 the table must reach the map's stabilization level.  Zeta values are
+never read from constants - they are always partial sums plus
+integral-comparison tails.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .bracket import SOURCE_MONOTONICITY, SOURCE_SMITH, SOURCE_TRIVIAL_ZERO, NormBracket
 from .errors import InsufficientData, InvalidLevel, SpaceMismatch
-from .maps import LevelNormTable, LinearMapRep, build_level_table
+from .maps import LevelNormTable, LinearMapRep
 from .spaces import _same_space, require_int
 
 VERDICT_MEMBER = "member"
@@ -33,22 +35,14 @@ CLOSED_FORM_ZERO = "zero"
 MAX_TRUNCATION = 100_000
 
 
-@dataclass(frozen=True)
-class NpParameter:
-    """The exponent p of the series: a finite number p >= 1, and never a bool."""
-
-    p: float
-
-    def __post_init__(self):
-        is_bool = isinstance(self.p, (bool, np.bool_))
-        p = self.p if is_bool else float(self.p)
-        if is_bool or not 1.0 <= p < math.inf:
-            raise ValueError(f"p must satisfy 1 <= p < inf, got {p!r}")
-        object.__setattr__(self, "p", p)
-
-
-def _as_p(p) -> float:
-    return p.p if isinstance(p, NpParameter) else NpParameter(p).p
+def require_p(p) -> float:
+    """The exponent p of the series as a float: a finite number p >= 1, and never a
+    bool; anything else raises ValueError."""
+    is_bool = isinstance(p, (bool, np.bool_))
+    value = p if is_bool else float(p)
+    if is_bool or not 1.0 <= value < math.inf:
+        raise ValueError(f"p must satisfy 1 <= p < inf, got {value!r}")
+    return value
 
 
 def zeta_tail(p: float, K: int) -> tuple[float, float]:
@@ -103,7 +97,7 @@ def zeta_bracket(p: float, K: int = 64) -> tuple[float, float]:
 class NpResult:
     """Certified evaluation of the series at one exponent."""
 
-    p: NpParameter
+    p: float
     bracket: NormBracket
     verdict: str
     truncation_level: int
@@ -114,7 +108,7 @@ class NpResult:
 
     def to_json_dict(self) -> dict:
         out = {
-            "p": self.p.p,
+            "p": self.p,
             "lo": self.bracket.lo,
             "hi": self.bracket.hi,
             "verdict": self.verdict,
@@ -146,18 +140,19 @@ def np_norm(phi: LinearMapRep, p, table: LevelNormTable) -> NpResult:
     sum_{n >= s} n^-p.  That zeta sum is summed termwise up to
     K = max(64, 4 s) and closed by ``zeta_tail`` beyond K; at K >= 64 the
     bracket's relative width is below 6e-11 for every p > 1, so a
-    larger K could not narrow the result measurably.  A table that stops
-    short of s is first extended to s.  A table built for another map
-    raises SpaceMismatch.
+    larger K could not narrow the result measurably.  For p > 1 the table
+    must reach s = ``phi.stabilization_level``; a shorter one raises
+    InsufficientTable.  At p = 1 only row 1 is read, and for the zero map no
+    row.  A table built for another map raises SpaceMismatch.
     """
     _require_table_for(phi, table)
-    pp = _as_p(p)
-    s = table.stabilization_level
+    pp = require_p(p)
+    s = phi.stabilization_level
     K = max(64, 4 * s)
 
     if phi.is_zero:
         bracket = NormBracket(0.0, 0.0, SOURCE_TRIVIAL_ZERO, SOURCE_TRIVIAL_ZERO)
-        return NpResult(NpParameter(pp), bracket, VERDICT_MEMBER, K, 0.0, 0.0, CLOSED_FORM_ZERO)
+        return NpResult(pp, bracket, VERDICT_MEMBER, K, 0.0, 0.0, CLOSED_FORM_ZERO)
 
     if pp == 1.0:
         # A nonzero map has ||phi_1|| > 0, and the level norms never decrease.
@@ -168,12 +163,10 @@ def np_norm(phi: LinearMapRep, p, table: LevelNormTable) -> NpResult:
         )
         bracket = NormBracket(math.inf, math.inf, SOURCE_MONOTONICITY, SOURCE_MONOTONICITY)
         return NpResult(
-            NpParameter(pp), bracket, VERDICT_NOT_MEMBER, K, math.inf, math.inf,
+            pp, bracket, VERDICT_NOT_MEMBER, K, math.inf, math.inf,
             divergence_proof=proof,
         )
 
-    if table.max_level < s:
-        table = build_level_table(phi, s, table.budget, table.seed)
     head = [table.bracket_at(n) for n in range(1, s)]
     bs = table.bracket_at(s)
     zeta_head = math.fsum(n ** (-pp) for n in range(s, K + 1))
@@ -185,7 +178,7 @@ def np_norm(phi: LinearMapRep, p, table: LevelNormTable) -> NpResult:
     lo, hi = (math.fsum(side) for side in zip(*terms))
     closed = CLOSED_FORM_FUNCTIONAL if phi.codomain.ambient_dim == 1 else CLOSED_FORM_STABILIZED
     bracket = NormBracket(lo, hi, SOURCE_SMITH, SOURCE_SMITH)
-    return NpResult(NpParameter(pp), bracket, VERDICT_MEMBER, K, tail_lo, tail_hi, closed)
+    return NpResult(pp, bracket, VERDICT_MEMBER, K, tail_lo, tail_hi, closed)
 
 
 def membership(phi: LinearMapRep, p, table: LevelNormTable) -> str:
@@ -216,20 +209,20 @@ class IndexEstimate:
 
 
 def index_estimate(
-    source: LevelNormTable | Iterable[tuple[int, float]],
+    source: LinearMapRep | Iterable[tuple[int, float]],
     fit_window: tuple[int, int] | None = None,
 ) -> IndexEstimate:
     """Estimate the summability index from level-norm growth.
 
-    A level table has index 1: its map's level norms are constant from the
-    stabilization level s on, so the window reported is s..max(s, max_level).
-    For a synthetic (n, value) sequence the growth exponent is a log-log
-    least-squares slope over the fit window, defaulting to the upper half of
-    the available levels.
+    A map has index 1 and needs no level table: its level norms are constant
+    from its stabilization level s on, so the estimate is fixed and the
+    window reported is ``fit_window``, by default (s, s).  For a synthetic
+    (n, value) sequence the growth exponent is a log-log least-squares slope
+    over the fit window, defaulting to the upper half of the available levels.
     """
-    if isinstance(source, LevelNormTable):
+    if isinstance(source, LinearMapRep):
         s = source.stabilization_level
-        return IndexEstimate(1.0, 0.0, (s, max(s, source.max_level)), 0.0)
+        return IndexEstimate(1.0, 0.0, fit_window or (s, s), 0.0)
     pairs = sorted((require_int(n, "level", InvalidLevel), float(v)) for n, v in source)
     if len(pairs) < 3:
         raise InsufficientData(f"index fit needs at least 3 levels, got {len(pairs)}")
@@ -283,7 +276,7 @@ class InclusionReport:
 
 def inclusion_check(phi: LinearMapRep, p: float, q: float, table: LevelNormTable) -> InclusionReport:
     """Check the norm comparison ||phi||_q <= ||phi||_p for 1 <= p <= q."""
-    pp, qq = _as_p(p), _as_p(q)
+    pp, qq = require_p(p), require_p(q)
     if not pp <= qq:
         raise ValueError(f"need p <= q, got p={pp}, q={qq}")
     rp = np_norm(phi, pp, table)

@@ -417,7 +417,8 @@ def to_pairs(arr) -> list:
 def from_pairs(rows, shape: tuple, what: str) -> np.ndarray:
     """The complex array of the given shape that ``to_pairs`` wrote as ``rows``.
 
-    A malformed ``rows`` raises ValueError naming ``what``, the part of the file it is.
+    A malformed ``rows`` raises ValueError naming ``what``, the part of the file it is;
+    so does any part that is not an int or a float, such as a string, a bool or null.
     """
     try:
         arr = np.asarray(rows, dtype=float)
@@ -425,6 +426,9 @@ def from_pairs(rows, shape: tuple, what: str) -> np.ndarray:
         raise ValueError(f"{what} is not an array of [re, im] pairs") from None
     if arr.shape != (*shape, 2):
         raise ValueError(f"{what} has shape {arr.shape}, expected {(*shape, 2)}")
+    for x in np.asarray(rows, dtype=object).flat:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ValueError(f"{what} holds {x!r}, not a number")
     out = np.empty(shape, dtype=complex)
     out.real, out.imag = arr[..., 0], arr[..., 1]
     return out

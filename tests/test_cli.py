@@ -127,26 +127,53 @@ def test_npnorm_zero_p1_member(tmp_path):
     assert data["lo"] == data["hi"] == 0.0
 
 
-def test_npnorm_short_max_level_is_extended(tmp_path):
-    # --max-level below the codomain's m = 3: the series is the one from m.
-    outs = [tmp_path / "np2.json", tmp_path / "np3.json"]
-    for level, out in zip(("2", "3"), outs):
-        assert run(["npnorm", "catalog:transpose_M3", "--p", "1.5", "--max-level", level,
-                    "--seed", "7", "--out", str(out)]) == 0
-    assert outs[0].read_bytes() == outs[1].read_bytes()
-    assert json.loads(outs[0].read_text())["verdict"] == "member"
+def _record_tables(monkeypatch):
+    """Patch cli.build_level_table to log (map label, max_level) of every call."""
+    import npspace.cli as cli
+
+    calls = []
+    build = cli.build_level_table
+
+    def record(phi, max_level, *args, **kwargs):
+        calls.append((phi.label, max_level))
+        return build(phi, max_level, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_level_table", record)
+    return calls
 
 
-def test_plotdata_and_index_short_max_level(tmp_path):
-    csvs = [tmp_path / "p2.csv", tmp_path / "p3.csv"]
-    for level, out in zip(("2", "3"), csvs):
-        assert run(["plotdata", "catalog:transpose_M3", "--p-grid", "1:3:0.5",
-                    "--max-level", level, "--seed", "7", "--out", str(out)]) == 0
-    assert csvs[0].read_bytes() == csvs[1].read_bytes()
-    out = tmp_path / "idx.json"
-    assert run(["index", "catalog:transpose_M3", "--max-level", "2", "--seed", "7",
+def test_npnorm_builds_one_table_through_s(tmp_path, monkeypatch):
+    # The codomain's m = 3 is the stabilization level: rows 1..3, once.
+    calls = _record_tables(monkeypatch)
+    out = tmp_path / "np.json"
+    assert run(["npnorm", "catalog:transpose_M3", "--p", "1.5", "--seed", "7",
                 "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["r_hat"] == 1.0
+    assert calls == [("transpose_M3", 3)]
+    assert json.loads(out.read_text())["verdict"] == "member"
+
+
+def test_plotdata_and_index_build_through_s_only(tmp_path, monkeypatch):
+    calls = _record_tables(monkeypatch)
+    for grid in ("2:2:1", "1:3:0.5", "1.1:4:0.1"):
+        calls.clear()
+        assert run(["plotdata", "catalog:transpose_M3", "--p-grid", grid, "--seed", "7",
+                    "--restarts", "2", "--out", str(tmp_path / "p.csv")]) == 0
+        assert calls == [("transpose_M3", 3)], grid
+    calls.clear()
+    out = tmp_path / "idx.json"
+    for levels, window in (("2", [3, 3]), ("5", [3, 5])):
+        assert run(["index", "catalog:transpose_M3", "--max-level", levels, "--seed", "7",
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["fit_window"] == window
+    assert calls == []
+
+
+def test_verify_inclusions_builds_one_table_per_map_at_its_s(monkeypatch, capsys):
+    from npspace import list_entries
+
+    calls = _record_tables(monkeypatch)
+    assert run(["verify", "--suite", "inclusions", "--seed", "5", "--restarts", "2"]) == 0
+    assert calls == [(e.map.label, e.map.stabilization_level) for e in list_entries()]
 
 
 @pytest.mark.parametrize(
@@ -155,8 +182,10 @@ def test_plotdata_and_index_short_max_level(tmp_path):
         ["npnorm", "catalog:transpose_M2", "--p", "2", "--K", "8"],
         ["npnorm", "catalog:transpose_M2", "--p", "2", "--strict"],
         ["plotdata", "catalog:transpose_M2", "--p-grid", "2:3:0.5", "--K", "8"],
+        ["npnorm", "catalog:transpose_M2", "--p", "2", "--max-level", "4"],
+        ["plotdata", "catalog:transpose_M2", "--p-grid", "2:3:0.5", "--max-level", "4"],
     ],
-    ids=("npnorm_K", "npnorm_strict", "plotdata_K"),
+    ids=("npnorm_K", "npnorm_strict", "plotdata_K", "npnorm_max_level", "plotdata_max_level"),
 )
 def test_removed_options_exit_2(command, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -284,8 +313,7 @@ def test_non_finite_tol_or_p_exit_2(command, message, monkeypatch, capsys):
     "command",
     [
         ["levels", "catalog:transpose_M2"],
-        ["npnorm", "catalog:transpose_M2", "--p", "2"],
-        ["plotdata", "catalog:transpose_M2", "--p-grid", "2:3:0.5"],
+        ["index", "catalog:transpose_M2"],
     ],
 )
 def test_max_level_zero_exit_2(command, capsys):
@@ -297,8 +325,6 @@ def test_max_level_zero_exit_2(command, capsys):
     "command",
     [
         ["levels", "catalog:transpose_M2"],
-        ["npnorm", "catalog:transpose_M2", "--p", "2"],
-        ["plotdata", "catalog:transpose_M2", "--p-grid", "2:3:0.5"],
         ["index", "catalog:transpose_M2"],
     ],
 )
@@ -369,21 +395,32 @@ def _upper_triangular_inclusion_file(tmp_path):
 
 
 @pytest.mark.parametrize("ref", ["catalog:transpose_M3", "catalog:trace_M2", "upper"])
-def test_series_output_does_not_depend_on_max_level(ref, tmp_path, capsys):
-    # np_norm extends a table that stops below the stabilization level, so
-    # --max-level changes neither npnorm nor plotdata.
+def test_series_output_is_the_library_series_through_s(ref, tmp_path, capsys):
+    # npnorm and plotdata print np_norm on the table through the map's s.
+    from npspace import OptBudget, build_level_table, np_norm
+    from npspace.cli import _fmt, _resolve_map
+
     if ref == "upper":
         ref = _upper_triangular_inclusion_file(tmp_path)
+    phi = _resolve_map(ref)
+    table = build_level_table(phi, phi.stabilization_level, OptBudget(3, 40), seed=7)
     budget = ["--seed", "7", "--restarts", "3", "--max-iter", "40"]
-    commands = {"npnorm": ["--p", "2.5"], "plotdata": ["--p-grid", "1:3:0.5"]}
-    for command, options in commands.items():
-        outputs = set()
-        for levels in ([], ["--max-level", "1"], ["--max-level", "2"], ["--max-level", "4"]):
-            out = tmp_path / f"{command}{levels}.out"
-            assert run([command, ref, *options, *budget, *levels, "--out", str(out)]) == 0
-            assert run([command, ref, *options, *budget, *levels]) == 0
-            outputs.add((out.read_bytes(), capsys.readouterr().out))
-        assert len(outputs) == 1, command
+
+    r = np_norm(phi, 2.5, table)
+    out = tmp_path / "np.json"
+    assert run(["npnorm", ref, "--p", "2.5", *budget, "--out", str(out)]) == 0
+    assert out.read_text() == json.dumps(r.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    assert capsys.readouterr().out == (
+        f"|{phi.label}|_p for p=2.5: [{_fmt(r.bracket.lo)}, {_fmt(r.bracket.hi)}]  "
+        f"verdict={r.verdict}  K={r.truncation_level}\n"
+    )
+
+    rows = ["p,lo,hi"]
+    for p in (1.0, 1.5, 2.0, 2.5, 3.0):
+        b = np_norm(phi, p, table).bracket
+        rows.append(f"{_fmt(p)},{_fmt(b.lo)},{_fmt(b.hi)}")
+    assert run(["plotdata", ref, "--p-grid", "1:3:0.5", *budget]) == 0
+    assert capsys.readouterr().out == "\n".join(rows) + "\n"
 
 
 def _write_map(tmp_path, edit):
@@ -411,10 +448,14 @@ def _write_map(tmp_path, edit):
         (lambda s: s["domain"].update(ambient_dim=2.0), "ambient_dim must be a positive integer, got 2.0"),
         (lambda s: s["domain"].update(ambient_dim="2"), "ambient_dim must be a positive integer, got '2'"),
         (lambda s: s["domain"].update(ambient_dim=0), "ambient_dim must be a positive integer, got 0"),
+        (lambda s: s["domain"]["basis"][0][0].__setitem__(0, ["1", "0"]),
+         "basis[0] holds '1', not a number"),
+        (lambda s: s["action"][2][1].__setitem__(1, True), "action[2] holds True, not a number"),
     ],
     ids=(
         "no_domain", "no_codomain", "no_action", "no_basis", "no_ambient_dim", "action_5",
         "basis_5", "ambient_dim_true", "ambient_dim_2.0", "ambient_dim_str", "ambient_dim_0",
+        "basis_string", "action_bool",
     ),
 )
 def test_malformed_map_file_names_the_key(edit, message, tmp_path, capsys):

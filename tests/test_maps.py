@@ -53,6 +53,7 @@ from npspace.bracket import (
 from npspace.maps import (
     _CERT_SLACK,
     LevelEntry,
+    LevelNormTable,
     LinearMapRep,
     _reconcile,
     _zero_entry,
@@ -377,6 +378,18 @@ def test_table_zero_map():
     assert table.stabilization_level == 1
     for e in table.entries:
         assert e.bracket.lo == e.bracket.hi == 0.0
+
+
+def test_stabilization_level_is_the_maps():
+    # s is the codomain's m, 1 for a zero map; a table reads it from its map
+    # and stores no s of its own.
+    sub = _random_map(3, 2, 4, 3, seed=3)
+    cases = ((_transpose(M2), 2), (_identity(M3), 3), (sub, 2), (_zero(), 1))
+    for phi, s in cases:
+        assert phi.stabilization_level == s
+        assert build_level_table(phi, 1, seed=SEED).stabilization_level == s
+    fields = [f.name for f in dataclasses.fields(LevelNormTable)]
+    assert fields == ["map", "entries", "budget", "seed"]
 
 
 def test_table_lo_nondecreasing_hi_capped(catalog_tables):
@@ -713,7 +726,7 @@ def test_a_map_holds_no_results(spec):
     level_witness(phi, 3, budget, SEED)
     base_norm(phi, budget, SEED)
     cb_norm(phi, budget, SEED)
-    np_norm(phi, 2.0, build_level_table(phi, 1, budget, SEED))  # extends the short table
+    np_norm(phi, 2.0, build_level_table(phi, phi.stabilization_level, budget, SEED))
     inclusion_check(phi, 2.5, 3.0, table)
     brute_search(phi, 2, trials=20, seed=SEED)
     cross_validate(table, trials=20, seed=SEED, max_level=2)

@@ -8,7 +8,7 @@ import pytest
 
 from npspace import (
     InsufficientData,
-    NpParameter,
+    InsufficientTable,
     SpaceMismatch,
     build_level_table,
     full_matrix_space,
@@ -17,11 +17,13 @@ from npspace import (
     make_map,
     membership,
     np_norm,
+    require_p,
     scaled_map,
     sum_map,
     zeta_bracket,
     zeta_tail,
 )
+from npspace import maps
 from npspace.npnorm import MAX_TRUNCATION, VERDICT_MEMBER, VERDICT_NOT_MEMBER
 
 SEED = 11
@@ -132,16 +134,22 @@ def test_zeta_bracket_intersects_oracle(p):
     assert lo <= ohi and hi >= olo
 
 
-def test_np_parameter_validation():
-    with pytest.raises(ValueError):
-        NpParameter(0.5)
-    assert NpParameter(1.0).p == 1.0
+def test_require_p_validation():
+    with pytest.raises(ValueError, match=r"p must satisfy 1 <= p < inf, got 0.5"):
+        require_p(0.5)
+    assert require_p(1.0) == 1.0
+    assert type(require_p(2)) is float and require_p(np.float64(2.5)) == 2.5
 
 
 @pytest.mark.parametrize("p", (math.inf, -math.inf, math.nan, True, np.True_))
-def test_np_parameter_rejects_non_finite_p(p):
+def test_require_p_rejects_non_finite_p(p):
     with pytest.raises(ValueError, match="p must satisfy 1 <= p < inf"):
-        NpParameter(p)
+        require_p(p)
+
+
+def test_np_result_p_is_a_float(catalog_tables, catalog_entries):
+    r = np_norm(catalog_entries["trace_M2"].map, 2, catalog_tables["trace_M2"])
+    assert type(r.p) is float and r.to_json_dict()["p"] == 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +196,34 @@ def test_np_norm_p1_nonzero_diverges(catalog_tables, catalog_entries):
 
 
 @pytest.mark.parametrize("p", (1.0, 1.5, 2.5))
-def test_np_norm_extends_a_short_table(p, catalog_entries):
-    # A table that stops below the stabilization level m = 3 is extended to
-    # m, so the series is the one a table reaching m gives.
+def test_np_norm_needs_a_table_through_s(p, catalog_entries):
+    # Above p = 1 the series reads rows 1..s (s = 3 here); at p = 1 only row 1.
     phi = catalog_entries["transpose_M3"].map
     short = build_level_table(phi, 2, seed=SEED)
-    full = build_level_table(phi, 3, seed=SEED)
-    assert np_norm(phi, p, short).to_json_dict() == np_norm(phi, p, full).to_json_dict()
+    full = build_level_table(phi, phi.stabilization_level, seed=SEED)
+    if p == 1.0:
+        assert np_norm(phi, p, short).to_json_dict() == np_norm(phi, p, full).to_json_dict()
+    else:
+        with pytest.raises(InsufficientTable, match="covers levels 1..2 and stabilizes at 3"):
+            np_norm(phi, p, short)
+
+
+def test_series_readers_build_no_table(catalog_entries, monkeypatch):
+    # A table short of s raises; no reader runs an ascent to extend it.
+    phi = catalog_entries["transpose_M3"].map
+    short = build_level_table(phi, 2, seed=SEED)
+
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("a series reader ran the ascent")
+
+    monkeypatch.setattr(maps, "_ascent_entry", no_ascent)
+    for read in (
+        lambda: np_norm(phi, 2.0, short),
+        lambda: membership(phi, 1.5, short),
+        lambda: inclusion_check(phi, 2.0, 3.0, short),
+    ):
+        with pytest.raises(InsufficientTable):
+            read()
 
 
 def test_np_norm_homogeneity(catalog_tables, catalog_entries):
@@ -267,19 +296,24 @@ def test_membership_p1(catalog_tables, catalog_entries):
     ) == VERDICT_MEMBER
 
 
-def test_membership_growth_certificate():
-    # One stored level, no stabilization evidence, but hi(1) ~ 0.5 satisfies
-    # the growth cap n^{p-1-eps} on the table.
+def test_membership_of_a_scaled_identity():
+    # A table through s = 2 decides membership; one row alone does not.
     m2 = full_matrix_space(2)
     phi = scaled_map(make_map(m2, m2, [np.array(b) for b in m2.basis], "id"), 0.5)
-    table = build_level_table(phi, 1, seed=SEED)
-    assert table.stabilization_level > table.max_level
+    table = build_level_table(phi, phi.stabilization_level, seed=SEED)
+    assert (table.max_level, table.stabilization_level) == (2, 2)
     assert membership(phi, 1.5, table) == VERDICT_MEMBER
+    with pytest.raises(InsufficientTable):
+        membership(phi, 1.5, build_level_table(phi, 1, seed=SEED))
 
 
 def test_membership_with_a_short_table(catalog_entries):
+    # p > 1 needs rows 1..s; the divergence verdict at p = 1 needs row 1 only.
     phi = catalog_entries["transpose_M3"].map
-    assert membership(phi, 1.5, build_level_table(phi, 2, seed=SEED)) == VERDICT_MEMBER
+    short = build_level_table(phi, 2, seed=SEED)
+    with pytest.raises(InsufficientTable, match="cannot serve level 3"):
+        membership(phi, 1.5, short)
+    assert membership(phi, 1.0, short) == VERDICT_NOT_MEMBER
 
 
 def test_full_matrix_codomain_always_member_above_one(catalog_tables, catalog_entries):
@@ -325,22 +359,30 @@ def test_index_synthetic_powers(alpha):
     assert abs(est.r_hat - max(1.0, alpha + 1.0)) <= 0.05
 
 
-def test_index_stabilized_table_is_one(catalog_tables):
-    est = index_estimate(catalog_tables["transpose_M2"])
+def test_index_stabilized_map_is_one(catalog_entries):
+    est = index_estimate(catalog_entries["transpose_M2"].map)
     assert est.r_hat == 1.0
     assert est.alpha_hat == 0.0
     assert est.residual == 0.0
+    assert est.fit_window == (2, 2)
 
 
-def test_index_short_table_is_one(catalog_entries):
+def test_index_of_a_map_builds_no_table(catalog_entries, monkeypatch):
+    # The index of a map is fixed by its stabilization: no ascent runs.
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("index_estimate ran the ascent")
+
+    monkeypatch.setattr(maps, "_ascent_entry", no_ascent)
     phi = catalog_entries["transpose_M3"].map
-    est = index_estimate(build_level_table(phi, 2, seed=SEED))
+    est = index_estimate(phi)
     assert (est.r_hat, est.alpha_hat, est.fit_window, est.residual) == (1.0, 0.0, (3, 3), 0.0)
+    assert index_estimate(phi, (3, 5)).fit_window == (3, 5)
 
 
-def test_index_zero_map(catalog_tables):
-    est = index_estimate(catalog_tables["zero_M2"])
+def test_index_zero_map(catalog_entries):
+    est = index_estimate(catalog_entries["zero_M2"].map)
     assert est.r_hat == 1.0
+    assert est.fit_window == (1, 1)
 
 
 def test_index_needs_three_points():

@@ -353,7 +353,6 @@ def test_cross_validate_flags_corrupted_table():
             LevelEntry(1, bad_bracket, good.entries[0].witness),
             good.entries[1],
         ),
-        stabilization_level=good.stabilization_level,
         budget=DEFAULT_BUDGET,
         seed=SEED,
     )

@@ -348,6 +348,33 @@ def test_space_json_rejects_bad_shapes():
         space_from_dict({"label": "x", "ambient_dim": 0, "basis": []})
 
 
+@pytest.mark.parametrize(
+    "rows, bad",
+    [
+        ('[["1", "0"]]', "'1'"),
+        ('[[1.0, "0"]]', "'0'"),
+        ("[[true, false]]", "True"),
+        ("[[1.0, true]]", "True"),
+        ("[[null, 0]]", "None"),
+        ("[[0, null]]", "None"),
+    ],
+    ids=("strings", "string_im", "bools", "bool_in_float_pair", "null", "null_im"),
+)
+def test_from_pairs_rejects_a_non_number(rows, bad):
+    # numpy would coerce each of these: "1" to 1.0, true to 1.0, null to nan.
+    with pytest.raises(ValueError, match=rf"^basis\[0\] holds {bad}, not a number$"):
+        from_pairs(json.loads(rows), (1,), "basis[0]")
+    with pytest.raises(ValueError, match=r"basis\[0\] holds"):
+        space_from_dict({"label": "x", "ambient_dim": 1, "basis": [[json.loads(rows)]]})
+
+
+def test_from_pairs_keeps_ints_floats_and_json_nan():
+    assert from_pairs([[1, 0.5]], (1,), "x").tolist() == [1 + 0.5j]
+    # A JSON NaN literal is a float, so it reaches the finiteness check.
+    with pytest.raises(NonFiniteInput):
+        space_from_dict(json.loads('{"ambient_dim": 1, "basis": [[[[NaN, 0]]]]}'))
+
+
 def test_space_json_rejects_a_bool_ambient_dim():
     # A JSON true is a Python bool, which is an int; it once loaded as M1.
     with pytest.raises(DimensionMismatch, match="ambient_dim must be a positive integer, got True"):
