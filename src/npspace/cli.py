@@ -14,11 +14,13 @@ import sys
 import numpy as np
 
 from . import catalog as _catalog
-from .errors import InvalidLevel, InvariantViolation, NpSpaceError
+from .errors import InvariantViolation, NpSpaceError
 from .maps import (
+    MAX_LEVEL,
     LinearMapRep,
     build_level_table,
     load_map,
+    require_max_level,
     witness_to_dict,
 )
 from .npnorm import index_estimate, inclusion_check, np_norm, require_p
@@ -43,12 +45,6 @@ def _resolve_map(ref: str) -> LinearMapRep:
         except KeyError as exc:  # an unknown name: a parse error like any other
             raise ValueError(exc.args[0]) from None
     return load_map(ref)
-
-
-# Most levels --max-level (levels, index) may ask for; a larger value is a parse
-# error.  Each row above m keeps its own padded witness, so a table's memory grows
-# like max_level**3.
-MAX_LEVEL = 64
 
 
 def _add_budget_options(sub):
@@ -241,7 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_levels = subs.add_parser("levels", help="bracket ||phi_n|| for n = 1..N")
     _add_map_options(p_levels)
-    p_levels.add_argument("--max-level", type=int, default=4)
+    p_levels.add_argument(
+        "--max-level", type=int, default=4, help=f"last level, at most {MAX_LEVEL}"
+    )
     p_levels.add_argument("--out", help="CSV output path (default: stdout)")
     p_levels.add_argument("--json", help="JSON table output path")
     p_levels.add_argument("--witnesses", help="JSON witness dump path")
@@ -255,7 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_index = subs.add_parser("index", help="estimate the summability index")
     _add_map_options(p_index, nargs="?")
-    p_index.add_argument("--max-level", type=int, default=4)
+    p_index.add_argument(
+        "--max-level", type=int, default=4, help=f"last level of the fit, at most {MAX_LEVEL}"
+    )
     p_index.add_argument("--synthetic", help="synthetic growth rule, e.g. 'n^1'")
     p_index.add_argument("--out", help="JSON result path")
     p_index.set_defaults(func=cmd_index)
@@ -286,9 +286,7 @@ def _check_options(args) -> None:
     args.budget = OptBudget(restarts=args.restarts, max_iter=args.max_iter, tol=args.tol)
     args.seed = require_int(args.seed, "seed", minimum=0)
     if "max_level" in args:
-        args.max_level = require_int(args.max_level, "max_level", InvalidLevel)
-        if args.max_level > MAX_LEVEL:
-            raise ValueError(f"--max-level must be at most {MAX_LEVEL}, got {args.max_level}")
+        args.max_level = require_max_level(args.max_level)
     if "trials" in args:
         args.trials = require_trials(args.trials)
     if "p" in args:

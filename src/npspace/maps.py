@@ -319,6 +319,20 @@ def cb_norm(
     return level_norm_bracket(phi, phi.stabilization_level + 1, budget, seed)
 
 
+# Most levels a table may hold.  Each row above s keeps its own padded witness,
+# so a table's memory grows like max_level**3: transpose_M2 at 128 levels adds
+# about 43 MB resident.
+MAX_LEVEL = 64
+
+
+def require_max_level(max_level) -> int:
+    """``max_level`` as a level (``spaces.require_int``) of at most MAX_LEVEL."""
+    max_level = require_int(max_level, "max_level", InvalidLevel)
+    if max_level > MAX_LEVEL:
+        raise InvalidLevel(f"max_level must be at most {MAX_LEVEL}, got {max_level}")
+    return max_level
+
+
 def build_level_table(
     phi: LinearMapRep,
     max_level: int,
@@ -336,9 +350,10 @@ def build_level_table(
     n * hi_1.  After that lo and hi are nondecreasing and hi_n <= n hi_1, so
     a second pass could change nothing.  Every level above s is row s (Smith
     stabilization): the same bracket, named ``smith_stabilization`` on both
-    sides, and row s's witness padded.
+    sides, and row s's witness padded.  ``max_level`` is checked by
+    ``require_max_level`` before any ascent.
     """
-    max_level = require_int(max_level, "max_level", InvalidLevel)
+    max_level = require_max_level(max_level)
     seed = require_int(seed, "seed", minimum=0)
     s = phi.stabilization_level
     if phi.is_zero:

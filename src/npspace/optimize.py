@@ -25,6 +25,13 @@ the A A* gives both sides' top singular pairs when their sizes agree
 (``spaces.top_singular_pairs``).  Representers are one product, a step's
 length comes from the Gram matrix V^H V, and only the polar step takes a
 full SVD.  The best restart's value is certified by ``spaces.witnessed_value``.
+
+The start stream is a contract: restart r at level n starts from the
+representer of a pair (u, v) of unit vectors of length n*m (m the
+codomain's ambient dimension).  It draws ``standard_normal((2, 2, n*m))``
+from ``SeedSequence([0x414D50, seed, n, r])`` in the order u real, u imag,
+v real, v imag, and normalizes each vector, so any start can be rebuilt
+offline from the seed alone.
 """
 
 from __future__ import annotations
@@ -101,6 +108,24 @@ def _representer(rep, n, *sides) -> np.ndarray:
     return flat.reshape(r, n, n, -1)
 
 
+def _starts(seed: int, n: int, size: int, restarts: int) -> tuple[np.ndarray, np.ndarray]:
+    """The start vectors ``(u0, v0)``, each (restarts, size), of the module's start stream:
+    ``default_rng([_SEED_TAG, seed, n, r])``'s draws, each vector divided by
+    ``sqrt(re.dot(re) + im.dot(im))``, which is ``np.linalg.norm``'s arithmetic.  ``re`` and
+    ``im`` are the strided views of the complex vector: BLAS sums a contiguous row of the
+    draws in another order, so its norm is not bitwise."""
+    # numpy loads numpy.random on first use; importing it here keeps it out of import time.
+    from numpy.random import PCG64, Generator, SeedSequence
+
+    g = np.empty((restarts, 2, 2, size))
+    for r in range(restarts):
+        Generator(PCG64(SeedSequence([_SEED_TAG, seed, n, r]))).standard_normal(out=g[r])
+    z = g[:, :, 0] + 1j * g[:, :, 1]
+    sq = [w.real.dot(w.real) + w.imag.dot(w.imag) for w in z.reshape(-1, size)]
+    z /= np.sqrt(sq).reshape(restarts, 2, 1)
+    return z[:, 0], z[:, 1]
+
+
 def maximize_amplified_norm(
     space: OperatorSpace,
     images: np.ndarray,
@@ -123,16 +148,6 @@ def maximize_amplified_norm(
     reps = np.concatenate([images.reshape(k, -1).T.conj() @ gram_inv.T, space._vec_pinv.T])
     gram = space._vec.conj().T @ space._vec
 
-    def unit(rng, size):
-        z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        return z / np.linalg.norm(z)
-
-    starts = []
-    for r in range(budget.restarts):
-        rng = np.random.default_rng([_SEED_TAG, seed, n, r])
-        starts.append((unit(rng, n * m), unit(rng, n * m)))
-    u0, v0 = (np.stack(side) for side in zip(*starts))
-
     def evaluate(coords):
         r, flat = len(coords), coords.reshape(-1, k) @ sides
         if m == d:  # one eigensolve, image blocks first
@@ -144,7 +159,7 @@ def maximize_amplified_norm(
             img, dom = (top_singular_pairs(block_matrices(p, e)) for p, e in zip(parts, (m, d)))
         return img[0] / dom[0], (*img, *dom)
 
-    x = _representer(reps[: m * m], n, (u0, v0))
+    x = _representer(reps[: m * m], n, _starts(seed, n, n * m, budget.restarts))
     ratio, pairs = evaluate(x)
     step = np.full(budget.restarts, _STEP_START)
     stall = np.zeros(budget.restarts, dtype=int)

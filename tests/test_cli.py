@@ -337,7 +337,7 @@ def test_max_level_above_the_cap_exit_2(command, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "build_level_table", no_table)
     assert cli.main(command + ["--max-level", str(cli.MAX_LEVEL + 1)]) == 2
-    assert f"--max-level must be at most {cli.MAX_LEVEL}" in capsys.readouterr().err
+    assert f"max_level must be at most {cli.MAX_LEVEL}" in capsys.readouterr().err
 
 
 def test_max_level_at_the_cap_is_accepted(tmp_path):
@@ -481,7 +481,7 @@ SYNTHETIC = ["index", "--synthetic", "n^1"]
         (SYNTHETIC + ["--tol", "nan"],
          "invalid budget OptBudget(restarts=20, max_iter=200, tol=nan)"),
         (SYNTHETIC + ["--max-level", "0"], "max_level must be a positive integer, got 0"),
-        (SYNTHETIC + ["--max-level", "65"], "--max-level must be at most 64, got 65"),
+        (SYNTHETIC + ["--max-level", "65"], "max_level must be at most 64, got 65"),
         (["index", "catalog:transpose_M2", "--synthetic", "n^1"],
          "index needs exactly one of a map and --synthetic, got both"),
         (["index"], "index needs exactly one of a map and --synthetic, got neither"),

@@ -633,6 +633,18 @@ def test_hi_rules_fire_by_a_margin(rows, want_his, monkeypatch):
     assert [(e.bracket.hi, e.bracket.hi_source) for e in table.entries] == want_his
 
 
+def test_max_level_above_the_cap_raises_before_any_ascent(monkeypatch):
+    # Rows above s keep their own padded witnesses, so a table's memory grows
+    # like max_level**3: the cap is checked before any level is computed.
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("ascent run before max_level was checked")
+
+    monkeypatch.setattr(maps, "_ascent_entry", no_ascent)
+    message = f"max_level must be at most {maps.MAX_LEVEL}, got {maps.MAX_LEVEL + 1}"
+    with pytest.raises(InvalidLevel, match=message):
+        build_level_table(get_entry("transpose_M2").map, maps.MAX_LEVEL + 1)
+
+
 def test_lo_one_ulp_above_hi_is_an_invariant_violation(monkeypatch):
     # The upward lo pass lifts level 2 to 2 + 1 ulp over its hi of 2 (and the hi
     # pass caps level 1 there): no margin excuses a crossing, however small.

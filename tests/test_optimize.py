@@ -15,6 +15,7 @@ from npspace.optimize import (
     AscentOutcome,
     OptBudget,
     _representer,
+    _starts,
     maximize_amplified_norm,
 )
 from npspace.spaces import (
@@ -86,6 +87,34 @@ def _reference_representer(gram_inv, stack, n, u, v):
     return g.conj() @ gram_inv.T
 
 
+def _reference_starts(seed, n, size, restarts):
+    """The start vectors (u0, v0), one default_rng per restart and one
+    np.linalg.norm per vector."""
+
+    def unit(rng, size):
+        z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        return z / np.linalg.norm(z)
+
+    starts = []
+    for r in range(restarts):
+        rng = np.random.default_rng([_SEED_TAG, seed, n, r])
+        starts.append((unit(rng, size), unit(rng, size)))
+    return tuple(np.stack(side) for side in zip(*starts))
+
+
+@pytest.mark.parametrize("restarts", (1, 3, 20))
+@pytest.mark.parametrize("seed", (0, 7, 2**32, 2**40 + 3, 10**20))
+def test_starts_are_the_per_restart_stream_bitwise(seed, restarts):
+    # The ascent tests compare values to 1e-12 only; this pins every bit of
+    # every start, so a change of stream cannot pass unseen.
+    for n in range(1, 5):
+        for m in range(1, 6):
+            got = _starts(seed, n, n * m, restarts)
+            want = _reference_starts(seed, n, n * m, restarts)
+            assert [a.shape for a in got] == [(restarts, n * m)] * 2
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (n, m)
+
+
 def _reference_ascent(space, images, level, budget, seed):
     """Reference ascent: each side realized, represented and sized on its own.
 
@@ -103,16 +132,7 @@ def _reference_ascent(space, images, level, budget, seed):
     gram_inv = space._vec_pinv @ space._vec_pinv.conj().T
     full = space.is_full_matrix_algebra
 
-    def unit(rng, size):
-        z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        return z / np.linalg.norm(z)
-
-    ne = n * images.shape[1]
-    starts = []
-    for r in range(budget.restarts):
-        rng = np.random.default_rng([_SEED_TAG, abs(int(seed)), n, r])
-        starts.append((unit(rng, ne), unit(rng, ne)))
-    u0, v0 = (np.stack(side) for side in zip(*starts))
+    u0, v0 = _reference_starts(seed, n, n * images.shape[1], budget.restarts)
     evaluated = []
 
     def evaluate(coords):

@@ -305,6 +305,45 @@ def test_verify_axioms_corrupted_norm_reports_m1_failure():
     assert any(f["check"] == "M1" for f in report.failures)
 
 
+def _reference_axioms(space, samples, seed):
+    """(m1_worst, m2_worst, failures) of verify_axioms, one norm per call in draw order."""
+    rng = np.random.default_rng([seed, 0x4E50])
+    failures, m1_worst, m2_worst = [], 0.0, 0.0
+    for i in range(samples):
+        lv, lw = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        v = random_element(space, lv, rng)
+        w = random_element(space, lw, rng)
+        got = level_norm(direct_sum(v, w))
+        want = max(level_norm(v), level_norm(w))
+        rel = abs(got - want) / max(want, 1e-300)
+        m1_worst = max(m1_worst, rel)
+        if rel > 1e-9:
+            failures.append({"check": "M1", "sample": i, "violation": rel})
+        lx = int(rng.integers(1, 4))
+        lo = int(rng.integers(1, 5))
+        x = random_element(space, lx, rng)
+        alpha = rng.standard_normal((lo, lx)) + 1j * rng.standard_normal((lo, lx))
+        beta = rng.standard_normal((lx, lo)) + 1j * rng.standard_normal((lx, lo))
+        lhs = level_norm(sandwich(alpha, x, beta))
+        excess = lhs - spectral_norm(alpha) * level_norm(x) * spectral_norm(beta)
+        m2_worst = max(m2_worst, excess)
+        if excess > 1e-9:
+            failures.append({"check": "M2", "sample": i, "violation": excess})
+    return m1_worst, m2_worst, tuple(failures)
+
+
+@pytest.mark.parametrize("seed", (0, 5, 7))
+def test_verify_axioms_matches_the_per_norm_loop_bitwise(seed):
+    # The batched SVDs must leave every reported number as one SVD per norm gives it.
+    rng = np.random.default_rng([seed, 0xA7])
+    spaces = [full_matrix_space(2), full_matrix_space(3), random_subspace(2, 2, rng),
+              random_subspace(3, 2, rng), random_subspace(3, 5, rng), make_space(2, [I2])]
+    for sp in spaces:
+        report = verify_axioms(sp, samples=40, seed=seed)
+        got = (report.m1_worst, report.m2_worst, report.failures)
+        assert repr(got) == repr(_reference_axioms(sp, 40, seed))
+
+
 def test_verify_axioms_random_subspaces(rng):
     for d in (2, 3):
         sp = random_subspace(d, 2, rng, f"rand2_of_M{d}")
