@@ -24,8 +24,7 @@ from .maps import (
     witness_to_dict,
 )
 from .npnorm import index_estimate, inclusion_check, np_norm, require_p
-from .optimize import DEFAULT_BUDGET, OptBudget
-from .oracle import MAX_TRIALS, cross_validate, require_trials
+from .oracle import cross_validate
 from .spaces import full_matrix_space, random_subspace, require_int, verify_axioms
 
 EXIT_OK = 0
@@ -47,16 +46,9 @@ def _resolve_map(ref: str) -> LinearMapRep:
     return load_map(ref)
 
 
-def _add_budget_options(sub):
-    sub.add_argument("--restarts", type=int, default=DEFAULT_BUDGET.restarts)
-    sub.add_argument("--max-iter", type=int, default=DEFAULT_BUDGET.max_iter)
-    sub.add_argument("--tol", type=float, default=DEFAULT_BUDGET.tol)
-    sub.add_argument("--seed", type=int, default=0)
-
-
 def _add_map_options(sub, nargs: str | None = None):
     sub.add_argument("map", nargs=nargs, help="map JSON file or catalog:<name>")
-    _add_budget_options(sub)
+    sub.add_argument("--seed", type=int, default=0)
 
 
 def _write_or_print(text: str, path: str | None) -> None:
@@ -79,7 +71,7 @@ def _table_csv(table) -> str:
 
 def cmd_levels(args) -> int:
     phi = _resolve_map(args.map)
-    table = build_level_table(phi, args.max_level, args.budget, args.seed)
+    table = build_level_table(phi, args.max_level, seed=args.seed)
     _write_or_print(_table_csv(table), args.out)
     if args.json:
         _write_or_print(json.dumps(table.to_json_dict(), sort_keys=True, indent=2) + "\n", args.json)
@@ -91,7 +83,7 @@ def cmd_levels(args) -> int:
 
 def cmd_npnorm(args) -> int:
     phi = _resolve_map(args.map)
-    table = build_level_table(phi, phi.stabilization_level, args.budget, args.seed)
+    table = build_level_table(phi, phi.stabilization_level, seed=args.seed)
     result = np_norm(phi, args.p, table)
     payload = json.dumps(result.to_json_dict(), sort_keys=True, indent=2) + "\n"
     print(
@@ -120,9 +112,7 @@ def cmd_index(args) -> int:
     if args.synthetic:
         est = index_estimate(args.synthetic)
     else:
-        phi = _resolve_map(args.map)
-        s = phi.stabilization_level
-        est = index_estimate(phi, (s, max(s, args.max_level)))
+        est = index_estimate(_resolve_map(args.map))
     payload = json.dumps(est.to_json_dict(), sort_keys=True, indent=2) + "\n"
     print(
         f"r_hat={_fmt(est.r_hat)} alpha_hat={_fmt(est.alpha_hat)} "
@@ -149,11 +139,11 @@ def _suite_axioms(seed: int) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def _suite_inclusions(seed: int, budget: OptBudget) -> list[tuple[str, bool, str]]:
+def _suite_inclusions(seed: int) -> list[tuple[str, bool, str]]:
     checks = []
     for entry in _catalog.list_entries():
         phi = entry.map
-        table = build_level_table(phi, phi.stabilization_level, budget, seed)
+        table = build_level_table(phi, phi.stabilization_level, seed=seed)
         for p, q in ((2.1, 3.0), (2.5, 4.0), (3.0, 5.0)):
             rep = inclusion_check(phi, p, q, table)
             detail = f"lo_q={rep.result_q.bracket.lo:.9g} hi_p={rep.result_p.bracket.hi:.9g}"
@@ -161,16 +151,16 @@ def _suite_inclusions(seed: int, budget: OptBudget) -> list[tuple[str, bool, str
     return checks
 
 
-def _suite_bounds(seed: int, budget: OptBudget, trials: int) -> list[tuple[str, bool, str]]:
+def _suite_bounds(seed: int) -> list[tuple[str, bool, str]]:
     checks = []
     for entry in _catalog.list_entries():
         phi = entry.map
-        table = build_level_table(phi, 4, budget, seed)
+        table = build_level_table(phi, 4, seed=seed)
         los = [e.bracket.lo for e in table.entries]
         his = [e.bracket.hi for e in table.entries]
         mono = all(a <= b for a, b in zip(los, los[1:]))
         cap = all(h <= (i + 1) * his[0] * (1 + 1e-12) for i, h in enumerate(his))
-        cv = cross_validate(table, trials=trials, seed=seed)
+        cv = cross_validate(table, seed=seed)
         checks.append((f"monotone_lo[{entry.name}]", mono, f"los={los}"))
         checks.append((f"linear_cap[{entry.name}]", cap, f"his={his}"))
         gaps = "; ".join(
@@ -185,9 +175,9 @@ def cmd_verify(args) -> int:
     if args.suite == "axioms":
         checks = _suite_axioms(args.seed)
     elif args.suite == "inclusions":
-        checks = _suite_inclusions(args.seed, args.budget)
+        checks = _suite_inclusions(args.seed)
     else:
-        checks = _suite_bounds(args.seed, args.budget, args.trials)
+        checks = _suite_bounds(args.seed)
     failed = 0
     for name, ok, detail in checks:
         status = "PASS" if ok else "FAIL"
@@ -219,7 +209,7 @@ def _parse_grid(text: str) -> list[float]:
 
 def cmd_plotdata(args) -> int:
     phi = _resolve_map(args.map)
-    table = build_level_table(phi, phi.stabilization_level, args.budget, args.seed)
+    table = build_level_table(phi, phi.stabilization_level, seed=args.seed)
     lines = ["p,lo,hi"]
     for p in args.p_grid:
         result = np_norm(phi, p, table)
@@ -253,20 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_index = subs.add_parser("index", help="estimate the summability index")
     _add_map_options(p_index, nargs="?")
-    p_index.add_argument(
-        "--max-level", type=int, default=4, help=f"last level of the fit, at most {MAX_LEVEL}"
-    )
     p_index.add_argument("--synthetic", help="synthetic growth rule, e.g. 'n^1'")
     p_index.add_argument("--out", help="JSON result path")
     p_index.set_defaults(func=cmd_index)
 
     p_verify = subs.add_parser("verify", help="run a property suite")
     p_verify.add_argument("--suite", choices=["axioms", "inclusions", "bounds"], required=True)
-    _add_budget_options(p_verify)
-    p_verify.add_argument(
-        "--trials", type=int, default=300,
-        help=f"oracle trials (bounds suite), at most {MAX_TRIALS}",
-    )
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
 
     p_plot = subs.add_parser("plotdata", help="CSV of p,lo,hi over a grid")
@@ -282,13 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_options(args) -> None:
     """Check every option given, by the library's own rule, before any map is loaded:
-    the checked values replace the given ones, and ``args.budget`` is added."""
-    args.budget = OptBudget(restarts=args.restarts, max_iter=args.max_iter, tol=args.tol)
+    the checked values replace the given ones."""
     args.seed = require_int(args.seed, "seed", minimum=0)
     if "max_level" in args:
         args.max_level = require_max_level(args.max_level)
-    if "trials" in args:
-        args.trials = require_trials(args.trials)
     if "p" in args:
         args.p = require_p(args.p)
     if "p_grid" in args:

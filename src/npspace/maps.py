@@ -346,7 +346,8 @@ def build_level_table(
     Each level n <= s starts from its own ascent, run afresh on every call:
     a deterministic function of (phi, n, budget, seed), so tables built from
     the same inputs share their rows bit for bit.  Each cross-level rule then
-    runs once over those rows, in order: lo upward, hi downward, the cap
+    runs once over those rows, in order: lo upward, every promoted
+    (``optimizer``) hi lifted to lo * (1 + _CERT_SLACK), hi downward, the cap
     n * hi_1.  After that lo and hi are nondecreasing and hi_n <= n hi_1, so
     a second pass could change nothing.  Every level above s is row s (Smith
     stabilization): the same bracket, named ``smith_stabilization`` on both
@@ -373,6 +374,10 @@ def build_level_table(
             los[i] = los[i - 1]
             lo_srcs[i] = SOURCE_MONOTONICITY
             witnesses[i] = pad_to(SpaceElement(phi.domain, i, witnesses[i - 1]), i + 1).coords
+    # A promoted hi is no certificate: it keeps its slack over its row's raised lo.
+    for i in range(top):
+        if hi_srcs[i] == SOURCE_OPTIMIZER:
+            his[i] = max(his[i], los[i] * (1.0 + _CERT_SLACK))
     # Upper bounds propagate downward; a cap from level s is a cb cap, the
     # rest plain monotone caps.
     for i in range(top - 2, -1, -1):

@@ -16,12 +16,9 @@ rule) with their own first candidates, step sizes, proposals and score.
 
 A candidate counts as a rise only if its score, lowered by the allowance
 that certifies every witnessed value (``spaces.rounded_down``: 4 N eps
-relative, N = max(n, m) * max(d, m)), still beats its start.  Accepting
-rises within rounding noise grew the step on a plateau, so such a climb
-never decayed to _STOP_STEP and ran all _CLIMB_STEPS; with the allowance
-the oracle workload's catalog climbs stop after 381-619 steps, and brute
-values move by at most 4e-13 relative.  The budget, the random draws and the
-cross-check tolerances are those of the plain ``>`` rule.
+relative, N = max(n, m) * max(d, m)), still beats its start, so a climb
+on a plateau decays to _STOP_STEP instead of growing its step on rounding
+noise.
 
 Candidates are scored by sqrt(lambda_max(A A*)) of the realized batch A,
 which is cheaper than an SVD and agrees with it to rounding; the unitary

@@ -157,14 +157,12 @@ def test_plotdata_and_index_build_through_s_only(tmp_path, monkeypatch):
     for grid in ("2:2:1", "1:3:0.5", "1.1:4:0.1"):
         calls.clear()
         assert run(["plotdata", "catalog:transpose_M3", "--p-grid", grid, "--seed", "7",
-                    "--restarts", "2", "--out", str(tmp_path / "p.csv")]) == 0
+                    "--out", str(tmp_path / "p.csv")]) == 0
         assert calls == [("transpose_M3", 3)], grid
     calls.clear()
     out = tmp_path / "idx.json"
-    for levels, window in (("2", [3, 3]), ("5", [3, 5])):
-        assert run(["index", "catalog:transpose_M3", "--max-level", levels, "--seed", "7",
-                    "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["fit_window"] == window
+    assert run(["index", "catalog:transpose_M3", "--seed", "7", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["fit_window"] == [3, 3]
     assert calls == []
 
 
@@ -172,8 +170,11 @@ def test_verify_inclusions_builds_one_table_per_map_at_its_s(monkeypatch, capsys
     from npspace import list_entries
 
     calls = _record_tables(monkeypatch)
-    assert run(["verify", "--suite", "inclusions", "--seed", "5", "--restarts", "2"]) == 0
+    assert run(["verify", "--suite", "inclusions", "--seed", "5"]) == 0
     assert calls == [(e.map.label, e.map.stabilization_level) for e in list_entries()]
+
+
+SYNTHETIC = ["index", "--synthetic", "n^1"]
 
 
 @pytest.mark.parametrize(
@@ -184,8 +185,26 @@ def test_verify_inclusions_builds_one_table_per_map_at_its_s(monkeypatch, capsys
         ["plotdata", "catalog:transpose_M2", "--p-grid", "2:3:0.5", "--K", "8"],
         ["npnorm", "catalog:transpose_M2", "--p", "2", "--max-level", "4"],
         ["plotdata", "catalog:transpose_M2", "--p-grid", "2:3:0.5", "--max-level", "4"],
+        SYNTHETIC + ["--seed", "-3", "--restarts", "0", "--max-iter", "-1", "--tol", "nan",
+                     "--max-level", "0"],
+        SYNTHETIC + ["--restarts", "0"],
+        SYNTHETIC + ["--max-iter", "0"],
+        SYNTHETIC + ["--tol", "nan"],
+        SYNTHETIC + ["--max-level", "0"],
+        SYNTHETIC + ["--max-level", "65"],
+        ["index", "catalog:transpose_M2", "--max-level", "0"],
+        ["index", "catalog:transpose_M2", "--max-level", "65"],
+        ["levels", "catalog:transpose_M2", "--tol", "nan"],
+        ["verify", "--suite", "axioms", "--trials", "0"],
+        ["verify", "--suite", "inclusions", "--trials", "-4"],
+        ["verify", "--suite", "bounds", "--trials", "10001"],
     ],
-    ids=("npnorm_K", "npnorm_strict", "plotdata_K", "npnorm_max_level", "plotdata_max_level"),
+    ids=(
+        "npnorm_K", "npnorm_strict", "plotdata_K", "npnorm_max_level", "plotdata_max_level",
+        "index_all_bad", "index_restarts", "index_max_iter", "index_tol", "index_max_level_0",
+        "index_max_level_65", "index_map_max_level_0", "index_map_max_level_65", "levels_tol_nan",
+        "axioms_trials_0", "inclusions_trials_-4", "bounds_trials_10001",
+    ),
 )
 def test_removed_options_exit_2(command, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -226,7 +245,7 @@ def test_verify_inclusions_suite(capsys):
 
 
 def test_verify_bounds_suite(capsys):
-    assert run(["verify", "--suite", "bounds", "--seed", "5", "--trials", "100"]) == 0
+    assert run(["verify", "--suite", "bounds", "--seed", "5"]) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[-1] == "27/27 checks passed"
     # The oracle row reports, per checked level, the brute value beside the bracket.
@@ -290,45 +309,23 @@ def test_parse_grid_counts_points_like_the_stepping_loop():
         _parse_grid(f"0:{MAX_GRID_POINTS}:1")
 
 
-@pytest.mark.parametrize(
-    "command, message",
-    [
-        (["levels", "catalog:transpose_M2", "--tol", "nan"], "invalid budget"),
-        (["npnorm", "catalog:transpose_M2", "--p", "inf"], "p must satisfy 1 <= p < inf"),
-    ],
-    ids=("tol_nan", "p_inf"),
-)
-def test_non_finite_tol_or_p_exit_2(command, message, monkeypatch, capsys):
+def test_non_finite_p_exit_2(monkeypatch, capsys):
     import npspace.cli as cli
 
     def no_table(*args, **kwargs):
         raise AssertionError("level table built before the option was checked")
 
     monkeypatch.setattr(cli, "build_level_table", no_table)
-    assert run(command) == 2
-    assert message in capsys.readouterr().err
+    assert run(["npnorm", "catalog:transpose_M2", "--p", "inf"]) == 2
+    assert "p must satisfy 1 <= p < inf" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        ["levels", "catalog:transpose_M2"],
-        ["index", "catalog:transpose_M2"],
-    ],
-)
-def test_max_level_zero_exit_2(command, capsys):
-    assert run(command + ["--max-level", "0"]) == 2
+def test_max_level_zero_exit_2(capsys):
+    assert run(["levels", "catalog:transpose_M2", "--max-level", "0"]) == 2
     assert "max_level must be a positive integer, got 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        ["levels", "catalog:transpose_M2"],
-        ["index", "catalog:transpose_M2"],
-    ],
-)
-def test_max_level_above_the_cap_exit_2(command, monkeypatch, capsys):
+def test_max_level_above_the_cap_exit_2(monkeypatch, capsys):
     # A table's memory grows like max_level**3; the cap is checked before any level.
     import npspace.cli as cli
 
@@ -336,7 +333,7 @@ def test_max_level_above_the_cap_exit_2(command, monkeypatch, capsys):
         raise AssertionError("level table built before --max-level was checked")
 
     monkeypatch.setattr(cli, "build_level_table", no_table)
-    assert cli.main(command + ["--max-level", str(cli.MAX_LEVEL + 1)]) == 2
+    assert cli.main(["levels", "catalog:transpose_M2", "--max-level", str(cli.MAX_LEVEL + 1)]) == 2
     assert f"max_level must be at most {cli.MAX_LEVEL}" in capsys.readouterr().err
 
 
@@ -345,7 +342,7 @@ def test_max_level_at_the_cap_is_accepted(tmp_path):
 
     out = tmp_path / "t.csv"
     assert run(["levels", "catalog:transpose_M2", "--max-level", str(MAX_LEVEL), "--seed", "7",
-                "--restarts", "2", "--out", str(out)]) == 0
+                "--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == MAX_LEVEL + 1
 
 
@@ -397,18 +394,17 @@ def _upper_triangular_inclusion_file(tmp_path):
 @pytest.mark.parametrize("ref", ["catalog:transpose_M3", "catalog:trace_M2", "upper"])
 def test_series_output_is_the_library_series_through_s(ref, tmp_path, capsys):
     # npnorm and plotdata print np_norm on the table through the map's s.
-    from npspace import OptBudget, build_level_table, np_norm
+    from npspace import build_level_table, np_norm
     from npspace.cli import _fmt, _resolve_map
 
     if ref == "upper":
         ref = _upper_triangular_inclusion_file(tmp_path)
     phi = _resolve_map(ref)
-    table = build_level_table(phi, phi.stabilization_level, OptBudget(3, 40), seed=7)
-    budget = ["--seed", "7", "--restarts", "3", "--max-iter", "40"]
+    table = build_level_table(phi, phi.stabilization_level, seed=7)
 
     r = np_norm(phi, 2.5, table)
     out = tmp_path / "np.json"
-    assert run(["npnorm", ref, "--p", "2.5", *budget, "--out", str(out)]) == 0
+    assert run(["npnorm", ref, "--p", "2.5", "--seed", "7", "--out", str(out)]) == 0
     assert out.read_text() == json.dumps(r.to_json_dict(), sort_keys=True, indent=2) + "\n"
     assert capsys.readouterr().out == (
         f"|{phi.label}|_p for p=2.5: [{_fmt(r.bracket.lo)}, {_fmt(r.bracket.hi)}]  "
@@ -419,7 +415,7 @@ def test_series_output_is_the_library_series_through_s(ref, tmp_path, capsys):
     for p in (1.0, 1.5, 2.0, 2.5, 3.0):
         b = np_norm(phi, p, table).bracket
         rows.append(f"{_fmt(p)},{_fmt(b.lo)},{_fmt(b.hi)}")
-    assert run(["plotdata", ref, "--p-grid", "1:3:0.5", *budget]) == 0
+    assert run(["plotdata", ref, "--p-grid", "1:3:0.5", "--seed", "7"]) == 0
     assert capsys.readouterr().out == "\n".join(rows) + "\n"
 
 
@@ -467,36 +463,19 @@ def _never(*args, **kwargs):
     raise AssertionError("work started before every option was checked")
 
 
-SYNTHETIC = ["index", "--synthetic", "n^1"]
-
-
 @pytest.mark.parametrize(
     "command, message",
     [
-        (SYNTHETIC + ["--seed", "-3", "--restarts", "0", "--max-iter", "-1", "--tol", "nan",
-                      "--max-level", "0"], "restarts must be a positive integer, got 0"),
         (SYNTHETIC + ["--seed", "-3"], "seed must be an integer >= 0, got -3"),
-        (SYNTHETIC + ["--restarts", "0"], "restarts must be a positive integer, got 0"),
-        (SYNTHETIC + ["--max-iter", "0"], "max_iter must be a positive integer, got 0"),
-        (SYNTHETIC + ["--tol", "nan"],
-         "invalid budget OptBudget(restarts=20, max_iter=200, tol=nan)"),
-        (SYNTHETIC + ["--max-level", "0"], "max_level must be a positive integer, got 0"),
-        (SYNTHETIC + ["--max-level", "65"], "max_level must be at most 64, got 65"),
+        (["verify", "--suite", "axioms", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
         (["index", "catalog:transpose_M2", "--synthetic", "n^1"],
          "index needs exactly one of a map and --synthetic, got both"),
         (["index"], "index needs exactly one of a map and --synthetic, got neither"),
-        (["verify", "--suite", "axioms", "--trials", "0"], "trials must be a positive integer, got 0"),
-        (["verify", "--suite", "inclusions", "--trials", "-4"],
-         "trials must be a positive integer, got -4"),
-        (["verify", "--suite", "bounds", "--trials", "10001"],
-         "trials must be at most 10000, got 10001"),
         (["plotdata", "catalog:transpose_M3", "--p-grid", "0:3:0.5"],
          "p must satisfy 1 <= p < inf, got 0.0"),
     ],
     ids=(
-        "index_all_bad", "index_seed", "index_restarts", "index_max_iter", "index_tol",
-        "index_max_level_0", "index_max_level_65", "index_map_and_synthetic",
-        "index_neither", "axioms_trials_0", "inclusions_trials_-4", "bounds_trials_10001",
+        "index_seed", "verify_seed", "index_map_and_synthetic", "index_neither",
         "plotdata_grid_point_below_1",
     ),
 )
@@ -510,18 +489,57 @@ def test_every_option_is_checked_before_any_work(command, message, monkeypatch, 
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+class _Built(Exception):
+    """Raised by a recording build_level_table once it has seen its arguments."""
+
+
 @pytest.mark.parametrize(
     "command",
-    [["levels", "m.json"], ["npnorm", "m.json", "--p", "2"], ["index", "m.json"],
-     ["plotdata", "m.json", "--p-grid", "2:3:1"], ["verify", "--suite", "axioms"]],
-    ids=lambda c: c[0],
+    [["levels", "catalog:transpose_M2"], ["npnorm", "catalog:transpose_M2", "--p", "2"],
+     ["plotdata", "catalog:transpose_M2", "--p-grid", "2:3:1"],
+     ["verify", "--suite", "inclusions"], ["verify", "--suite", "bounds"]],
+    ids=("levels", "npnorm", "plotdata", "verify_inclusions", "verify_bounds"),
 )
-def test_budget_options_default_to_the_library_budget(command):
-    from npspace.cli import build_parser
-    from npspace.optimize import DEFAULT_BUDGET, OptBudget
+def test_every_table_is_built_with_the_library_budget(command, monkeypatch):
+    import inspect
 
-    args = build_parser().parse_args(command)
-    assert OptBudget(args.restarts, args.max_iter, args.tol) == DEFAULT_BUDGET
+    import npspace.cli as cli
+    from npspace.optimize import DEFAULT_BUDGET
+
+    signature = inspect.signature(cli.build_level_table)
+    seen = []
+
+    def record(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append((bound.arguments["budget"], bound.arguments["seed"]))
+        raise _Built
+
+    monkeypatch.setattr(cli, "build_level_table", record)
+    with pytest.raises(_Built):
+        cli.main(command + ["--seed", "3"])
+    assert seen == [(DEFAULT_BUDGET, 3)]
+
+
+def test_each_command_takes_exactly_its_options():
+    # Every option below has a caller; a new one needs a caller and an edit here.
+    import argparse
+
+    from npspace.cli import build_parser
+
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, sub in subs.choices.items()
+    }
+    assert got == {
+        "levels": {"--seed", "--max-level", "--out", "--json", "--witnesses"},
+        "npnorm": {"--seed", "--p", "--out"},
+        "plotdata": {"--seed", "--p-grid", "--out"},
+        "index": {"--seed", "--synthetic", "--out"},
+        "verify": {"--suite", "--seed"},
+    }
 
 
 def test_unknown_catalog_name_exit_2_without_quotes(capsys):

@@ -503,6 +503,8 @@ def _reference_table_rows(phi, max_level, budget, seed, cache):
     hi_srcs = [e.bracket.hi_source for e in raw]
     witnesses = [e.witness for e in raw]
     m = phi.codomain.ambient_dim
+    # A row's hi is promoted while it is still the optimizer's value (a copy above m too).
+    promoted = [raw[min(i, m - 1)].bracket.hi_source == SOURCE_OPTIMIZER for i in range(max_level)]
     for _ in range(4):
         changed = False
         for i in range(1, max_level):
@@ -511,16 +513,23 @@ def _reference_table_rows(phi, max_level, budget, seed, cache):
                 lo_srcs[i] = SOURCE_MONOTONICITY
                 witnesses[i] = pad_to(SpaceElement(phi.domain, i, witnesses[i - 1]), i + 1).coords
                 changed = True
+        for i in range(max_level):
+            lifted = los[i] * (1.0 + _CERT_SLACK)
+            if promoted[i] and his[i] < lifted:
+                his[i] = lifted
+                changed = True
         for i in range(max_level - 2, -1, -1):
             if his[i + 1] < his[i]:
                 his[i] = his[i + 1]
                 hi_srcs[i] = SOURCE_CB_CAP if i + 2 >= m else SOURCE_MONOTONICITY
+                promoted[i] = False
                 changed = True
         for i in range(1, max_level):
             cap = (i + 1) * his[0]
             if cap < his[i]:
                 his[i] = cap
                 hi_srcs[i] = SOURCE_N_TIMES_NORM
+                promoted[i] = False
                 changed = True
         if m <= max_level:
             group = range(m - 1, max_level)
@@ -532,6 +541,7 @@ def _reference_table_rows(phi, max_level, budget, seed, cache):
                         lo_srcs[i] = SOURCE_SMITH
                     if his[i] != ghi:
                         hi_srcs[i] = SOURCE_SMITH
+                        promoted[i] = False
                     los[i], his[i] = glo, ghi
                     changed = True
         if not changed:
@@ -565,6 +575,10 @@ RANDOM_SPECS = (
 )
 TABLE_BUDGETS = (OptBudget(20, 200, 1e-11), OptBudget(1, 200, 1e-11), OptBudget(3, 4, 1e-11),
                  OptBudget(1, 2, 1e-11), OptBudget(5, 3, 1e-6))
+# A promoted hi is lifted over its row's raised lo, so it caps no promoted row
+# below it; here levels 1 and 2 keep their coefficient relaxation and level 3
+# converges, so cb_cap and monotonicity fire by a margin.
+UNEVEN_CASE = (_random_map(2, 3, None, 5, 12), OptBudget(2, 10, 1e-6), 7)
 
 
 def test_table_is_the_four_round_propagation_bitwise():
@@ -576,10 +590,9 @@ def test_table_is_the_four_round_propagation_bitwise():
     # where the reference names monotonicity for a lo it raised.
     maps = [e.map for e in list_entries()]
     maps += [_random_map(*spec, seed) for seed, spec in enumerate(RANDOM_SPECS)]
+    cases = [(phi, budget, seed) for phi in maps for budget in TABLE_BUDGETS for seed in (0, 7)]
     fired = set()
-    for phi, budget, seed in (
-        (phi, budget, seed) for phi in maps for budget in TABLE_BUDGETS for seed in (0, 7)
-    ):
+    for phi, budget, seed in cases + [UNEVEN_CASE]:
         cache = {}
         for max_level in (1, 2, 3, 5):
             ref = _reference_table_rows(phi, max_level, budget, seed, cache)
@@ -646,12 +659,37 @@ def test_max_level_above_the_cap_raises_before_any_ascent(monkeypatch):
 
 
 def test_lo_one_ulp_above_hi_is_an_invariant_violation(monkeypatch):
-    # The upward lo pass lifts level 2 to 2 + 1 ulp over its hi of 2 (and the hi
-    # pass caps level 1 there): no margin excuses a crossing, however small.
-    _synthetic_ascent(monkeypatch, [(np.nextafter(2.0, 3.0), 4.0, COEFF), (1.0, 2.0, OPT),
+    # The upward lo pass lifts level 2 to 2 + 1 ulp over its certified hi of 2
+    # (and the hi pass caps level 1 there): no margin excuses a crossing, however small.
+    _synthetic_ascent(monkeypatch, [(np.nextafter(2.0, 3.0), 4.0, COEFF), (1.0, 2.0, COEFF),
                                     (1.0, 6.0, COEFF)])
     with pytest.raises(InvariantViolation, match="exceeds certified upper bound 2.0"):
         build_level_table(get_entry("transpose_M3").map, 3)
+
+
+def test_a_promoted_hi_is_lifted_over_its_raised_lo(monkeypatch):
+    # The same rows with level 2's hi promoted from its ascent: a promoted hi
+    # is no certificate, so it keeps its slack over the lo the upward pass
+    # gives its row, and caps level 1 from there.
+    lo = np.nextafter(2.0, 3.0)
+    _synthetic_ascent(monkeypatch, [(lo, 4.0, COEFF), (1.0, 2.0, OPT), (1.0, 6.0, COEFF)])
+    table = build_level_table(get_entry("transpose_M3").map, 3)
+    lifted = lo * (1.0 + _CERT_SLACK)
+    got = [(e.bracket.lo, e.bracket.hi, e.bracket.lo_source, e.bracket.hi_source)
+           for e in table.entries]
+    assert got == [(lo, lifted, OPT, MONO), (lo, lifted, MONO, OPT), (lo, 6.0, MONO, COEFF)]
+
+
+@pytest.mark.parametrize("seed", (4, 5, 6, 7))
+def test_a_converged_ascent_just_under_the_level_below_builds(seed):
+    # Level 2 converges 1e-10 relative under level 1's witnessed lo on this flat
+    # M2 -> M3 map; its promoted hi must not cap level 1 under its own lo.
+    rng = np.random.default_rng([20261018, 2, 3, 0])
+    coeff = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
+    phi = LinearMapRep(M2, M3, coeff, "rand230")
+    table = build_level_table(phi, 3, seed=seed)
+    report = cross_validate(table, trials=500)
+    assert [row["hi_ok"] for row in report.rows] == [True, True, True]
 
 
 def test_lo_rises_by_a_margin_with_the_witness_padded(monkeypatch):
