@@ -347,9 +347,10 @@ def build_level_table(
     a deterministic function of (phi, n, budget, seed), so tables built from
     the same inputs share their rows bit for bit.  Each cross-level rule then
     runs once over those rows, in order: lo upward, every promoted
-    (``optimizer``) hi lifted to lo * (1 + _CERT_SLACK), hi downward, the cap
-    n * hi_1.  After that lo and hi are nondecreasing and hi_n <= n hi_1, so
-    a second pass could change nothing.  Every level above s is row s (Smith
+    (``optimizer``) hi lifted to lo * (1 + _CERT_SLACK) if lo crosses it by at
+    most that slack and replaced by the coefficient relaxation if by more, hi
+    downward, the cap n * hi_1.  After that lo and hi are nondecreasing and
+    hi_n <= n hi_1, so a second pass could change nothing.  Every level above s is row s (Smith
     stabilization): the same bracket, named ``smith_stabilization`` on both
     sides, and row s's witness padded.  ``max_level`` is checked by
     ``require_max_level`` before any ascent.
@@ -374,10 +375,17 @@ def build_level_table(
             los[i] = los[i - 1]
             lo_srcs[i] = SOURCE_MONOTONICITY
             witnesses[i] = pad_to(SpaceElement(phi.domain, i, witnesses[i - 1]), i + 1).coords
-    # A promoted hi is no certificate: it keeps its slack over its row's raised lo.
+    # A promoted hi is no certificate: it keeps its slack over its row's raised
+    # lo where the two differ by rounding.  A wider crossing proves it false
+    # (||phi_n|| >= lo), and the row falls back to its coefficient relaxation.
     for i in range(top):
-        if hi_srcs[i] == SOURCE_OPTIMIZER:
-            his[i] = max(his[i], los[i] * (1.0 + _CERT_SLACK))
+        lifted = los[i] * (1.0 + _CERT_SLACK)
+        if hi_srcs[i] != SOURCE_OPTIMIZER or his[i] >= lifted:
+            continue
+        if los[i] <= his[i] * (1.0 + _CERT_SLACK):
+            his[i] = lifted
+        else:
+            his[i], hi_srcs[i] = coefficient_relaxation_bound(phi, i + 1), SOURCE_COEFF_RELAXATION
     # Upper bounds propagate downward; a cap from level s is a cb cap, the
     # rest plain monotone caps.
     for i in range(top - 2, -1, -1):

@@ -215,14 +215,16 @@ def index_estimate(
     """Estimate the summability index from level-norm growth.
 
     A map has index 1 and needs no level table: its level norms are constant
-    from its stabilization level s on, so the estimate is fixed and the
-    window reported is ``fit_window``, by default (s, s).  For a synthetic
+    from its stabilization level s on, so the estimate is fixed, its window
+    is (s, s), and a ``fit_window`` given with a map is refused.  For a synthetic
     (n, value) sequence the growth exponent is a log-log least-squares slope
     over the fit window, defaulting to the upper half of the available levels.
     """
     if isinstance(source, LinearMapRep):
+        if fit_window is not None:
+            raise ValueError("fit_window applies to a synthetic sequence; a map's window is (s, s)")
         s = source.stabilization_level
-        return IndexEstimate(1.0, 0.0, fit_window or (s, s), 0.0)
+        return IndexEstimate(1.0, 0.0, (s, s), 0.0)
     pairs = sorted((require_int(n, "level", InvalidLevel), float(v)) for n, v in source)
     if len(pairs) < 3:
         raise InsufficientData(f"index fit needs at least 3 levels, got {len(pairs)}")

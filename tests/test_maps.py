@@ -516,7 +516,12 @@ def _reference_table_rows(phi, max_level, budget, seed, cache):
         for i in range(max_level):
             lifted = los[i] * (1.0 + _CERT_SLACK)
             if promoted[i] and his[i] < lifted:
-                his[i] = lifted
+                if los[i] <= his[i] * (1.0 + _CERT_SLACK):
+                    his[i] = lifted
+                else:
+                    his[i] = coefficient_relaxation_bound(phi, i + 1)
+                    hi_srcs[i] = SOURCE_COEFF_RELAXATION
+                    promoted[i] = False
                 changed = True
         for i in range(max_level - 2, -1, -1):
             if his[i + 1] < his[i]:
@@ -678,6 +683,29 @@ def test_a_promoted_hi_is_lifted_over_its_raised_lo(monkeypatch):
     got = [(e.bracket.lo, e.bracket.hi, e.bracket.lo_source, e.bracket.hi_source)
            for e in table.entries]
     assert got == [(lo, lifted, OPT, MONO), (lo, lifted, MONO, OPT), (lo, 6.0, MONO, COEFF)]
+
+
+@pytest.mark.parametrize("lo", (2.0, 1.5 * (1.0 + 3 * _CERT_SLACK)), ids=("wide", "past_slack"))
+def test_a_promoted_hi_crossed_by_more_than_its_slack_is_replaced(lo, monkeypatch):
+    # A lo above a promoted hi by more than rounding proves the promoted value
+    # false: the row takes its coefficient relaxation instead, which caps level 1.
+    _synthetic_ascent(monkeypatch, [(lo, 4.0, COEFF), (1.0, 1.5, OPT), (1.0, 6.0, COEFF)])
+    phi = get_entry("transpose_M3").map
+    table = build_level_table(phi, 3)
+    coeff = coefficient_relaxation_bound(phi, 2)
+    got = [(e.bracket.lo, e.bracket.hi, e.bracket.lo_source, e.bracket.hi_source)
+           for e in table.entries]
+    assert got == [(lo, coeff, OPT, MONO), (lo, coeff, MONO, COEFF), (lo, 6.0, MONO, COEFF)]
+
+
+def test_a_promoted_hi_replaced_under_its_lo_is_an_invariant_violation(monkeypatch):
+    # The coefficient relaxation that replaces a crossed promoted hi is a
+    # certificate: a lo above it still raises.
+    phi = get_entry("transpose_M3").map
+    lo = coefficient_relaxation_bound(phi, 2) + 0.1
+    _synthetic_ascent(monkeypatch, [(lo, 4.0, COEFF), (1.0, 1.5, OPT), (1.0, 6.0, COEFF)])
+    with pytest.raises(InvariantViolation, match="exceeds certified upper bound"):
+        build_level_table(phi, 3)
 
 
 @pytest.mark.parametrize("seed", (4, 5, 6, 7))

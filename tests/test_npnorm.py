@@ -376,7 +376,9 @@ def test_index_of_a_map_builds_no_table(catalog_entries, monkeypatch):
     phi = catalog_entries["transpose_M3"].map
     est = index_estimate(phi)
     assert (est.r_hat, est.alpha_hat, est.fit_window, est.residual) == (1.0, 0.0, (3, 3), 0.0)
-    assert index_estimate(phi, (3, 5)).fit_window == (3, 5)
+    for window in ((3, 5), (3, 3), (5, 2)):
+        with pytest.raises(ValueError, match="fit_window applies to a synthetic sequence"):
+            index_estimate(phi, window)
 
 
 def test_index_zero_map(catalog_entries):
