@@ -11,20 +11,20 @@ from .errors import InvariantViolation
 SOURCE_OPTIMIZER = "optimizer"
 SOURCE_N_TIMES_NORM = "n_times_norm_bound"
 SOURCE_SMITH = "smith_stabilization"
-SOURCE_CB_CAP = "cb_cap"
 SOURCE_MONOTONICITY = "monotonicity"
 SOURCE_TRIVIAL_ZERO = "trivial_zero"
 SOURCE_COEFF_RELAXATION = "coeff_relaxation"
+SOURCE_HAAGERUP = "haagerup"
 
 SOURCES = frozenset(
     {
         SOURCE_OPTIMIZER,
         SOURCE_N_TIMES_NORM,
         SOURCE_SMITH,
-        SOURCE_CB_CAP,
         SOURCE_MONOTONICITY,
         SOURCE_TRIVIAL_ZERO,
         SOURCE_COEFF_RELAXATION,
+        SOURCE_HAAGERUP,
     }
 )
 

@@ -13,14 +13,14 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .bracket import (
-    SOURCE_CB_CAP,
     SOURCE_COEFF_RELAXATION,
+    SOURCE_HAAGERUP,
     SOURCE_MONOTONICITY,
     SOURCE_N_TIMES_NORM,
     SOURCE_OPTIMIZER,
@@ -52,11 +52,8 @@ from .spaces import (
     space_to_dict,
     spectral_norm,
     to_pairs,
+    top_singular_values,
 )
-
-# Relative slack applied to a converged full-domain search value when it is
-# promoted to an upper bound; covers the convergence plateau and SVD noise.
-_CERT_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -95,6 +92,11 @@ class LinearMapRep:
     def images(self) -> np.ndarray:
         """Realized images of the domain basis, stacked (k_V, e, e)."""
         return self._images
+
+    def unit_images(self) -> np.ndarray:
+        """phi on the matrix units E_jk of M_d (their projections onto V), (d*d, e, e), row-major."""
+        flat = self.domain._vec_pinv.T @ self._images.reshape(self.domain.dim, -1)
+        return flat.reshape(-1, *self._images.shape[1:])
 
 
 def make_map(
@@ -173,6 +175,31 @@ def coefficient_relaxation_bound(phi: LinearMapRep, level: int) -> float:
     return math.sqrt(level * phi.domain.ambient_dim) * c2 * factor
 
 
+def haagerup_bounds(phi: LinearMapRep) -> tuple[float, float]:
+    """Certified upper bounds (on ||phi||_cb, on ||phi_1||) for phi: M_d -> M_m.
+
+    T[(p, j), (k, q)] = phi(E_jk)[p, q] = (U S Vh)[(p, j), (k, q)] gives phi(x) =
+    sum_i a_i x b_i, a_i = sqrt(s_i) U[:, i] (m x d) and b_i = sqrt(s_i) Vh[i] (d x m), so
+    ||phi_n|| <= ||sum a_i a_i*||^1/2 ||sum b_i* b_i||^1/2 at every n (Haagerup, 1980); the
+    same for phi o transpose bounds ||phi_1||.  One batched SVD makes both, each raised by
+    the 4 d m eps of ``spaces.rounded_down`` and by the residual's cb-norm bound
+    sum_jk ||phi(E_jk) - sum_i a_i E_jk b_i||_F.  A proper-subspace domain gets (inf, inf).
+    """
+    if not phi.domain.is_full_matrix_algebra:
+        return math.inf, math.inf
+    d, m = phi.domain.ambient_dim, phi.codomain.ambient_dim
+    units = phi.unit_images().reshape(d, d, m, m)
+    t = np.stack([units, units.swapaxes(0, 1)]).transpose(0, 3, 1, 2, 4).reshape(2, m * d, d * m)
+    u, s, vh = np.linalg.svd(t)
+    a, b = u * np.sqrt(s)[:, None, :], np.sqrt(s)[..., None] * vh
+    # ||[a_1 .. a_r]|| and ||[b_1; ..; b_r]||, the column read transposed: both m x (d r).
+    sides = np.stack([a.reshape(2, m, -1), b.reshape(2, -1, m).swapaxes(1, 2)], axis=1)
+    norms = top_singular_values(sides)
+    residual = np.linalg.norm((t - a @ b).reshape(2, m, d, d, m), axis=(1, 4)).sum(axis=(1, 2))
+    cb, flip = norms[:, 0] * norms[:, 1] * (1.0 + 4 * d * m * np.finfo(float).eps) + residual
+    return float(cb), float(min(cb, flip))
+
+
 @dataclass(frozen=True)
 class LevelEntry:
     """One row of a level-norm table: bracket plus the optimizer's witness."""
@@ -226,11 +253,7 @@ class LevelNormTable:
             "max_level": self.max_level,
             "stabilization_level": self.stabilization_level,
             "seed": self.seed,
-            "budget": {
-                "restarts": self.budget.restarts,
-                "max_iter": self.budget.max_iter,
-                "tol": self.budget.tol,
-            },
+            "budget": asdict(self.budget),
             "entries": [
                 {
                     "n": e.level,
@@ -250,17 +273,13 @@ def _zero_entry(phi: LinearMapRep, n: int) -> LevelEntry:
     return LevelEntry(n, bracket, witness)
 
 
-def _ascent_entry(phi: LinearMapRep, n: int, budget: OptBudget, seed: int) -> LevelEntry:
-    """Level n <= m alone: the ascent's witnessed ``lo``, and the smaller of its
-    promoted converged value and the coefficient relaxation."""
+def _ascent_entry(phi: LinearMapRep, n: int, budget: OptBudget, seed: int, cert) -> LevelEntry:
+    """Level n <= m alone: the ascent's witnessed ``lo``, and the smaller of the
+    level's Haagerup bound ``cert`` and the coefficient relaxation."""
     outcome = maximize_amplified_norm(phi.domain, phi.images(), n, budget, seed)
-    lo = outcome.value
-    candidates = []
-    if phi.domain.is_full_matrix_algebra and outcome.converged:
-        candidates.append((lo * (1.0 + _CERT_SLACK), SOURCE_OPTIMIZER))
-    candidates.append((coefficient_relaxation_bound(phi, n), SOURCE_COEFF_RELAXATION))
-    hi, hi_src = min(candidates, key=lambda c: c[0])
-    lo, hi = _reconcile(lo, hi, phi, n)
+    coeff = coefficient_relaxation_bound(phi, n)
+    hi, hi_src = min((cert, SOURCE_HAAGERUP), (coeff, SOURCE_COEFF_RELAXATION), key=lambda c: c[0])
+    lo, hi = _reconcile(outcome.value, hi, phi, n)
     return LevelEntry(n, NormBracket(lo, hi, SOURCE_OPTIMIZER, hi_src), outcome.coords)
 
 
@@ -345,14 +364,13 @@ def build_level_table(
     ``phi.stabilization_level`` (a zero map's one row is ``trivial_zero``).
     Each level n <= s starts from its own ascent, run afresh on every call:
     a deterministic function of (phi, n, budget, seed), so tables built from
-    the same inputs share their rows bit for bit.  Each cross-level rule then
-    runs once over those rows, in order: lo upward, every promoted
-    (``optimizer``) hi lifted to lo * (1 + _CERT_SLACK) if lo crosses it by at
-    most that slack and replaced by the coefficient relaxation if by more, hi
-    downward, the cap n * hi_1.  After that lo and hi are nondecreasing and
-    hi_n <= n hi_1, so a second pass could change nothing.  Every level above s is row s (Smith
-    stabilization): the same bracket, named ``smith_stabilization`` on both
-    sides, and row s's witness padded.  ``max_level`` is checked by
+    the same inputs share their rows bit for bit.  Its hi is the smaller of
+    ``haagerup_bounds``, made once per table, and the coefficient relaxation,
+    both nondecreasing in n.  The cross-level rules then run once, in order:
+    lo upward, the cap n * hi_1.  No rule reads a row above its own, so row n
+    is the same in every table through a level >= n.  Every level above s is
+    row s (Smith stabilization): the same bracket, named ``smith_stabilization``
+    on both sides, and row s's witness padded.  ``max_level`` is checked by
     ``require_max_level`` before any ascent.
     """
     max_level = require_max_level(max_level)
@@ -361,7 +379,9 @@ def build_level_table(
     if phi.is_zero:
         rows = [_zero_entry(phi, 1)]
     else:
-        rows = [_ascent_entry(phi, n, budget, seed) for n in range(1, min(max_level, s) + 1)]
+        cb, first = haagerup_bounds(phi)
+        rows = [_ascent_entry(phi, n, budget, seed, first if n == 1 else cb)
+                for n in range(1, min(max_level, s) + 1)]
     top = len(rows)
     los = [e.bracket.lo for e in rows]
     his = [e.bracket.hi for e in rows]
@@ -375,23 +395,6 @@ def build_level_table(
             los[i] = los[i - 1]
             lo_srcs[i] = SOURCE_MONOTONICITY
             witnesses[i] = pad_to(SpaceElement(phi.domain, i, witnesses[i - 1]), i + 1).coords
-    # A promoted hi is no certificate: it keeps its slack over its row's raised
-    # lo where the two differ by rounding.  A wider crossing proves it false
-    # (||phi_n|| >= lo), and the row falls back to its coefficient relaxation.
-    for i in range(top):
-        lifted = los[i] * (1.0 + _CERT_SLACK)
-        if hi_srcs[i] != SOURCE_OPTIMIZER or his[i] >= lifted:
-            continue
-        if los[i] <= his[i] * (1.0 + _CERT_SLACK):
-            his[i] = lifted
-        else:
-            his[i], hi_srcs[i] = coefficient_relaxation_bound(phi, i + 1), SOURCE_COEFF_RELAXATION
-    # Upper bounds propagate downward; a cap from level s is a cb cap, the
-    # rest plain monotone caps.
-    for i in range(top - 2, -1, -1):
-        if his[i + 1] < his[i]:
-            his[i] = his[i + 1]
-            hi_srcs[i] = SOURCE_CB_CAP if i + 2 == s else SOURCE_MONOTONICITY
     # n times the level-1 bound.
     for i in range(1, top):
         cap = (i + 1) * his[0]

@@ -204,6 +204,6 @@ def maximize_amplified_norm(
     )
 
     value, witness = witnessed_value(space, images, n, x[best])
-    # Only agreement confirms an optimum: a lone restart has nothing to agree with.
+    # Agreement marks a likely optimum, a diagnostic no bound reads: a lone restart has none.
     conv = bool(converged[best]) and support >= 2
     return AscentOutcome(value, witness, conv, support)

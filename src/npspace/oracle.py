@@ -145,11 +145,8 @@ def _search_unitary(phi: LinearMapRep, n: int, trials: int, rng) -> np.ndarray:
     """Climb over unitaries U by random rotations; returns coords(U) of the best."""
     d = phi.domain.ambient_dim
     nd = n * d
-    images = phi.images()
     # phi on the matrix units of M_d: a U is scored without its coordinates.
-    unit_images = (phi.domain._vec_pinv.T @ images.reshape(images.shape[0], -1)).reshape(
-        d * d, *images.shape[1:]
-    )
+    unit_images = phi.unit_images()
 
     def values(mats: np.ndarray) -> np.ndarray:
         return _batch_norms(unit_images, matrix_blocks(mats, n))
@@ -163,7 +160,7 @@ def _search_unitary(phi: LinearMapRep, n: int, trials: int, rng) -> np.ndarray:
     q, r = np.linalg.qr(g)
     diag = np.diagonal(r, axis1=1, axis2=2)
     q = q * (diag / np.abs(diag))[:, None, :]
-    accept = rounded_down(1.0, n, d, images.shape[-1])
+    accept = rounded_down(1.0, n, d, unit_images.shape[-1])
     best = _climb(q, values(q), 0.3, 1.0, accept, rng, rotate, values, _rotation_generators)
     return unrealize(phi.domain, n, best)
 

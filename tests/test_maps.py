@@ -41,8 +41,8 @@ from npspace import (
     scaled_map,
 )
 from npspace.bracket import (
-    SOURCE_CB_CAP,
     SOURCE_COEFF_RELAXATION,
+    SOURCE_HAAGERUP,
     SOURCE_MONOTONICITY,
     SOURCE_N_TIMES_NORM,
     SOURCE_OPTIMIZER,
@@ -51,13 +51,13 @@ from npspace.bracket import (
     NormBracket,
 )
 from npspace.maps import (
-    _CERT_SLACK,
     LevelEntry,
     LevelNormTable,
     LinearMapRep,
     _reconcile,
     _zero_entry,
     coefficient_relaxation_bound,
+    haagerup_bounds,
     witness_to_dict,
 )
 from npspace import maps
@@ -234,12 +234,16 @@ def test_base_norm_transpose_is_one(rng):
     assert bracket.lo >= best - 1e-9
 
 
-def test_base_norm_full_domain_full_codomain_is_tight(rng):
-    # Full matrix domain and codomain: both sides must agree to 1e-8.
+def test_base_norm_full_domain_full_codomain_is_certified(rng):
+    # Full matrix domain and codomain: hi is Haagerup's certificate, not the
+    # ascent's value, so it holds against the oracle and lies 4.4% above lo here.
     coeff = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     phi = make_map(M2, M2, [c for c in _coeff_to_action(coeff)], "random")
     bracket = base_norm(phi, seed=SEED)
-    assert bracket.hi - bracket.lo <= 1e-8 * max(1.0, bracket.hi)
+    assert (bracket.hi, bracket.hi_source) == (haagerup_bounds(phi)[1], SOURCE_HAAGERUP)
+    brute = brute_level_norm(phi, 1, trials=500, seed=SEED)
+    assert bracket.lo >= brute * (1.0 - 1e-12) and brute <= bracket.hi
+    assert bracket.hi <= 1.05 * bracket.lo
 
 
 def _coeff_to_action(coeff):
@@ -466,9 +470,8 @@ def _reference_raw_entry(phi, n, budget, seed, cache):
         return cache[key]
     outcome = maximize_amplified_norm(phi.domain, phi.images(), n, budget, seed)
     lo = outcome.value
-    candidates = []
-    if phi.domain.is_full_matrix_algebra and outcome.converged:
-        candidates.append((lo * (1.0 + _CERT_SLACK), SOURCE_OPTIMIZER))
+    cb, first = haagerup_bounds(phi)
+    candidates = [(first if n == 1 else cb, SOURCE_HAAGERUP)]
     if n > 1:
         base = _reference_raw_entry(phi, 1, budget, seed, cache).bracket
         candidates.append((n * base.hi, SOURCE_N_TIMES_NORM))
@@ -503,8 +506,6 @@ def _reference_table_rows(phi, max_level, budget, seed, cache):
     hi_srcs = [e.bracket.hi_source for e in raw]
     witnesses = [e.witness for e in raw]
     m = phi.codomain.ambient_dim
-    # A row's hi is promoted while it is still the optimizer's value (a copy above m too).
-    promoted = [raw[min(i, m - 1)].bracket.hi_source == SOURCE_OPTIMIZER for i in range(max_level)]
     for _ in range(4):
         changed = False
         for i in range(1, max_level):
@@ -513,28 +514,18 @@ def _reference_table_rows(phi, max_level, budget, seed, cache):
                 lo_srcs[i] = SOURCE_MONOTONICITY
                 witnesses[i] = pad_to(SpaceElement(phi.domain, i, witnesses[i - 1]), i + 1).coords
                 changed = True
-        for i in range(max_level):
-            lifted = los[i] * (1.0 + _CERT_SLACK)
-            if promoted[i] and his[i] < lifted:
-                if los[i] <= his[i] * (1.0 + _CERT_SLACK):
-                    his[i] = lifted
-                else:
-                    his[i] = coefficient_relaxation_bound(phi, i + 1)
-                    hi_srcs[i] = SOURCE_COEFF_RELAXATION
-                    promoted[i] = False
-                changed = True
+        # The hi-downward rule, which build_level_table no longer runs: the
+        # bitwise match shows that it never binds.
         for i in range(max_level - 2, -1, -1):
             if his[i + 1] < his[i]:
                 his[i] = his[i + 1]
-                hi_srcs[i] = SOURCE_CB_CAP if i + 2 >= m else SOURCE_MONOTONICITY
-                promoted[i] = False
+                hi_srcs[i] = SOURCE_MONOTONICITY
                 changed = True
         for i in range(1, max_level):
             cap = (i + 1) * his[0]
             if cap < his[i]:
                 his[i] = cap
                 hi_srcs[i] = SOURCE_N_TIMES_NORM
-                promoted[i] = False
                 changed = True
         if m <= max_level:
             group = range(m - 1, max_level)
@@ -546,7 +537,6 @@ def _reference_table_rows(phi, max_level, budget, seed, cache):
                         lo_srcs[i] = SOURCE_SMITH
                     if his[i] != ghi:
                         hi_srcs[i] = SOURCE_SMITH
-                        promoted[i] = False
                     los[i], his[i] = glo, ghi
                     changed = True
         if not changed:
@@ -580,24 +570,21 @@ RANDOM_SPECS = (
 )
 TABLE_BUDGETS = (OptBudget(20, 200, 1e-11), OptBudget(1, 200, 1e-11), OptBudget(3, 4, 1e-11),
                  OptBudget(1, 2, 1e-11), OptBudget(5, 3, 1e-6))
-# A promoted hi is lifted over its row's raised lo, so it caps no promoted row
-# below it; here levels 1 and 2 keep their coefficient relaxation and level 3
-# converges, so cb_cap and monotonicity fire by a margin.
-UNEVEN_CASE = (_random_map(2, 3, None, 5, 12), OptBudget(2, 10, 1e-6), 7)
 
 
 def test_table_is_the_four_round_propagation_bitwise():
     # One pass over per-level ascent brackets must give, bit for bit, what
     # per-level brackets carrying their own n * hi(1) candidate, Smith-tagged
     # copies above m and four rounds of every rule gave.  The short budgets
-    # leave the per-level brackets out of order, so every rule fires.  A row
-    # above m is row m under the name smith_stabilization on both sides, also
-    # where the reference names monotonicity for a lo it raised.
+    # leave the per-level lo out of order, so the lo rule fires; no hi rule of
+    # the reference that build_level_table lacks ever binds.  A row above m is
+    # row m under the name smith_stabilization on both sides, also where the
+    # reference names monotonicity for a lo it raised.
     maps = [e.map for e in list_entries()]
     maps += [_random_map(*spec, seed) for seed, spec in enumerate(RANDOM_SPECS)]
     cases = [(phi, budget, seed) for phi in maps for budget in TABLE_BUDGETS for seed in (0, 7)]
     fired = set()
-    for phi, budget, seed in cases + [UNEVEN_CASE]:
+    for phi, budget, seed in cases:
         cache = {}
         for max_level in (1, 2, 3, 5):
             ref = _reference_table_rows(phi, max_level, budget, seed, cache)
@@ -612,7 +599,8 @@ def test_table_is_the_four_round_propagation_bitwise():
     lo_fired = {lo for lo, _ in fired}
     hi_fired = {hi for _, hi in fired}
     assert SOURCE_MONOTONICITY in lo_fired
-    assert {SOURCE_CB_CAP, SOURCE_MONOTONICITY, SOURCE_N_TIMES_NORM, SOURCE_SMITH} <= hi_fired
+    assert {SOURCE_HAAGERUP, SOURCE_N_TIMES_NORM, SOURCE_SMITH} <= hi_fired
+    assert SOURCE_MONOTONICITY not in hi_fired
 
 
 def _synthetic_ascent(monkeypatch, rows):
@@ -621,7 +609,7 @@ def _synthetic_ascent(monkeypatch, rows):
     Each level's witness is filled with n, so a padded one shows where it came from.
     """
 
-    def entry(phi, n, budget, seed):
+    def entry(phi, n, budget, seed, cert):
         lo, hi, hi_src = rows[n - 1]
         witness = np.full((n, n, phi.domain.dim), n, dtype=complex)
         return LevelEntry(n, NormBracket(lo, hi, SOURCE_OPTIMIZER, hi_src), witness)
@@ -629,21 +617,18 @@ def _synthetic_ascent(monkeypatch, rows):
     monkeypatch.setattr(maps, "_ascent_entry", entry)
 
 
-OPT, COEFF = SOURCE_OPTIMIZER, SOURCE_COEFF_RELAXATION
-MONO, CB, NX, SMITH = SOURCE_MONOTONICITY, SOURCE_CB_CAP, SOURCE_N_TIMES_NORM, SOURCE_SMITH
+OPT, COEFF, HAAG = SOURCE_OPTIMIZER, SOURCE_COEFF_RELAXATION, SOURCE_HAAGERUP
+MONO, NX, SMITH = SOURCE_MONOTONICITY, SOURCE_N_TIMES_NORM, SOURCE_SMITH
 
 
 @pytest.mark.parametrize(
     "rows, want_his",
     [
         # hi_2 = 5 > 2 hi_1: the cap binds by a margin, and level m's hi goes above m.
-        ([(0.5, 1.0, OPT), (0.9, 5.0, COEFF), (1.0, 6.0, COEFF)],
-         [(1.0, OPT), (2.0, NX), (3.0, NX), (3.0, SMITH), (3.0, SMITH)]),
-        # hi_3 = 2 caps level 2 from level m (cb_cap) and level 1 below it (monotonicity).
-        ([(0.5, 4.0, COEFF), (0.6, 4.0, COEFF), (0.7, 2.0, OPT)],
-         [(2.0, MONO), (2.0, CB), (2.0, OPT), (2.0, SMITH), (2.0, SMITH)]),
+        ([(0.5, 1.0, HAAG), (0.9, 5.0, COEFF), (1.0, 6.0, COEFF)],
+         [(1.0, HAAG), (2.0, NX), (3.0, NX), (3.0, SMITH), (3.0, SMITH)]),
     ],
-    ids=("n_times_norm_bound", "cb_cap_and_monotonicity"),
+    ids=("n_times_norm_bound",),
 )
 def test_hi_rules_fire_by_a_margin(rows, want_his, monkeypatch):
     _synthetic_ascent(monkeypatch, rows)
@@ -664,54 +649,18 @@ def test_max_level_above_the_cap_raises_before_any_ascent(monkeypatch):
 
 
 def test_lo_one_ulp_above_hi_is_an_invariant_violation(monkeypatch):
-    # The upward lo pass lifts level 2 to 2 + 1 ulp over its certified hi of 2
-    # (and the hi pass caps level 1 there): no margin excuses a crossing, however small.
+    # The upward lo pass lifts level 2 to 2 + 1 ulp over its certified hi of 2:
+    # no margin excuses a crossing, however small.
     _synthetic_ascent(monkeypatch, [(np.nextafter(2.0, 3.0), 4.0, COEFF), (1.0, 2.0, COEFF),
                                     (1.0, 6.0, COEFF)])
     with pytest.raises(InvariantViolation, match="exceeds certified upper bound 2.0"):
         build_level_table(get_entry("transpose_M3").map, 3)
 
 
-def test_a_promoted_hi_is_lifted_over_its_raised_lo(monkeypatch):
-    # The same rows with level 2's hi promoted from its ascent: a promoted hi
-    # is no certificate, so it keeps its slack over the lo the upward pass
-    # gives its row, and caps level 1 from there.
-    lo = np.nextafter(2.0, 3.0)
-    _synthetic_ascent(monkeypatch, [(lo, 4.0, COEFF), (1.0, 2.0, OPT), (1.0, 6.0, COEFF)])
-    table = build_level_table(get_entry("transpose_M3").map, 3)
-    lifted = lo * (1.0 + _CERT_SLACK)
-    got = [(e.bracket.lo, e.bracket.hi, e.bracket.lo_source, e.bracket.hi_source)
-           for e in table.entries]
-    assert got == [(lo, lifted, OPT, MONO), (lo, lifted, MONO, OPT), (lo, 6.0, MONO, COEFF)]
-
-
-@pytest.mark.parametrize("lo", (2.0, 1.5 * (1.0 + 3 * _CERT_SLACK)), ids=("wide", "past_slack"))
-def test_a_promoted_hi_crossed_by_more_than_its_slack_is_replaced(lo, monkeypatch):
-    # A lo above a promoted hi by more than rounding proves the promoted value
-    # false: the row takes its coefficient relaxation instead, which caps level 1.
-    _synthetic_ascent(monkeypatch, [(lo, 4.0, COEFF), (1.0, 1.5, OPT), (1.0, 6.0, COEFF)])
-    phi = get_entry("transpose_M3").map
-    table = build_level_table(phi, 3)
-    coeff = coefficient_relaxation_bound(phi, 2)
-    got = [(e.bracket.lo, e.bracket.hi, e.bracket.lo_source, e.bracket.hi_source)
-           for e in table.entries]
-    assert got == [(lo, coeff, OPT, MONO), (lo, coeff, MONO, COEFF), (lo, 6.0, MONO, COEFF)]
-
-
-def test_a_promoted_hi_replaced_under_its_lo_is_an_invariant_violation(monkeypatch):
-    # The coefficient relaxation that replaces a crossed promoted hi is a
-    # certificate: a lo above it still raises.
-    phi = get_entry("transpose_M3").map
-    lo = coefficient_relaxation_bound(phi, 2) + 0.1
-    _synthetic_ascent(monkeypatch, [(lo, 4.0, COEFF), (1.0, 1.5, OPT), (1.0, 6.0, COEFF)])
-    with pytest.raises(InvariantViolation, match="exceeds certified upper bound"):
-        build_level_table(phi, 3)
-
-
 @pytest.mark.parametrize("seed", (4, 5, 6, 7))
 def test_a_converged_ascent_just_under_the_level_below_builds(seed):
     # Level 2 converges 1e-10 relative under level 1's witnessed lo on this flat
-    # M2 -> M3 map; its promoted hi must not cap level 1 under its own lo.
+    # M2 -> M3 map: the table builds, and the oracle stays under every hi.
     rng = np.random.default_rng([20261018, 2, 3, 0])
     coeff = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
     phi = LinearMapRep(M2, M3, coeff, "rand230")
@@ -780,14 +729,73 @@ def test_rows_above_s_agree_with_every_reader(budget):
 
 
 def test_one_restart_promotes_no_hi():
-    # A lone converged restart has nothing to agree with, so its value is no
-    # bound: promoted, level 2's hi was 6.3516, under level 1's witnessed 6.5801.
+    # A lone converged restart's value is no bound: promoted, level 2's hi was
+    # 6.3516, under level 1's witnessed 6.5801.  Every hi is now a certificate.
     rng = np.random.default_rng([5, 2, 3, 2])
     coeff = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
     phi = LinearMapRep(M2, M3, coeff, "restart_1")
     table = build_level_table(phi, 3, OptBudget(restarts=1), seed=2)
-    assert [e.bracket.hi_source for e in table.entries] == [SOURCE_COEFF_RELAXATION] * 3
-    assert brute_level_norm(phi, 1, trials=500, seed=2) <= table.entries[0].bracket.hi
+    assert [e.bracket.hi_source for e in table.entries] == [SOURCE_HAAGERUP] * 3
+    for e in table.entries:
+        assert brute_level_norm(phi, e.level, trials=500, seed=2) <= e.bracket.hi, e.level
+
+
+def test_restarts_agreeing_below_the_optimum_give_no_false_hi():
+    # Both restarts stop at one local maximum of this M3 -> M3 map at level 1:
+    # promoted, its hi was 10.7574, under the oracle's certified 11.9876.
+    rng = np.random.default_rng([20261018, 3, 3, 4])
+    coeff = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    phi = LinearMapRep(M3, M3, coeff, "stuck")
+    table = build_level_table(phi, 2, OptBudget(restarts=2), seed=0)
+    report = cross_validate(table, trials=500, seed=0)
+    assert [row["hi_ok"] for row in report.rows] == [True, True]
+    assert report.rows[0]["brute_lo"] > 11.98
+
+
+def test_a_row_is_the_same_in_every_table_that_holds_it():
+    # README's M2 -> M2 map: row 1's hi was 8.528 (coeff_relaxation) in the table
+    # through level 1 and 7.046 (cb_cap, from a promoted level 2) through level 2.
+    rng = np.random.default_rng([20261018, 2, 2, 3])
+    coeff = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    phi = LinearMapRep(M2, M2, coeff, "readme")
+    rows = [_row_bits(e) for e in build_level_table(phi, 3, OptBudget(restarts=2), 7).entries]
+    for n in (1, 2):
+        short = build_level_table(phi, n, OptBudget(restarts=2), 7)
+        assert [_row_bits(e) for e in short.entries] == rows[:n], n
+    assert (round(float.fromhex(rows[0][2]), 4), rows[0][4]) == (7.4994, SOURCE_HAAGERUP)
+
+
+# The closed-form (||phi||_cb, ||phi_1||) of each nonzero catalog map.
+CERTIFIED = {
+    "identity_M2": (1.0, 1.0), "identity_M3": (1.0, 1.0), "transpose_M2": (2.0, 1.0),
+    "transpose_M3": (3.0, 1.0), "trace_M2": (2.0, 2.0), "rank_one_M2": (5**0.5, 5**0.5),
+    "schur_M2": (2**0.5, 2**0.5), "diag_M2": (1.0, 1.0),
+}
+
+
+def _rebased(phi, rng):
+    """phi on its domain in the basis b'_t = sum_s Q_st b_s, Q a Haar unitary."""
+    k = phi.domain.dim
+    q, r = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    basis = np.einsum("sab,st->tab", phi.domain._stack, q)
+    images = np.einsum("sab,st->tab", phi.images(), q)
+    domain = make_space(phi.domain.ambient_dim, list(basis), "rebased")
+    return make_map(domain, phi.codomain, list(images), phi.label)
+
+
+@pytest.mark.parametrize("rebase", (False, True), ids=("units", "rebased"))
+@pytest.mark.parametrize("name", sorted(CERTIFIED))
+def test_the_haagerup_bounds_are_the_closed_forms(name, rebase):
+    phi = get_entry(name).map
+    if rebase:
+        phi = _rebased(phi, np.random.default_rng(20261018))
+    for got, truth in zip(haagerup_bounds(phi), CERTIFIED[name]):
+        assert truth <= got <= truth * (1.0 + 1e-12), (got, truth)
+
+
+def test_a_proper_subspace_domain_gets_no_haagerup_bound():
+    assert haagerup_bounds(_random_map(2, 2, 3, None, 0)) == (np.inf, np.inf)
 
 
 @pytest.mark.parametrize("spec", ((2, 2, None, None), (2, 2, 3, None)), ids=("M2", "sub3_of_M2"))
