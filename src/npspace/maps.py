@@ -176,17 +176,19 @@ def coefficient_relaxation_bound(phi: LinearMapRep, level: int) -> float:
 
 
 def haagerup_bounds(phi: LinearMapRep) -> tuple[float, float]:
-    """Certified upper bounds (on ||phi||_cb, on ||phi_1||) for phi: M_d -> M_m.
+    """Certified upper bounds (on ||phi||_cb, on ||phi_1||) for phi: V -> M_m, V in M_d.
 
-    T[(p, j), (k, q)] = phi(E_jk)[p, q] = (U S Vh)[(p, j), (k, q)] gives phi(x) =
-    sum_i a_i x b_i, a_i = sqrt(s_i) U[:, i] (m x d) and b_i = sqrt(s_i) Vh[i] (d x m), so
-    ||phi_n|| <= ||sum a_i a_i*||^1/2 ||sum b_i* b_i||^1/2 at every n (Haagerup, 1980); the
-    same for phi o transpose bounds ||phi_1||.  One batched SVD makes both, each raised by
-    the 4 d m eps of ``spaces.rounded_down`` and by the residual's cb-norm bound
-    sum_jk ||phi(E_jk) - sum_i a_i E_jk b_i||_F.  A proper-subspace domain gets (inf, inf).
+    phi o P, P the Frobenius projection of M_d onto V, agrees with phi on V, so
+    ||phi_n|| <= ||phi o P||_cb.  T[(p, j), (k, q)] = (phi o P)(E_jk)[p, q] = (U S Vh)[(p, j),
+    (k, q)] gives phi o P = sum_i a_i . b_i, a_i = sqrt(s_i) U[:, i] (m x d) and b_i =
+    sqrt(s_i) Vh[i] (d x m), so ||phi_n|| <= ||sum a_i a_i*||^1/2 ||sum b_i* b_i||^1/2 at every
+    n (Haagerup, 1980); the same for phi o P o transpose bounds ||phi_1||.  One batched SVD
+    makes both, each raised by the 4 d m eps of ``spaces.rounded_down`` and by a cb-norm bound
+    on the residual R = phi - sum_i a_i . b_i on V, which covers the rounding in P and in the
+    factors: x = sum_t x_t B_t in M_n(V) has x_t = (id_n (x) f_t)(x), f_t the coordinate
+    functional with matrix pinv_t, of norm ||pinv_t||_1 <= sqrt(d) ||pinv_t||_2, so
+    ||R_n(x)|| <= sqrt(d) sum_t ||pinv_t||_2 ||R(B_t)||_F ||x||.
     """
-    if not phi.domain.is_full_matrix_algebra:
-        return math.inf, math.inf
     d, m = phi.domain.ambient_dim, phi.codomain.ambient_dim
     units = phi.unit_images().reshape(d, d, m, m)
     t = np.stack([units, units.swapaxes(0, 1)]).transpose(0, 3, 1, 2, 4).reshape(2, m * d, d * m)
@@ -195,7 +197,12 @@ def haagerup_bounds(phi: LinearMapRep) -> tuple[float, float]:
     # ||[a_1 .. a_r]|| and ||[b_1; ..; b_r]||, the column read transposed: both m x (d r).
     sides = np.stack([a.reshape(2, m, -1), b.reshape(2, -1, m).swapaxes(1, 2)], axis=1)
     norms = top_singular_values(sides)
-    residual = np.linalg.norm((t - a @ b).reshape(2, m, d, d, m), axis=(1, 4)).sum(axis=(1, 2))
+    # The factorizations on the domain basis B_t, and on B_t transposed for the flip.
+    basis = phi.domain._stack
+    factored = np.einsum("xpjkq,xtjk->xtpq", (a @ b).reshape(2, m, d, d, m),
+                         np.stack([basis, basis.swapaxes(1, 2)]))
+    misses = np.linalg.norm((phi.images() - factored).reshape(2, len(basis), -1), axis=-1)
+    residual = math.sqrt(d) * misses @ np.linalg.norm(phi.domain._vec_pinv, axis=1)
     cb, flip = norms[:, 0] * norms[:, 1] * (1.0 + 4 * d * m * np.finfo(float).eps) + residual
     return float(cb), float(min(cb, flip))
 
@@ -273,14 +280,13 @@ def _zero_entry(phi: LinearMapRep, n: int) -> LevelEntry:
     return LevelEntry(n, bracket, witness)
 
 
-def _ascent_entry(phi: LinearMapRep, n: int, budget: OptBudget, seed: int, cert) -> LevelEntry:
-    """Level n <= m alone: the ascent's witnessed ``lo``, and the smaller of the
-    level's Haagerup bound ``cert`` and the coefficient relaxation."""
-    outcome = maximize_amplified_norm(phi.domain, phi.images(), n, budget, seed)
+def _certificate(phi: LinearMapRep, n: int, haagerup: tuple[float, float]) -> tuple[float, str]:
+    """Level n's own hi and its source: the smaller of the ``haagerup`` pair's bound for
+    level n (its level-1 form at n = 1) and the coefficient relaxation."""
+    cb, first = haagerup
     coeff = coefficient_relaxation_bound(phi, n)
-    hi, hi_src = min((cert, SOURCE_HAAGERUP), (coeff, SOURCE_COEFF_RELAXATION), key=lambda c: c[0])
-    lo, hi = _reconcile(outcome.value, hi, phi, n)
-    return LevelEntry(n, NormBracket(lo, hi, SOURCE_OPTIMIZER, hi_src), outcome.coords)
+    return min((first if n == 1 else cb, SOURCE_HAAGERUP), (coeff, SOURCE_COEFF_RELAXATION),
+               key=lambda c: c[0])
 
 
 def _reconcile(lo: float, hi: float, phi: LinearMapRep, n: int) -> tuple[float, float]:
@@ -362,15 +368,19 @@ def build_level_table(
 
     Every level bracket is made here.  The stabilization level s is
     ``phi.stabilization_level`` (a zero map's one row is ``trivial_zero``).
-    Each level n <= s starts from its own ascent, run afresh on every call:
-    a deterministic function of (phi, n, budget, seed), so tables built from
-    the same inputs share their rows bit for bit.  Its hi is the smaller of
-    ``haagerup_bounds``, made once per table, and the coefficient relaxation,
-    both nondecreasing in n.  The cross-level rules then run once, in order:
-    lo upward, the cap n * hi_1.  No rule reads a row above its own, so row n
-    is the same in every table through a level >= n.  Every level above s is
-    row s (Smith stabilization): the same bracket, named ``smith_stabilization``
-    on both sides, and row s's witness padded.  ``max_level`` is checked by
+    Row n <= s is made from the rows below it, its certified hi first: the
+    smallest of ``haagerup_bounds``, made once per table, the coefficient
+    relaxation and, for n >= 2, n * hi_1 (``n_times_norm_bound``).  With
+    lo_below the lo of row n - 1, the level is closed when lo_below >=
+    hi * (1 - budget.tol): its lo is lo_below (``monotonicity``), with row
+    n - 1's witness padded, and no ascent runs.  Otherwise its ascent runs,
+    stopped once it reaches hi: a deterministic function of (phi, n, budget,
+    seed, hi), so tables built from the same inputs share their rows bit for
+    bit.  A witnessed lo under lo_below is raised to it the same way.  No
+    rule reads a row above its own, so row n is the same in every table
+    through a level >= n.  Every level above s is row s (Smith
+    stabilization): the same bracket, named ``smith_stabilization`` on both
+    sides, and row s's witness padded.  ``max_level`` is checked by
     ``require_max_level`` before any ascent.
     """
     max_level = require_max_level(max_level)
@@ -379,40 +389,28 @@ def build_level_table(
     if phi.is_zero:
         rows = [_zero_entry(phi, 1)]
     else:
-        cb, first = haagerup_bounds(phi)
-        rows = [_ascent_entry(phi, n, budget, seed, first if n == 1 else cb)
-                for n in range(1, min(max_level, s) + 1)]
-    top = len(rows)
-    los = [e.bracket.lo for e in rows]
-    his = [e.bracket.hi for e in rows]
-    lo_srcs = [e.bracket.lo_source for e in rows]
-    hi_srcs = [e.bracket.hi_source for e in rows]
-    witnesses = [e.witness for e in rows]
-
-    # Monotonicity: lower bounds propagate upward (witnesses padded along).
-    for i in range(1, top):
-        if los[i - 1] > los[i]:
-            los[i] = los[i - 1]
-            lo_srcs[i] = SOURCE_MONOTONICITY
-            witnesses[i] = pad_to(SpaceElement(phi.domain, i, witnesses[i - 1]), i + 1).coords
-    # n times the level-1 bound.
-    for i in range(1, top):
-        cap = (i + 1) * his[0]
-        if cap < his[i]:
-            his[i] = cap
-            hi_srcs[i] = SOURCE_N_TIMES_NORM
-
-    entries = []
-    for i in range(top):
-        lo, hi = _reconcile(los[i], his[i], phi, i + 1)
-        bracket = NormBracket(lo, hi, lo_srcs[i], hi_srcs[i])
-        entries.append(LevelEntry(i + 1, bracket, witnesses[i]))
-    table = LevelNormTable(phi, tuple(entries), budget, seed)
+        haagerup, rows = haagerup_bounds(phi), []
+        for n in range(1, min(max_level, s) + 1):
+            hi, hi_src = _certificate(phi, n, haagerup)
+            if n > 1 and n * rows[0].bracket.hi < hi:
+                hi, hi_src = n * rows[0].bracket.hi, SOURCE_N_TIMES_NORM
+            lo_below = rows[-1].bracket.lo if rows else -math.inf
+            outcome = None
+            if lo_below < hi * (1.0 - budget.tol):  # open: search, up to hi
+                outcome = maximize_amplified_norm(phi.domain, phi.images(), n, budget, seed, hi)
+            if outcome is not None and outcome.value >= lo_below:
+                lo, lo_src, witness = outcome.value, SOURCE_OPTIMIZER, outcome.coords
+            else:  # closed, or searched to under the row below: that row, padded
+                lo, lo_src = lo_below, SOURCE_MONOTONICITY
+                witness = pad_to(SpaceElement(phi.domain, n - 1, rows[-1].witness), n).coords
+            lo, hi = _reconcile(lo, hi, phi, n)
+            rows.append(LevelEntry(n, NormBracket(lo, hi, lo_src, hi_src), witness))
+    table = LevelNormTable(phi, tuple(rows), budget, seed)
     if max_level <= s:
         return table
-    stable, at_s = table._stable_bracket(), SpaceElement(phi.domain, s, witnesses[-1])
+    stable, at_s = table._stable_bracket(), SpaceElement(phi.domain, s, rows[-1].witness)
     above = [LevelEntry(n, stable, pad_to(at_s, n).coords) for n in range(s + 1, max_level + 1)]
-    return replace(table, entries=tuple(entries + above))
+    return replace(table, entries=tuple(rows + above))
 
 
 # ---------------------------------------------------------------------------

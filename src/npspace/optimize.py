@@ -20,6 +20,12 @@ the restart ends at its first rejected step.  It counts as converged
 exactly when the stall rule (``_STALL_LIMIT`` iterations without a rise)
 would have been met within the ``max_iter`` budget left.
 
+Given a certified upper bound ``hi`` on the level norm, every restart stops
+as soon as the best ratio reaches ``hi * (1 - budget.tol)``: no restart can
+then gain more than ``budget.tol * hi``.  Such an ascent counts as
+converged, and its ``support`` is the number of restarts whose ratio reached
+that stop.  The default ``hi = inf`` never stops a search early.
+
 An evaluation realizes both sides in one product, and one eigensolve of
 the A A* gives both sides' top singular pairs when their sizes agree
 (``spaces.top_singular_pairs``).  Representers are one product, a step's
@@ -132,8 +138,10 @@ def maximize_amplified_norm(
     level: int,
     budget: OptBudget = DEFAULT_BUDGET,
     seed: int = 0,
+    hi: float = math.inf,
 ) -> AscentOutcome:
-    """Multi-restart batched ascent; deterministic for a fixed seed."""
+    """Multi-restart batched ascent; deterministic for a fixed seed.  It stops once
+    the best ratio reaches ``hi * (1 - budget.tol)``, ``hi`` a certified upper bound."""
     n = require_int(level, "level", InvalidLevel)
     seed = require_int(seed, "seed", minimum=0)
     k, m, d = space.dim, images.shape[-1], space.ambient_dim
@@ -161,13 +169,14 @@ def maximize_amplified_norm(
 
     x = _representer(reps[: m * m], n, _starts(seed, n, n * m, budget.restarts))
     ratio, pairs = evaluate(x)
+    stop = hi * (1.0 - budget.tol)
     step = np.full(budget.restarts, _STEP_START)
     stall = np.zeros(budget.restarts, dtype=int)
     converged = np.zeros(budget.restarts, dtype=bool)
     done = np.zeros(budget.restarts, dtype=bool)
     for it in range(budget.max_iter):
         live = np.flatnonzero(~done)
-        if live.size == 0:
+        if live.size == 0 or ratio.max() >= stop:
             break
         every = live.size == budget.restarts  # the gathers copy: skip them if all are live
         img, img_u, img_v, dom, dom_u, dom_v = pairs if every else [p[live] for p in pairs]
@@ -199,11 +208,12 @@ def maximize_amplified_norm(
         done[live] = converged[live] | ends
 
     best = int(np.argmax(ratio))
+    value, witness = witnessed_value(space, images, n, x[best])
+    if ratio[best] >= stop:  # within tol of a certificate: that is the optimum
+        return AscentOutcome(value, witness, True, int(np.sum(ratio >= stop)))
     support = int(
         np.sum(converged & (np.abs(ratio - ratio[best]) <= _AGREE_REL * max(1.0, ratio[best])))
     )
-
-    value, witness = witnessed_value(space, images, n, x[best])
     # Agreement marks a likely optimum, a diagnostic no bound reads: a lone restart has none.
     conv = bool(converged[best]) and support >= 2
     return AscentOutcome(value, witness, conv, support)

@@ -61,7 +61,7 @@ from npspace.maps import (
     witness_to_dict,
 )
 from npspace import maps
-from npspace.optimize import DEFAULT_BUDGET, maximize_amplified_norm
+from npspace.optimize import DEFAULT_BUDGET, AscentOutcome, maximize_amplified_norm
 
 SEED = 11
 
@@ -468,8 +468,6 @@ def _reference_raw_entry(phi, n, budget, seed, cache):
     if phi.is_zero:
         cache[key] = _zero_entry(phi, n)
         return cache[key]
-    outcome = maximize_amplified_norm(phi.domain, phi.images(), n, budget, seed)
-    lo = outcome.value
     cb, first = haagerup_bounds(phi)
     candidates = [(first if n == 1 else cb, SOURCE_HAAGERUP)]
     if n > 1:
@@ -477,7 +475,8 @@ def _reference_raw_entry(phi, n, budget, seed, cache):
         candidates.append((n * base.hi, SOURCE_N_TIMES_NORM))
     candidates.append((coefficient_relaxation_bound(phi, n), SOURCE_COEFF_RELAXATION))
     hi, hi_src = min(candidates, key=lambda c: c[0])
-    lo, hi = _reconcile(lo, hi, phi, n)
+    outcome = maximize_amplified_norm(phi.domain, phi.images(), n, budget, seed, hi)
+    lo, hi = _reconcile(outcome.value, hi, phi, n)
     cache[key] = LevelEntry(n, NormBracket(lo, hi, SOURCE_OPTIMIZER, hi_src), outcome.coords)
     return cache[key]
 
@@ -496,7 +495,10 @@ def _reference_level_entry(phi, n, budget, seed, cache):
 
 
 def _reference_table_rows(phi, max_level, budget, seed, cache):
-    """Reference table: every rule re-applied for up to four rounds."""
+    """Reference table: every rule re-applied for up to four rounds.
+
+    A level whose lo below is within budget.tol of its hi is closed: it takes
+    that lo and its padded witness whatever its own ascent found."""
     if phi.is_zero:
         return [_zero_entry(phi, n) for n in range(1, max_level + 1)]
     raw = [_reference_level_entry(phi, n, budget, seed, cache) for n in range(1, max_level + 1)]
@@ -509,7 +511,8 @@ def _reference_table_rows(phi, max_level, budget, seed, cache):
     for _ in range(4):
         changed = False
         for i in range(1, max_level):
-            if los[i - 1] > los[i]:
+            closed = los[i - 1] >= his[i] * (1.0 - budget.tol)
+            if los[i - 1] > los[i] or closed and lo_srcs[i] != SOURCE_MONOTONICITY:
                 los[i] = los[i - 1]
                 lo_srcs[i] = SOURCE_MONOTONICITY
                 witnesses[i] = pad_to(SpaceElement(phi.domain, i, witnesses[i - 1]), i + 1).coords
@@ -575,7 +578,10 @@ TABLE_BUDGETS = (OptBudget(20, 200, 1e-11), OptBudget(1, 200, 1e-11), OptBudget(
 def test_table_is_the_four_round_propagation_bitwise():
     # One pass over per-level ascent brackets must give, bit for bit, what
     # per-level brackets carrying their own n * hi(1) candidate, Smith-tagged
-    # copies above m and four rounds of every rule gave.  The short budgets
+    # copies above m and four rounds of every rule gave.  Both stop each
+    # ascent at its level's hi and close a level whose lo below is within
+    # budget.tol of that hi; the reference still runs the closed level's
+    # ascent, and the table runs none.  The short budgets
     # leave the per-level lo out of order, so the lo rule fires; no hi rule of
     # the reference that build_level_table lacks ever binds.  A row above m is
     # row m under the name smith_stabilization on both sides, also where the
@@ -604,17 +610,21 @@ def test_table_is_the_four_round_propagation_bitwise():
 
 
 def _synthetic_ascent(monkeypatch, rows):
-    """Start build_level_table from the given (lo, hi, hi_source) at each level n <= m.
+    """Start build_level_table from the given (lo, hi, hi_source) at each level n <= m:
+    hi is the level's own certificate, lo what its ascent witnesses.
 
     Each level's witness is filled with n, so a padded one shows where it came from.
     """
 
-    def entry(phi, n, budget, seed, cert):
-        lo, hi, hi_src = rows[n - 1]
-        witness = np.full((n, n, phi.domain.dim), n, dtype=complex)
-        return LevelEntry(n, NormBracket(lo, hi, SOURCE_OPTIMIZER, hi_src), witness)
+    def certificate(phi, n, haagerup):
+        return rows[n - 1][1:]
 
-    monkeypatch.setattr(maps, "_ascent_entry", entry)
+    def ascent(space, images, n, budget, seed, hi):
+        witness = np.full((n, n, space.dim), n, dtype=complex)
+        return AscentOutcome(rows[n - 1][0], witness, True, 1)
+
+    monkeypatch.setattr(maps, "_certificate", certificate)
+    monkeypatch.setattr(maps, "maximize_amplified_norm", ascent)
 
 
 OPT, COEFF, HAAG = SOURCE_OPTIMIZER, SOURCE_COEFF_RELAXATION, SOURCE_HAAGERUP
@@ -642,7 +652,7 @@ def test_max_level_above_the_cap_raises_before_any_ascent(monkeypatch):
     def no_ascent(*args, **kwargs):
         raise AssertionError("ascent run before max_level was checked")
 
-    monkeypatch.setattr(maps, "_ascent_entry", no_ascent)
+    monkeypatch.setattr(maps, "maximize_amplified_norm", no_ascent)
     message = f"max_level must be at most {maps.MAX_LEVEL}, got {maps.MAX_LEVEL + 1}"
     with pytest.raises(InvalidLevel, match=message):
         build_level_table(get_entry("transpose_M2").map, maps.MAX_LEVEL + 1)
@@ -794,8 +804,75 @@ def test_the_haagerup_bounds_are_the_closed_forms(name, rebase):
         assert truth <= got <= truth * (1.0 + 1e-12), (got, truth)
 
 
-def test_a_proper_subspace_domain_gets_no_haagerup_bound():
-    assert haagerup_bounds(_random_map(2, 2, 3, None, 0)) == (np.inf, np.inf)
+SUBSPACE_SPECS = [spec for spec in RANDOM_SPECS if spec[2] is not None]
+
+
+@pytest.mark.parametrize("spec", SUBSPACE_SPECS, ids=str)
+def test_the_haagerup_bounds_hold_on_proper_subspace_domains(spec):
+    # phi o P extends phi from V to M_d, P the Frobenius projection onto V:
+    # its factorization bounds phi at every level, and no oracle beats it.
+    phi = _random_map(*spec, seed=0)
+    cb, first = haagerup_bounds(phi)
+    assert first <= cb < np.inf
+    for n in range(1, min(phi.codomain.ambient_dim, 2) + 1):
+        brute = brute_level_norm(phi, n, trials=500, seed=n)
+        assert brute <= (first if n == 1 else cb), (n, brute, first, cb)
+
+
+def _count_ascents(monkeypatch):
+    """The levels at which build_level_table runs an ascent, in order."""
+    levels = []
+
+    def counted(space, images, level, budget, seed, hi):
+        levels.append(level)
+        return maximize_amplified_norm(space, images, level, budget, seed, hi)
+
+    monkeypatch.setattr(maps, "maximize_amplified_norm", counted)
+    return levels
+
+
+def test_the_diagonal_inclusion_is_closed_by_its_certificate(monkeypatch):
+    # phi o P on diag(M2) < M2 is the conditional expectation onto the diagonal,
+    # of cb norm 1: hi is 1, so level 1's ascent stops at once and closes level 2.
+    units = [np.array(b) for b in M2.basis]
+    diag = make_space(2, [units[0], units[3]], "diag_of_M2")
+    phi = make_map(diag, M2, [units[0], units[3]], "diag_inclusion")
+    for bound in haagerup_bounds(phi):
+        assert abs(bound - 1.0) <= 1e-12, bound
+    levels = _count_ascents(monkeypatch)
+    table = build_level_table(phi, 2, seed=SEED)
+    assert levels == [1]
+    assert [e.bracket.lo_source for e in table.entries] == [SOURCE_OPTIMIZER, SOURCE_MONOTONICITY]
+    for e in table.entries:
+        assert e.bracket.lo <= 1.0 <= e.bracket.hi <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("name, want", (("identity_M3", [1]), ("transpose_M3", [1, 2, 3])))
+def test_a_closed_level_runs_no_ascent(name, want, monkeypatch):
+    # identity: every hi is 1, which level 1's lo meets; transpose: hi_n = n
+    # stays above lo_(n-1) = n - 1, so every level searches.
+    levels = _count_ascents(monkeypatch)
+    build_level_table(get_entry(name).map, 3, seed=SEED)
+    assert levels == want
+
+
+@pytest.mark.parametrize("seed", (0, 7))
+def test_catalog_brackets_hold_their_truth_and_closed_rows_are_tight(seed, monkeypatch):
+    levels = _count_ascents(monkeypatch)
+    eps = np.finfo(float).eps
+    for entry in list_entries():
+        phi, m = entry.map, entry.map.codomain.ambient_dim
+        del levels[:]
+        table = build_level_table(phi, m + 2, seed=seed)
+        for e in table.entries:
+            n, b = e.level, e.bracket
+            assert b.lo <= entry.expected_level_norms(n) <= b.hi, (entry.name, seed, n)
+            if phi.is_zero or n > phi.stabilization_level or n in levels:
+                continue
+            # Closed: lo is the row below's, within tol of the certified hi.
+            assert b.lo_source == SOURCE_MONOTONICITY, (entry.name, seed, n)
+            assert b.lo == table.entries[n - 2].bracket.lo
+            assert b.hi - b.lo <= (DEFAULT_BUDGET.tol + 4 * eps) * b.hi, (entry.name, seed, n)
 
 
 @pytest.mark.parametrize("spec", ((2, 2, None, None), (2, 2, 3, None)), ids=("M2", "sub3_of_M2"))

@@ -216,7 +216,7 @@ def test_series_readers_build_no_table(catalog_entries, monkeypatch):
     def no_ascent(*args, **kwargs):
         raise AssertionError("a series reader ran the ascent")
 
-    monkeypatch.setattr(maps, "_ascent_entry", no_ascent)
+    monkeypatch.setattr(maps, "maximize_amplified_norm", no_ascent)
     for read in (
         lambda: np_norm(phi, 2.0, short),
         lambda: membership(phi, 1.5, short),
@@ -372,7 +372,7 @@ def test_index_of_a_map_builds_no_table(catalog_entries, monkeypatch):
     def no_ascent(*args, **kwargs):
         raise AssertionError("index_estimate ran the ascent")
 
-    monkeypatch.setattr(maps, "_ascent_entry", no_ascent)
+    monkeypatch.setattr(maps, "maximize_amplified_norm", no_ascent)
     phi = catalog_entries["transpose_M3"].map
     est = index_estimate(phi)
     assert (est.r_hat, est.alpha_hat, est.fit_window, est.residual) == (1.0, 0.0, (3, 3), 0.0)

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from npspace import full_matrix_space, get_entry, list_entries, make_map, optimize, random_subspace
+from npspace import (
+    full_matrix_space,
+    get_entry,
+    list_entries,
+    make_map,
+    maps,
+    optimize,
+    random_subspace,
+)
 from npspace.optimize import (
     _AGREE_REL,
     _SEED_TAG,
@@ -288,6 +296,42 @@ def test_subspace_ascent_matches_the_two_sided_loop(which, budget):
             ref, _, _ = _reference_ascent(phi.domain, images, level, budget, seed)
             assert (got.converged, got.support) == (ref.converged, ref.support), level
             assert abs(got.value - ref.value) <= 1e-12 * max(1.0, ref.value), level
+
+
+def _outcome_bits(outcome):
+    return outcome.value.hex(), outcome.coords.tobytes(), outcome.converged, outcome.support
+
+
+@pytest.mark.parametrize("which", sorted(SUBSPACE_MAPS))
+def test_an_unreached_certificate_leaves_the_ascent_bitwise(which):
+    # A certified hi that no restart reaches stops nothing: value, witness,
+    # convergence and support are those of the ascent given no hi.
+    phi = SUBSPACE_MAPS[which]()
+    haagerup = maps.haagerup_bounds(phi)
+    for level in range(1, phi.codomain.ambient_dim + 1):
+        hi, _ = maps._certificate(phi, level, haagerup)
+        for seed in (0, 7):
+            free = maximize_amplified_norm(phi.domain, phi.images(), level, DEFAULT_BUDGET, seed)
+            assert free.value < hi * (1.0 - DEFAULT_BUDGET.tol), (level, seed)
+            got = maximize_amplified_norm(phi.domain, phi.images(), level, DEFAULT_BUDGET, seed, hi)
+            assert _outcome_bits(got) == _outcome_bits(free), (level, seed)
+
+
+@pytest.mark.parametrize("name, level, hi", (("identity_M2", 2, 1.0), ("transpose_M3", 2, 2.0)))
+def test_an_ascent_stopped_by_its_certificate_is_converged(name, level, hi, monkeypatch):
+    # Every start of the identity already reaches hi: no step is taken, and all
+    # 20 restarts support it.  Transpose climbs to 2 and stops there.
+    phi = get_entry(name).map
+    steps = []
+    monkeypatch.setattr(optimize, "unrealize", lambda *args: steps.append(1) or unrealize(*args))
+    free = maximize_amplified_norm(phi.domain, phi.images(), level)
+    free_steps, steps[:] = len(steps), []
+    got = maximize_amplified_norm(phi.domain, phi.images(), level, DEFAULT_BUDGET, 0, hi)
+    assert got.converged and 1 <= got.support <= DEFAULT_BUDGET.restarts
+    assert hi * (1.0 - 2 * DEFAULT_BUDGET.tol) <= got.value <= hi
+    assert len(steps) < free_steps
+    if name == "identity_M2":
+        assert (len(steps), got.support) == (0, DEFAULT_BUDGET.restarts)
 
 
 @pytest.mark.parametrize("level", (1, 2))
