@@ -18,16 +18,11 @@ from .maps import (
     LevelNormTable,
     LinearMapRep,
     amplify,
-    base_norm,
     build_level_table,
-    cb_norm,
-    level_norm_bracket,
-    level_witness,
     load_map,
     make_map,
     map_from_dict,
     map_to_dict,
-    realize_amplified,
     save_map,
     scaled_map,
     sum_map,
@@ -37,14 +32,13 @@ from .npnorm import (
     NpResult,
     inclusion_check,
     index_estimate,
-    membership,
     np_norm,
     require_p,
     zeta_bracket,
     zeta_tail,
 )
 from .optimize import AscentOutcome, OptBudget, maximize_amplified_norm
-from .oracle import brute_level_norm, brute_search, cross_validate
+from .oracle import brute_search, cross_validate
 from .spaces import (
     AxiomReport,
     OperatorSpace,

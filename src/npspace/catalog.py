@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .maps import LinearMapRep, make_map, map_to_dict
+from .maps import LinearMapRep, make_map
 from .npnorm import over_power, zeta_tail
 from .spaces import full_matrix_space, make_space, require_int
 
@@ -131,14 +131,6 @@ def get_entry(name: str) -> CatalogEntry:
     raise KeyError(f"no catalog entry {name!r}; known entries: {known}")
 
 
-def resolve_uri(uri: str) -> CatalogEntry:
-    """Resolve a 'catalog:<name>' reference."""
-    prefix = "catalog:"
-    if not uri.startswith(prefix):
-        raise ValueError(f"not a catalog URI: {uri!r}")
-    return get_entry(uri[len(prefix):])
-
-
 def expected_np_bracket(entry: CatalogEntry, p: float, K: int) -> tuple[float, float]:
     """Evaluate the entry's closed-form rule as a partial sum plus zeta tail."""
     p = float(p)
@@ -150,8 +142,3 @@ def expected_np_bracket(entry: CatalogEntry, p: float, K: int) -> tuple[float, f
     stable_value = rule(K + 1)
     tlo, thi = zeta_tail(p, K)
     return partial + stable_value * tlo, partial + stable_value * thi
-
-
-def export_entry(entry: CatalogEntry) -> dict:
-    """The entry's map in the JSON map-file schema (spaces inline)."""
-    return map_to_dict(entry.map)

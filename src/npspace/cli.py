@@ -40,7 +40,7 @@ def _fmt(x: float) -> str:
 def _resolve_map(ref: str) -> LinearMapRep:
     if ref.startswith("catalog:"):
         try:
-            return _catalog.resolve_uri(ref).map
+            return _catalog.get_entry(ref.removeprefix("catalog:")).map
         except KeyError as exc:  # an unknown name: a parse error like any other
             raise ValueError(exc.args[0]) from None
     return load_map(ref)

@@ -4,8 +4,7 @@ A map is stored as its coordinate matrix between bases, and holds no
 results.  Every bracket for a level norm ||phi_n|| is a row of
 ``build_level_table``: per-level ascent brackets joined by one propagation
 pass of certified cross-level bounds.  The seeded ascent is deterministic,
-so every reader recomputes the table it reads and agrees with every other
-table built from the same map, budget and seed.
+so every table built from the same map, budget and seed has the same rows.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +44,6 @@ from .spaces import (
     json_field,
     load_space,
     pad_to,
-    realize,
     require_finite,
     require_int,
     space_from_dict,
@@ -145,10 +143,6 @@ def amplify(phi: LinearMapRep, x: SpaceElement) -> SpaceElement:
     return SpaceElement(phi.codomain, x.level, out)
 
 
-def realize_amplified(phi: LinearMapRep, x: SpaceElement) -> np.ndarray:
-    return realize(amplify(phi, x))
-
-
 def scaled_map(phi: LinearMapRep, factor: complex, label: str | None = None) -> LinearMapRep:
     return LinearMapRep(
         phi.domain, phi.codomain, factor * phi.coeff, label or f"{factor}*{phi.label}"
@@ -220,8 +214,8 @@ class LevelEntry:
 class LevelNormTable:
     """Brackets for ||phi_n||, n = 1..max_level, after bound propagation.
 
-    A table through its map's stabilization level s can serve any level
-    above its stored range, since ||phi_n|| = ||phi_s|| for every n >= s.
+    It answers only for the levels it holds: ||phi||_cb, the norm of every
+    level from the map's stabilization level s on, is row s.
     """
 
     map: LinearMapRep
@@ -239,20 +233,12 @@ class LevelNormTable:
 
     def bracket_at(self, n: int) -> NormBracket:
         n = require_int(n, "level", InvalidLevel)
-        if n <= self.max_level:
-            return self.entries[n - 1].bracket
-        s = self.stabilization_level
-        if s <= self.max_level:
-            return self._stable_bracket()
-        raise InsufficientTable(
-            f"table covers levels 1..{self.max_level} and stabilizes at {s}; "
-            f"cannot serve level {n}"
-        )
-
-    def _stable_bracket(self) -> NormBracket:
-        """Row s's bracket as every level above s has it (Smith stabilization)."""
-        b = self.entries[self.stabilization_level - 1].bracket
-        return b if self.map.is_zero else NormBracket(b.lo, b.hi, SOURCE_SMITH, SOURCE_SMITH)
+        if n > self.max_level:
+            raise InsufficientTable(
+                f"table covers levels 1..{self.max_level} and stabilizes at "
+                f"{self.stabilization_level}; cannot serve level {n}"
+            )
+        return self.entries[n - 1].bracket
 
     def to_json_dict(self) -> dict:
         return {
@@ -297,51 +283,6 @@ def _reconcile(lo: float, hi: float, phi: LinearMapRep, n: int) -> tuple[float, 
             f"for {phi.label!r} at level {n}"
         )
     return lo, hi
-
-
-def _table_through(phi: LinearMapRep, n: int, budget: OptBudget, seed: int) -> LevelNormTable:
-    """The table whose last row serves level n: levels 1..min(n, s)."""
-    n = require_int(n, "level", InvalidLevel)
-    return build_level_table(phi, min(n, phi.stabilization_level), budget, seed)
-
-
-def level_norm_bracket(
-    phi: LinearMapRep, n: int, budget: OptBudget = DEFAULT_BUDGET, seed: int = 0
-) -> NormBracket:
-    """Certified bracket for ||phi_n||: row n of the level table.
-
-    Levels above the stabilization level s read the level-s row: the
-    inclusion of the codomain in M_m stabilizes the sequence there, so the
-    value is equal, not just capped.
-    """
-    return _table_through(phi, n, budget, seed).bracket_at(n)
-
-
-def level_witness(
-    phi: LinearMapRep, n: int, budget: OptBudget = DEFAULT_BUDGET, seed: int = 0
-) -> SpaceElement:
-    """The witness for the level-n lower bound, padded up from level min(n, s)."""
-    row = _table_through(phi, n, budget, seed).entries[-1]
-    return pad_to(SpaceElement(phi.domain, row.level, row.witness), n)
-
-
-def base_norm(
-    phi: LinearMapRep, budget: OptBudget = DEFAULT_BUDGET, seed: int = 0
-) -> NormBracket:
-    """Bracket for the plain operator norm ||phi|| = ||phi_1||."""
-    return level_norm_bracket(phi, 1, budget, seed)
-
-
-def cb_norm(
-    phi: LinearMapRep, budget: OptBudget = DEFAULT_BUDGET, seed: int = 0
-) -> NormBracket:
-    """Bracket for sup_n ||phi_n||: the bracket of any level above s.
-
-    For a full matrix-algebra codomain this is the stabilization statement
-    itself; for a proper subspace it follows by applying the same statement
-    to the (completely isometric) ambient inclusion.
-    """
-    return level_norm_bracket(phi, phi.stabilization_level + 1, budget, seed)
 
 
 # Most levels a table may hold.  Each row above s keeps its own padded witness,
@@ -405,12 +346,12 @@ def build_level_table(
                 witness = pad_to(SpaceElement(phi.domain, n - 1, rows[-1].witness), n).coords
             lo, hi = _reconcile(lo, hi, phi, n)
             rows.append(LevelEntry(n, NormBracket(lo, hi, lo_src, hi_src), witness))
-    table = LevelNormTable(phi, tuple(rows), budget, seed)
-    if max_level <= s:
-        return table
-    stable, at_s = table._stable_bracket(), SpaceElement(phi.domain, s, rows[-1].witness)
-    above = [LevelEntry(n, stable, pad_to(at_s, n).coords) for n in range(s + 1, max_level + 1)]
-    return replace(table, entries=tuple(rows + above))
+    if max_level > s:
+        stable, at_s = rows[-1].bracket, SpaceElement(phi.domain, s, rows[-1].witness)
+        if not phi.is_zero:
+            stable = NormBracket(stable.lo, stable.hi, SOURCE_SMITH, SOURCE_SMITH)
+        rows += [LevelEntry(n, stable, pad_to(at_s, n).coords) for n in range(s + 1, max_level + 1)]
+    return LevelNormTable(phi, tuple(rows), budget, seed)
 
 
 # ---------------------------------------------------------------------------

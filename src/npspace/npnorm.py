@@ -36,11 +36,11 @@ MAX_TRUNCATION = 100_000
 
 
 def require_p(p) -> float:
-    """The exponent p of the series as a float: a finite number p >= 1, and never a
-    bool; anything else raises ValueError."""
-    is_bool = isinstance(p, (bool, np.bool_))
-    value = p if is_bool else float(p)
-    if is_bool or not 1.0 <= value < math.inf:
+    """The exponent p of the series as a float: a Python or numpy int or float with
+    1 <= p < inf, and never a bool; anything else raises ValueError."""
+    real = isinstance(p, (int, float, np.integer, np.floating)) and not isinstance(p, bool)
+    value = float(p) if real else p
+    if not real or not 1.0 <= value < math.inf:
         raise ValueError(f"p must satisfy 1 <= p < inf, got {value!r}")
     return value
 
@@ -50,8 +50,11 @@ def zeta_tail(p: float, K: int) -> tuple[float, float]:
 
     Integral comparison sharpened with one Euler-Maclaurin correction term;
     the correction's own error has known sign and size for this completely
-    monotone summand, so both sides stay certified.  Divergence (p <= 1) is
-    signaled as (+inf, +inf), not raised; a NaN p raises ValueError.
+    monotone summand, so both sides stay certified.  Below the smallest normal
+    double a step of rounding is 2^-1074 whatever the value, enough to invert or
+    zero the bracket, so an underflowing lo widens to [0, max(hi, 2 * tiny)].
+    Divergence (p <= 1) is signaled as (+inf, +inf), not raised; a NaN p raises
+    ValueError.
     """
     p = float(p)
     if math.isnan(p):
@@ -69,6 +72,9 @@ def zeta_tail(p: float, K: int) -> tuple[float, float]:
     if math.isfinite(em_hi - em_width):
         lo = max(em_hi - em_width, lo)
     hi = min(em_hi, naive_hi)
+    tiny = np.finfo(float).tiny
+    if lo < tiny:
+        lo, hi = 0.0, max(hi, 2.0 * tiny)
     return lo, hi
 
 
@@ -143,7 +149,8 @@ def np_norm(phi: LinearMapRep, p, table: LevelNormTable) -> NpResult:
     (2e-11 to 7e-11), and all that a larger K could take off.  For p > 1 the table must
     reach s = ``phi.stabilization_level``; a shorter one raises InsufficientTable.  At
     p = 1 only row 1 is read, and for the zero map no row.  A table built for another
-    map raises SpaceMismatch.
+    map raises SpaceMismatch.  The verdict says whether phi lies in N^p: every nonzero
+    map is a member exactly for p > 1.
     """
     _require_table_for(phi, table)
     pp = require_p(p)
@@ -181,11 +188,6 @@ def np_norm(phi: LinearMapRep, p, table: LevelNormTable) -> NpResult:
     return NpResult(pp, bracket, VERDICT_MEMBER, K, tail_lo, tail_hi, closed)
 
 
-def membership(phi: LinearMapRep, p, table: LevelNormTable) -> str:
-    """Membership of phi in N^p: every nonzero map is a member exactly for p > 1."""
-    return np_norm(phi, p, table).verdict
-
-
 @dataclass(frozen=True)
 class IndexEstimate:
     """Fitted growth exponent and the summability index it implies."""
@@ -208,33 +210,21 @@ class IndexEstimate:
         }
 
 
-def index_estimate(
-    source: LinearMapRep | Iterable[tuple[int, float]],
-    fit_window: tuple[int, int] | None = None,
-) -> IndexEstimate:
+def index_estimate(source: LinearMapRep | Iterable[tuple[int, float]]) -> IndexEstimate:
     """Estimate the summability index from level-norm growth.
 
     A map has index 1 and needs no level table: its level norms are constant
-    from its stabilization level s on, so the estimate is fixed, its window
-    is (s, s), and a ``fit_window`` given with a map is refused.  For a synthetic
-    (n, value) sequence the growth exponent is a log-log least-squares slope
-    over the fit window, defaulting to the upper half of the available levels.
+    from its stabilization level s on, so the estimate is fixed and its window
+    is (s, s).  For a synthetic (n, value) sequence the growth exponent is a
+    log-log least-squares slope over the upper half of its levels.
     """
     if isinstance(source, LinearMapRep):
-        if fit_window is not None:
-            raise ValueError("fit_window applies to a synthetic sequence; a map's window is (s, s)")
         s = source.stabilization_level
         return IndexEstimate(1.0, 0.0, (s, s), 0.0)
     pairs = sorted((require_int(n, "level", InvalidLevel), float(v)) for n, v in source)
     if len(pairs) < 3:
         raise InsufficientData(f"index fit needs at least 3 levels, got {len(pairs)}")
-    if fit_window is not None:
-        lo_n, hi_n = fit_window
-        window = [(n, v) for n, v in pairs if lo_n <= n <= hi_n]
-    else:
-        window = pairs[len(pairs) // 2 :]
-    if len(window) < 2:
-        raise InsufficientData("fit window keeps fewer than 2 levels")
+    window = pairs[len(pairs) // 2 :]
     if any(v <= 0.0 for _, v in window):
         raise InsufficientData("fit window contains non-positive values")
     xs = np.log([float(n) for n, _ in window])

@@ -199,14 +199,6 @@ def brute_search(
     return witnessed_value(phi.domain, phi.images(), n, search(phi, n, trials, rng))
 
 
-def brute_level_norm(
-    phi: LinearMapRep, level: int, trials: int = 2000, seed: int = 0
-) -> float:
-    """Certified lower bound for ||phi_n|| by randomized search."""
-    value, _ = brute_search(phi, level, trials, seed)
-    return value
-
-
 @dataclass(frozen=True)
 class CrossValidationReport:
     """Per-level comparison of brute-force lower bounds with a table."""

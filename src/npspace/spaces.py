@@ -141,9 +141,6 @@ class OperatorSpace:
     def is_full_matrix_algebra(self) -> bool:
         return self.dim == self.ambient_dim**2
 
-    def element(self, level: int, coords) -> "SpaceElement":
-        return SpaceElement(self, level, np.asarray(coords, dtype=complex))
-
     def coords_of(self, matrix: np.ndarray) -> np.ndarray:
         """Least-squares coordinates of a d x d matrix (its projection onto V)."""
         m = np.asarray(matrix, dtype=complex)
@@ -284,19 +281,12 @@ def pad_to(x: SpaceElement, level: int) -> SpaceElement:
     return SpaceElement(x.space, level, coords)
 
 
-def random_element(
-    space: OperatorSpace, level: int, rng: np.random.Generator, unit: bool = False
-) -> SpaceElement:
-    """Element with iid complex-gaussian coordinates; unit realized norm if asked."""
+def random_element(space: OperatorSpace, level: int, rng: np.random.Generator) -> SpaceElement:
+    """Element with iid complex-gaussian coordinates."""
     level = require_int(level, "level", InvalidLevel)
     shape = (level, level, space.dim)
     coords = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    x = SpaceElement(space, level, coords)
-    if unit:
-        nrm = level_norm(x)
-        if nrm > 0:
-            x = SpaceElement(space, level, coords / nrm)
-    return x
+    return SpaceElement(space, level, coords)
 
 
 def random_subspace(

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from npspace import (
-    base_norm,
-    brute_level_norm,
+    brute_search,
     build_level_table,
     full_matrix_space,
     index_estimate,
@@ -22,7 +21,6 @@ from npspace import (
     make_map,
     map_from_dict,
     map_to_dict,
-    membership,
     np_norm,
     random_subspace,
     verify_axioms,
@@ -149,7 +147,7 @@ def run_battery(seed: int) -> dict:
     brutes = []
     for n in (1, 2, 3, 4):
         want = t_rule(n)
-        brute = brute_level_norm(t_phi, n, trials=2000, seed=seed)
+        brute, _ = brute_search(t_phi, n, trials=2000, seed=seed)
         brutes.append(brute)
         ok5 = ok5 and brute >= want - 1e-3
         ok5 = ok5 and t_table.bracket_at(n).hi <= want + 1e-9
@@ -171,7 +169,7 @@ def run_battery(seed: int) -> dict:
 
     # -- criterion 6: functional closed form --------------------------------
     tr_phi = tables["trace_M2"].map
-    f_bracket = base_norm(tr_phi, seed=seed)
+    f_bracket = tables["trace_M2"].bracket_at(1)
     ok6 = True
     payload6 = {}
     for p in (2.0, 3.0):
@@ -210,12 +208,12 @@ def run_battery(seed: int) -> dict:
         "payload": json.dumps(payload7, sort_keys=True),
     }
 
-    # -- criterion 8: membership above p = 2 --------------------------------
+    # -- criterion 8: every map a member above p = 2 -------------------------
     ok8 = True
     payload8 = {}
     for name, phi, _ in entries:
-        verdict = membership(phi, 2.1, tables[name])
         r = np_norm(phi, 2.1, tables[name])
+        verdict = r.verdict
         ok8 = ok8 and verdict == VERDICT_MEMBER
         ok8 = ok8 and math.isfinite(r.bracket.hi)
         payload8[name] = {"verdict": verdict, "hi": r.bracket.hi}
@@ -299,7 +297,7 @@ def test_criterion_07_inclusions(battery):
 
 
 def test_criterion_08_membership_above_two(battery):
-    _report(battery, "c8", "8 (membership for p > 2)")
+    _report(battery, "c8", "8 (member for p > 2)")
 
 
 def test_criterion_09_n1_triviality(battery):

@@ -363,12 +363,11 @@ def test_seeded_runs_are_byte_identical(tmp_path):
 
 
 def test_file_based_map_with_space_paths(tmp_path):
-    from npspace import get_entry, space_to_dict
-    from npspace.catalog import export_entry
+    from npspace import get_entry, map_to_dict, space_to_dict
 
     phi = get_entry("transpose_M2").map
     (tmp_path / "m2.json").write_text(json.dumps(space_to_dict(phi.domain)))
-    data = export_entry(get_entry("transpose_M2"))
+    data = map_to_dict(phi)
     data["domain"] = "m2.json"
     data["codomain"] = "m2.json"
     path = tmp_path / "map.json"
@@ -420,10 +419,9 @@ def test_series_output_is_the_library_series_through_s(ref, tmp_path, capsys):
 
 
 def _write_map(tmp_path, edit):
-    from npspace.catalog import export_entry
-    from npspace import get_entry
+    from npspace import get_entry, map_to_dict
 
-    spec = export_entry(get_entry("transpose_M2"))
+    spec = map_to_dict(get_entry("transpose_M2").map)
     edit(spec)
     path = tmp_path / "map.json"
     path.write_text(json.dumps(spec))

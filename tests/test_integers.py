@@ -24,8 +24,6 @@ from npspace import (
     full_matrix_space,
     get_entry,
     index_estimate,
-    level_norm_bracket,
-    level_witness,
     make_space,
     maximize_amplified_norm,
     pad_to,
@@ -34,6 +32,8 @@ from npspace import (
     space_from_dict,
     space_to_dict,
     verify_axioms,
+    zeta_bracket,
+    zeta_tail,
 )
 from npspace.cli import _suite_axioms, main
 from npspace.maps import coefficient_relaxation_bound
@@ -81,9 +81,7 @@ ENTRY_POINTS = {
     ),
     "pad_to.level": (InvalidLevel, 1, 2, lambda n: pad_to(SpaceElement(M2, 1, np.ones((1, 1, 4))), n)),
     "build_level_table.max_level": (InvalidLevel, 1, 2, lambda n: _table(max_level=n)),
-    "bracket_at.n": (InvalidLevel, 1, 3, lambda n: _table().bracket_at(n)),
-    "level_norm_bracket.n": (InvalidLevel, 1, 3, lambda n: level_norm_bracket(PHI, n, BUDGET)),
-    "level_witness.n": (InvalidLevel, 1, 3, lambda n: level_witness(PHI, n, BUDGET)),
+    "bracket_at.n": (InvalidLevel, 1, 2, lambda n: _table().bracket_at(n)),
     "maximize_amplified_norm.level": (
         InvalidLevel, 1, 2, lambda n: maximize_amplified_norm(M2, PHI.images(), n, BUDGET)
     ),
@@ -120,6 +118,8 @@ ENTRY_POINTS = {
     "brute_search.trials": (ValueError, 1, 8, lambda t: brute_search(PHI, 2, trials=t)),
     "cross_validate.trials": (ValueError, 1, 8, lambda t: cross_validate(_table(), trials=t)),
     "verify_axioms.samples": (ValueError, 1, 3, lambda s: verify_axioms(M2, s, seed=0)),
+    "zeta_tail.K": (ValueError, 0, 8, lambda k: zeta_tail(2.5, k)),
+    "zeta_bracket.K": (ValueError, 0, 8, lambda k: zeta_bracket(2.5, k)),
     # seeds
     "build_level_table.seed": (ValueError, 0, 7, lambda s: _table(seed=s)),
     "maximize_amplified_norm.seed": (

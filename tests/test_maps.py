@@ -14,18 +14,13 @@ from npspace import (
     OptBudget,
     SpaceElement,
     amplify,
-    base_norm,
-    brute_level_norm,
     brute_search,
     build_level_table,
-    cb_norm,
     cross_validate,
     full_matrix_space,
     get_entry,
     inclusion_check,
     level_norm,
-    level_norm_bracket,
-    level_witness,
     list_entries,
     make_map,
     make_space,
@@ -36,7 +31,6 @@ from npspace import (
     random_element,
     random_subspace,
     realize,
-    realize_amplified,
     save_space,
     scaled_map,
 )
@@ -152,7 +146,7 @@ def test_amplify_transpose_acts_entrywise():
     units = [np.array(b) for b in M2.basis]
     coords = np.zeros((2, 2, 4), dtype=complex)
     coords[0, 1, 1] = 1.0  # entry (0,1) holds E12
-    x = M2.element(2, coords)
+    x = SpaceElement(M2, 2, coords)
     out = amplify(phi, x)
     want = np.zeros((2, 2, 4), dtype=complex)
     want[0, 1, 2] = 1.0  # E12 transposed is E21, same block position
@@ -173,7 +167,7 @@ def test_amplify_is_linear(rng):
     x = random_element(M2, 2, rng)
     y = random_element(M2, 2, rng)
     a, b = 1.5 - 2j, 0.25j
-    combo = M2.element(2, a * x.coords + b * y.coords)
+    combo = SpaceElement(M2, 2, a * x.coords + b * y.coords)
     want = a * amplify(phi, x).coords + b * amplify(phi, y).coords
     assert np.allclose(amplify(phi, combo).coords, want)
 
@@ -181,7 +175,7 @@ def test_amplify_is_linear(rng):
 def test_amplify_realization_matches_blockwise_action(rng):
     phi = _transpose(M3)
     x = random_element(M3, 2, rng)
-    got = realize_amplified(phi, x)
+    got = realize(amplify(phi, x))
     big = realize(x)
     expected = np.zeros_like(big)
     for i in range(2):
@@ -203,32 +197,32 @@ def test_amplify_rejects_wrong_space(rng):
 
 
 # ---------------------------------------------------------------------------
-# base_norm
+# Level 1: the operator norm
 # ---------------------------------------------------------------------------
 
 
 def test_base_norm_zero_map():
-    bracket = base_norm(_zero())
+    bracket = build_level_table(_zero(), 1).bracket_at(1)
     assert bracket.lo == bracket.hi == 0.0
     assert bracket.lo_source == "trivial_zero"
 
 
 def test_base_norm_identity_is_one():
-    bracket = base_norm(_identity(M2), seed=SEED)
+    bracket = build_level_table(_identity(M2), 1, seed=SEED).bracket_at(1)
     assert abs(bracket.lo - 1.0) <= 1e-9
     assert abs(bracket.hi - 1.0) <= 1e-9
 
 
 def test_base_norm_transpose_is_one(rng):
     # Independent oracle: transpose preserves singular values, so random
-    # unit matrices can approach but never exceed 1.
+    # matrices scaled to norm 1 can approach but never exceed 1.
     phi = _transpose(M2)
     best = 0.0
     for _ in range(200):
-        x = random_element(M2, 1, rng, unit=True)
-        best = max(best, np.linalg.norm(realize_amplified(phi, x), 2))
+        x = random_element(M2, 1, rng)
+        best = max(best, np.linalg.norm(realize(amplify(phi, x)), 2) / level_norm(x))
     assert best <= 1.0 + 1e-12
-    bracket = base_norm(phi, seed=SEED)
+    bracket = build_level_table(phi, 1, seed=SEED).bracket_at(1)
     assert abs(bracket.lo - 1.0) <= 1e-8
     assert abs(bracket.hi - 1.0) <= 1e-8
     assert bracket.lo >= best - 1e-9
@@ -239,9 +233,9 @@ def test_base_norm_full_domain_full_codomain_is_certified(rng):
     # ascent's value, so it holds against the oracle and lies 4.4% above lo here.
     coeff = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     phi = make_map(M2, M2, [c for c in _coeff_to_action(coeff)], "random")
-    bracket = base_norm(phi, seed=SEED)
+    bracket = build_level_table(phi, 1, seed=SEED).bracket_at(1)
     assert (bracket.hi, bracket.hi_source) == (haagerup_bounds(phi)[1], SOURCE_HAAGERUP)
-    brute = brute_level_norm(phi, 1, trials=500, seed=SEED)
+    brute, _ = brute_search(phi, 1, trials=500, seed=SEED)
     assert bracket.lo >= brute * (1.0 - 1e-12) and brute <= bracket.hi
     assert bracket.hi <= 1.05 * bracket.lo
 
@@ -252,14 +246,13 @@ def _coeff_to_action(coeff):
 
 
 # ---------------------------------------------------------------------------
-# level_norm_bracket
+# Level brackets
 # ---------------------------------------------------------------------------
 
 
 def test_level_bracket_transpose_levels():
-    phi = _transpose(M2)
-    b1 = level_norm_bracket(phi, 1, seed=SEED)
-    b2 = level_norm_bracket(phi, 2, seed=SEED)
+    table = build_level_table(_transpose(M2), 2, seed=SEED)
+    b1, b2 = table.bracket_at(1), table.bracket_at(2)
     assert abs(b1.lo - 1.0) <= 1e-6 and abs(b1.hi - 1.0) <= 1e-6
     assert abs(b2.lo - 2.0) <= 1e-6 and abs(b2.hi - 2.0) <= 1e-6
 
@@ -267,23 +260,25 @@ def test_level_bracket_transpose_levels():
 def test_level_bracket_respects_linear_growth_cap(rng):
     coeff = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     phi = make_map(M2, M2, _coeff_to_action(coeff), "random")
-    base = base_norm(phi, seed=SEED)
+    table = build_level_table(phi, 3, seed=SEED)
+    base = table.bracket_at(1)
     for n in (2, 3):
-        b = level_norm_bracket(phi, n, seed=SEED)
+        b = table.bracket_at(n)
         assert b.hi <= n * base.hi * (1 + 1e-12)
         assert b.lo <= n * base.hi + 1e-9
 
 
 def test_level_bracket_invalid_level():
+    table = build_level_table(_identity(M2), 1)
     with pytest.raises(InvalidLevel):
-        level_norm_bracket(_identity(M2), 0)
+        table.bracket_at(0)
 
 
 def test_exhausted_budget_widens_but_stays_valid():
     # Budget exhaustion is not an error; the bracket just gets wider.
     phi = _transpose(M2)
-    tight = level_norm_bracket(phi, 2, seed=SEED)
-    rough = level_norm_bracket(phi, 2, OptBudget(restarts=1, max_iter=2), seed=SEED)
+    tight = build_level_table(phi, 2, seed=SEED).bracket_at(2)
+    rough = build_level_table(phi, 2, OptBudget(restarts=1, max_iter=2), seed=SEED).bracket_at(2)
     assert 0.0 <= rough.lo <= rough.hi
     assert rough.lo <= 2.0 + 1e-9  # still a lower bound for the true value
     assert rough.hi >= 2.0 - 1e-9  # still an upper bound
@@ -292,12 +287,11 @@ def test_exhausted_budget_widens_but_stays_valid():
 
 def test_witness_is_recheckable():
     phi = _transpose(M2)
-    for n in (1, 2, 3):
-        bracket = level_norm_bracket(phi, n, seed=SEED)
-        x = level_witness(phi, n, seed=SEED)
+    for e in build_level_table(phi, 3, seed=SEED).entries:
+        x = SpaceElement(phi.domain, e.level, e.witness)
         assert level_norm(x) <= 1.0 + 1e-10
-        achieved = np.linalg.norm(realize_amplified(phi, x), 2)
-        assert achieved >= bracket.lo - 1e-10
+        achieved = np.linalg.norm(realize(amplify(phi, x)), 2)
+        assert achieved >= e.bracket.lo - 1e-10
 
 
 def test_table_witnesses_sound_after_propagation(catalog_tables, catalog_entries):
@@ -305,42 +299,42 @@ def test_table_witnesses_sound_after_propagation(catalog_tables, catalog_entries
     for name, table in catalog_tables.items():
         phi = catalog_entries[name].map
         for entry in table.entries:
-            x = phi.domain.element(entry.level, entry.witness)
+            x = SpaceElement(phi.domain, entry.level, entry.witness)
             assert level_norm(x) <= 1.0 + 1e-10
-            achieved = np.linalg.norm(realize_amplified(phi, x), 2)
+            achieved = np.linalg.norm(realize(amplify(phi, x)), 2)
             assert achieved >= entry.bracket.lo - 1e-10
 
 
 def test_scaling_both_bounds(rng):
     phi = _transpose(M2)
+    table = build_level_table(phi, 2, seed=SEED)
     for c in (2.5, 0.3):
-        psi = scaled_map(phi, c)
+        scaled = build_level_table(scaled_map(phi, c), 2, seed=SEED)
         for n in (1, 2):
-            b = level_norm_bracket(phi, n, seed=SEED)
-            bc = level_norm_bracket(psi, n, seed=SEED)
+            b, bc = table.bracket_at(n), scaled.bracket_at(n)
             assert abs(bc.lo - c * b.lo) <= 1e-12 * max(1.0, c * b.lo)
             assert abs(bc.hi - c * b.hi) <= 1e-12 * max(1.0, c * b.hi)
 
 
 # ---------------------------------------------------------------------------
-# cb_norm
+# The cb norm: the rows from the stabilization level s on (s = 2 on M2)
 # ---------------------------------------------------------------------------
 
 
 def test_cb_norm_identity():
-    b = cb_norm(_identity(M2), seed=SEED)
+    b = build_level_table(_identity(M2), 3, seed=SEED).bracket_at(3)
     assert abs(b.lo - 1.0) <= 1e-9 and abs(b.hi - 1.0) <= 1e-9
 
 
 def test_cb_norm_transpose_equals_ambient_dim():
-    b = cb_norm(_transpose(M2), seed=SEED)
+    b = build_level_table(_transpose(M2), 3, seed=SEED).bracket_at(3)
     assert abs(b.lo - 2.0) <= 1e-6 and abs(b.hi - 2.0) <= 1e-6
 
 
 def test_cb_norm_functional_equals_base_norm():
     phi = _trace()
-    cb = cb_norm(phi, seed=SEED)
-    base = base_norm(phi, seed=SEED)
+    table = build_level_table(phi, 2, seed=SEED)
+    cb, base = table.bracket_at(2), table.bracket_at(1)
     assert abs(cb.lo - base.lo) <= 1e-12
     assert abs(cb.hi - base.hi) <= 1e-12
     assert abs(cb.lo - 2.0) <= 1e-8  # trace functional attains |tr I| = 2
@@ -350,7 +344,7 @@ def test_cb_norm_proper_subspace_codomain():
     units = [np.array(b) for b in M2.basis]
     diag_space = make_space(2, [units[0], units[3]], "diag")
     phi = make_map(M2, diag_space, [units[0], np.zeros((2, 2)), np.zeros((2, 2)), units[3]])
-    b = cb_norm(phi, seed=SEED)
+    b = build_level_table(phi, 3, seed=SEED).bracket_at(3)
     # Conditional expectation onto the diagonal is completely contractive.
     assert abs(b.lo - 1.0) <= 1e-8
     assert b.hi <= 1.0 + 1e-8
@@ -416,22 +410,29 @@ def test_table_smith_group_shares_bracket(catalog_tables):
             assert abs(e.bracket.hi - ref.hi) <= 1e-9
 
 
-def test_table_serves_levels_beyond_storage():
-    table = build_level_table(_transpose(M2), 4, seed=SEED)
-    b = table.bracket_at(50)
-    assert abs(b.lo - 2.0) <= 1e-6 and abs(b.hi - 2.0) <= 1e-6
-
-
 def test_levels_above_the_table_name_smith_stabilization():
-    # A level above the table reads the stabilized row with the sources a
-    # longer table gives it, not level m's own.
+    # A row above s holds the stabilized bracket with both sources named
+    # smith_stabilization, not level m's own; the zero map's stay trivial_zero.
     phi = get_entry("transpose_M2").map
     want = build_level_table(phi, 4, seed=SEED).entries[2].bracket
     assert want.lo_source == want.hi_source == SOURCE_SMITH
-    assert level_norm_bracket(phi, 3, seed=SEED) == want
-    assert build_level_table(phi, 2, seed=SEED).bracket_at(9) == want
-    zero = build_level_table(_zero(), 2, seed=SEED).bracket_at(9)
+    assert build_level_table(phi, 3, seed=SEED).bracket_at(3) == want
+    assert build_level_table(phi, 9, seed=SEED).bracket_at(9) == want
+    zero = build_level_table(_zero(), 9, seed=SEED).bracket_at(9)
     assert (zero.lo_source, zero.hi_source) == ("trivial_zero", "trivial_zero")
+
+
+@pytest.mark.parametrize("name", ("zero_M2", "transpose_M2", "trace_M2", "diag_M2"))
+def test_a_table_through_s_does_not_serve_level_s_plus_one(name):
+    # A table answers only for the rows it holds, stabilized or not.
+    from npspace import InsufficientTable
+
+    phi = get_entry(name).map
+    s = phi.stabilization_level
+    table = build_level_table(phi, s, seed=SEED)
+    with pytest.raises(InsufficientTable, match=f"covers levels 1..{s} and stabilizes at {s}; "
+                                                f"cannot serve level {s + 1}"):
+        table.bracket_at(s + 1)
 
 
 def test_witnessed_lo_is_a_lower_bound_under_rounding():
@@ -692,49 +693,22 @@ def test_lo_rises_by_a_margin_with_the_witness_padded(monkeypatch):
     assert his == [(2.0, COEFF), (4.0, COEFF), (6.0, COEFF), (6.0, SMITH)]
 
 
-CONSISTENCY_MAPS = [
-    _random_map(d, m, None, None, seed)
-    for d in (2, 3) for m in (2, 3) for seed in range(100, 105)
-]
-
-
-@pytest.mark.parametrize("phi", CONSISTENCY_MAPS, ids=lambda phi: phi.label)
-def test_level_readers_match_the_table_row(phi):
-    budget = OptBudget(restarts=1)
-    m = phi.codomain.ambient_dim
-    for n in (1, 2, 3):
-        table = build_level_table(phi, min(n, m), budget, seed=SEED)
-        assert level_norm_bracket(phi, n, budget, seed=SEED) == table.bracket_at(n), n
-        row = table.entries[-1]
-        want = pad_to(SpaceElement(phi.domain, row.level, row.witness), n)
-        got = level_witness(phi, n, budget, seed=SEED)
-        assert (got.level, got.coords.tobytes()) == (n, want.coords.tobytes()), n
-    row1 = build_level_table(phi, 1, budget, SEED).entries[0]
-    assert base_norm(phi, budget, seed=SEED) == row1.bracket
-    at_m = build_level_table(phi, m, budget, SEED).entries[-1].bracket
-    cb = cb_norm(phi, budget, seed=SEED)
-    assert cb == NormBracket(at_m.lo, at_m.hi, SOURCE_SMITH, SOURCE_SMITH)
-
-
 @pytest.mark.parametrize("budget", (DEFAULT_BUDGET, OptBudget(restarts=1)), ids=("default", "r1"))
 def test_rows_above_s_agree_with_every_reader(budget):
-    # A row above the stabilization level s is what every reader of level
-    # n > s says: the stable bracket, named smith_stabilization on both sides
-    # (trivial_zero for a zero map), with row s's witness padded.
+    # A row above the stabilization level s is row s of the table through s:
+    # the same bracket, named smith_stabilization on both sides (trivial_zero
+    # for a zero map), with row s's witness padded.
     for entry in list_entries():
         phi = entry.map
         for seed in range(10):
             s = build_level_table(phi, 1, budget, seed).stabilization_level
-            short = build_level_table(phi, s, budget, seed)
-            at_s = SpaceElement(phi.domain, s, short.entries[-1].witness)
+            row_s = build_level_table(phi, s, budget, seed).entries[-1]
+            at_s = SpaceElement(phi.domain, s, row_s.witness)
             name = SOURCE_TRIVIAL_ZERO if phi.is_zero else SOURCE_SMITH
+            stable = NormBracket(row_s.bracket.lo, row_s.bracket.hi, name, name)
             for e in build_level_table(phi, s + 2, budget, seed).entries[s:]:
                 n, where = e.level, (entry.name, seed, e.level)
-                assert e.bracket.lo_source == e.bracket.hi_source == name, where
-                assert e.bracket == short.bracket_at(n), where
-                assert e.bracket == level_norm_bracket(phi, n, budget, seed), where
-                if n == s + 1:
-                    assert e.bracket == cb_norm(phi, budget, seed), where
+                assert e.bracket == stable, where
                 assert e.witness.tobytes() == pad_to(at_s, n).coords.tobytes(), where
 
 
@@ -747,7 +721,7 @@ def test_one_restart_promotes_no_hi():
     table = build_level_table(phi, 3, OptBudget(restarts=1), seed=2)
     assert [e.bracket.hi_source for e in table.entries] == [SOURCE_HAAGERUP] * 3
     for e in table.entries:
-        assert brute_level_norm(phi, e.level, trials=500, seed=2) <= e.bracket.hi, e.level
+        assert brute_search(phi, e.level, trials=500, seed=2)[0] <= e.bracket.hi, e.level
 
 
 def test_restarts_agreeing_below_the_optimum_give_no_false_hi():
@@ -773,6 +747,31 @@ def test_a_row_is_the_same_in_every_table_that_holds_it():
         short = build_level_table(phi, n, OptBudget(restarts=2), 7)
         assert [_row_bits(e) for e in short.entries] == rows[:n], n
     assert (round(float.fromhex(rows[0][2]), 4), rows[0][4]) == (7.4994, SOURCE_HAAGERUP)
+
+
+CONSISTENCY_MAPS = [
+    _random_map(d, m, None, None, seed)
+    for d in (2, 3) for m in (2, 3) for seed in range(100, 105)
+]
+
+
+@pytest.mark.parametrize("phi", CONSISTENCY_MAPS, ids=lambda phi: phi.label)
+def test_a_table_just_long_enough_holds_the_longer_tables_rows(phi):
+    # Level n's bracket and witness are read from a table through n, ||phi_1||
+    # from one through 1 and ||phi||_cb from one through s + 1: each such row is
+    # bitwise the row of the table through s + 1, whose last row is row s's
+    # bracket named smith_stabilization, with row s's witness padded.
+    budget = OptBudget(restarts=1)
+    s = phi.stabilization_level
+    longest = build_level_table(phi, s + 1, budget, SEED).entries
+    rows = [_row_bits(e) for e in longest]
+    for n in range(1, s + 1):
+        short = build_level_table(phi, n, budget, SEED)
+        assert [_row_bits(e) for e in short.entries] == rows[:n], n
+    at_s, cb = longest[s - 1], longest[s]
+    assert cb.bracket == NormBracket(at_s.bracket.lo, at_s.bracket.hi, SOURCE_SMITH, SOURCE_SMITH)
+    padded = pad_to(SpaceElement(phi.domain, s, at_s.witness), s + 1)
+    assert cb.witness.tobytes() == padded.coords.tobytes()
 
 
 # The closed-form (||phi||_cb, ||phi_1||) of each nonzero catalog map.
@@ -815,7 +814,7 @@ def test_the_haagerup_bounds_hold_on_proper_subspace_domains(spec):
     cb, first = haagerup_bounds(phi)
     assert first <= cb < np.inf
     for n in range(1, min(phi.codomain.ambient_dim, 2) + 1):
-        brute = brute_level_norm(phi, n, trials=500, seed=n)
+        brute, _ = brute_search(phi, n, trials=500, seed=n)
         assert brute <= (first if n == 1 else cb), (n, brute, first, cb)
 
 
@@ -877,7 +876,7 @@ def test_catalog_brackets_hold_their_truth_and_closed_rows_are_tight(seed, monke
 
 @pytest.mark.parametrize("spec", ((2, 2, None, None), (2, 2, 3, None)), ids=("M2", "sub3_of_M2"))
 def test_a_map_holds_no_results(spec):
-    # Every reader and check recomputes what it needs: none of them changes the map.
+    # Every table, series and check recomputes what it needs: none of them changes the map.
     phi = _random_map(*spec, seed=3)
     assert all(not isinstance(getattr(phi, f.name), (dict, list, set))
                for f in dataclasses.fields(phi))
@@ -885,10 +884,6 @@ def test_a_map_holds_no_results(spec):
     before = pickle.dumps(phi)
     budget = OptBudget(restarts=2, max_iter=20)
     table = build_level_table(phi, 3, budget, SEED)
-    level_norm_bracket(phi, 3, budget, SEED)
-    level_witness(phi, 3, budget, SEED)
-    base_norm(phi, budget, SEED)
-    cb_norm(phi, budget, SEED)
     np_norm(phi, 2.0, build_level_table(phi, phi.stabilization_level, budget, SEED))
     inclusion_check(phi, 2.5, 3.0, table)
     brute_search(phi, 2, trials=20, seed=SEED)

@@ -1,4 +1,4 @@
-"""Series brackets, membership decisions, index fits, and inclusions."""
+"""Series brackets, member verdicts, index fits, and inclusions."""
 
 import math
 import sys
@@ -15,7 +15,6 @@ from npspace import (
     inclusion_check,
     index_estimate,
     make_map,
-    membership,
     np_norm,
     require_p,
     scaled_map,
@@ -96,6 +95,17 @@ def test_zeta_tail_ordered_and_certified(p, K):
     assert lo <= true_hi and hi >= true_lo
 
 
+def test_zeta_tail_stays_ordered_and_positive_where_its_terms_underflow():
+    # Past p of about 179 at K = 64 every term rounds to a subnormal or to 0:
+    # zeta_tail(178.5, 64) was (5e-324, 0.0), and hi was 0.0 from there on.
+    for K in (0, 1, 2, 8, 64, 128, 256, 1000):
+        for p in np.linspace(1.5, 400.0, 40_001):
+            lo, hi = zeta_tail(float(p), K)
+            assert 0.0 <= lo <= hi and hi > 0.0, (p, K, lo, hi)
+            # The tail is at least its first term, (K + 1)^-p.
+            assert math.log(hi) >= -p * math.log(K + 1), (p, K, hi)
+
+
 @pytest.mark.parametrize("p", [6e102, 1e300, sys.float_info.max])
 @pytest.mark.parametrize("K", [0, 1, 64])
 def test_zeta_bounds_stay_finite_for_huge_p(p, K):
@@ -141,7 +151,9 @@ def test_require_p_validation():
     assert type(require_p(2)) is float and require_p(np.float64(2.5)) == 2.5
 
 
-@pytest.mark.parametrize("p", (math.inf, -math.inf, math.nan, True, np.True_))
+@pytest.mark.parametrize(
+    "p", (math.inf, -math.inf, math.nan, True, np.True_, "2", b"2", 2 + 0j, [2.0])
+)
 def test_require_p_rejects_non_finite_p(p):
     with pytest.raises(ValueError, match="p must satisfy 1 <= p < inf"):
         require_p(p)
@@ -219,7 +231,6 @@ def test_series_readers_build_no_table(catalog_entries, monkeypatch):
     monkeypatch.setattr(maps, "maximize_amplified_norm", no_ascent)
     for read in (
         lambda: np_norm(phi, 2.0, short),
-        lambda: membership(phi, 1.5, short),
         lambda: inclusion_check(phi, 2.0, 3.0, short),
     ):
         with pytest.raises(InsufficientTable):
@@ -254,22 +265,20 @@ def test_np_norm_triangle_inequality(catalog_entries):
 
 
 def test_np_norm_bounded_by_cb_times_zeta(catalog_tables, catalog_entries):
-    # Stabilized series are at most the sup norm times the full zeta sum.
-    from npspace import cb_norm
-
+    # Stabilized series are at most the sup norm (row s + 1) times the full zeta sum.
     for name, table in catalog_tables.items():
         phi = catalog_entries[name].map
         if phi.is_zero:
             continue
         for p in (1.5, 2.0, 3.0):
             r = np_norm(phi, p, table)
-            cb_hi = cb_norm(phi, seed=SEED).hi
+            cb_hi = table.bracket_at(phi.stabilization_level + 1).hi
             zeta_hi = zeta_bracket(p, 64)[1]
             assert r.bracket.hi <= cb_hi * zeta_hi + 1e-9
 
 
 # ---------------------------------------------------------------------------
-# membership
+# The member verdict
 # ---------------------------------------------------------------------------
 
 
@@ -278,33 +287,33 @@ def test_membership_above_two_is_by_theory(catalog_tables, catalog_entries):
         phi = catalog_entries[name].map
         if phi.is_zero:
             continue
-        assert membership(phi, 2.5, table) == VERDICT_MEMBER
+        assert np_norm(phi, 2.5, table).verdict == VERDICT_MEMBER
 
 
 def test_membership_stabilized_above_one(catalog_tables, catalog_entries):
-    assert membership(
+    assert np_norm(
         catalog_entries["transpose_M2"].map, 1.5, catalog_tables["transpose_M2"]
-    ) == VERDICT_MEMBER
+    ).verdict == VERDICT_MEMBER
 
 
 def test_membership_p1(catalog_tables, catalog_entries):
-    assert membership(
+    assert np_norm(
         catalog_entries["identity_M2"].map, 1.0, catalog_tables["identity_M2"]
-    ) == VERDICT_NOT_MEMBER
-    assert membership(
+    ).verdict == VERDICT_NOT_MEMBER
+    assert np_norm(
         catalog_entries["zero_M2"].map, 1.0, catalog_tables["zero_M2"]
-    ) == VERDICT_MEMBER
+    ).verdict == VERDICT_MEMBER
 
 
 def test_membership_of_a_scaled_identity():
-    # A table through s = 2 decides membership; one row alone does not.
+    # A table through s = 2 gives the verdict; one row alone does not.
     m2 = full_matrix_space(2)
     phi = scaled_map(make_map(m2, m2, [np.array(b) for b in m2.basis], "id"), 0.5)
     table = build_level_table(phi, phi.stabilization_level, seed=SEED)
     assert (table.max_level, table.stabilization_level) == (2, 2)
-    assert membership(phi, 1.5, table) == VERDICT_MEMBER
+    assert np_norm(phi, 1.5, table).verdict == VERDICT_MEMBER
     with pytest.raises(InsufficientTable):
-        membership(phi, 1.5, build_level_table(phi, 1, seed=SEED))
+        np_norm(phi, 1.5, build_level_table(phi, 1, seed=SEED))
 
 
 def test_membership_with_a_short_table(catalog_entries):
@@ -312,8 +321,8 @@ def test_membership_with_a_short_table(catalog_entries):
     phi = catalog_entries["transpose_M3"].map
     short = build_level_table(phi, 2, seed=SEED)
     with pytest.raises(InsufficientTable, match="cannot serve level 3"):
-        membership(phi, 1.5, short)
-    assert membership(phi, 1.0, short) == VERDICT_NOT_MEMBER
+        np_norm(phi, 1.5, short)
+    assert np_norm(phi, 1.0, short).verdict == VERDICT_NOT_MEMBER
 
 
 def test_full_matrix_codomain_always_member_above_one(catalog_tables, catalog_entries):
@@ -323,7 +332,7 @@ def test_full_matrix_codomain_always_member_above_one(catalog_tables, catalog_en
         if not phi.codomain.is_full_matrix_algebra:
             continue
         for p in (1.1, 1.5, 2.0, 2.5):
-            assert membership(phi, p, table) == VERDICT_MEMBER
+            assert np_norm(phi, p, table).verdict == VERDICT_MEMBER
 
 
 def test_n1_triviality(catalog_tables, catalog_entries):
@@ -376,9 +385,6 @@ def test_index_of_a_map_builds_no_table(catalog_entries, monkeypatch):
     phi = catalog_entries["transpose_M3"].map
     est = index_estimate(phi)
     assert (est.r_hat, est.alpha_hat, est.fit_window, est.residual) == (1.0, 0.0, (3, 3), 0.0)
-    for window in ((3, 5), (3, 3), (5, 2)):
-        with pytest.raises(ValueError, match="fit_window applies to a synthetic sequence"):
-            index_estimate(phi, window)
 
 
 def test_index_zero_map(catalog_entries):
@@ -390,13 +396,6 @@ def test_index_zero_map(catalog_entries):
 def test_index_needs_three_points():
     with pytest.raises(InsufficientData):
         index_estimate([(1, 1.0), (2, 2.0)])
-
-
-def test_index_fit_window_override():
-    data = [(n, float(n)) for n in range(1, 17)]
-    est = index_estimate(data, fit_window=(4, 12))
-    assert est.fit_window == (4, 12)
-    assert abs(est.r_hat - 2.0) <= 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +431,6 @@ def test_a_table_of_another_map_is_rejected(catalog_tables, catalog_entries):
     other = catalog_tables["transpose_M3"]
     with pytest.raises(SpaceMismatch, match="transpose_M3"):
         np_norm(phi, 2.0, other)
-    with pytest.raises(SpaceMismatch):
-        membership(phi, 2.0, other)
     with pytest.raises(SpaceMismatch):
         inclusion_check(phi, 2.0, 3.0, other)
     with pytest.raises(SpaceMismatch):

@@ -6,8 +6,7 @@ import pytest
 from npspace import (
     InvalidLevel,
     NormBracket,
-    base_norm,
-    brute_level_norm,
+    amplify,
     brute_search,
     build_level_table,
     cross_validate,
@@ -17,7 +16,7 @@ from npspace import (
     make_map,
     make_space,
     random_subspace,
-    realize_amplified,
+    realize,
 )
 from npspace.maps import LevelEntry, LevelNormTable
 from npspace.optimize import DEFAULT_BUDGET
@@ -45,7 +44,7 @@ def test_trials_above_the_cap_raise_before_any_search(monkeypatch):
     table = build_level_table(phi, 1, DEFAULT_BUDGET, SEED)
     message = f"trials must be at most {oracle.MAX_TRIALS}, got 10001"
     with pytest.raises(ValueError, match=message):
-        brute_level_norm(phi, 1, trials=10001)
+        brute_search(phi, 1, trials=10001)
     with pytest.raises(ValueError, match=message):
         cross_validate(table, trials=10001)
 
@@ -53,21 +52,21 @@ def test_trials_above_the_cap_raise_before_any_search(monkeypatch):
 def test_brute_transpose_m2_level2_reaches_two():
     # Pinned by the acceptance suite as well: 2000 trials find 2 - 1e-3.
     phi = get_entry("transpose_M2").map
-    value = brute_level_norm(phi, 2, trials=2000, seed=0)
+    value, _ = brute_search(phi, 2, trials=2000, seed=0)
     assert value >= 2.0 - 1e-3
     assert value <= 2.0 + 1e-9
 
 
 def test_brute_identity_level3():
     phi = get_entry("identity_M2").map
-    value = brute_level_norm(phi, 3, trials=50, seed=1)
+    value, _ = brute_search(phi, 3, trials=50, seed=1)
     assert value >= 1.0 - 1e-9
     assert value <= 1.0 + 1e-9
 
 
 def test_brute_zero_map():
     phi = get_entry("zero_M2").map
-    assert brute_level_norm(phi, 2, trials=10, seed=0) == 0.0
+    assert brute_search(phi, 2, trials=10, seed=0)[0] == 0.0
 
 
 def _upper_triangular_inclusion():
@@ -87,7 +86,7 @@ def test_brute_witness_is_feasible_and_achieves_value(make_phi):
     value, witness = brute_search(phi, 2, trials=300, seed=4)
     x = SpaceElement(phi.domain, 2, witness)
     assert level_norm(x) <= 1.0 + 1e-10
-    assert abs(np.linalg.norm(realize_amplified(phi, x), 2) - value) <= 1e-12
+    assert abs(np.linalg.norm(realize(amplify(phi, x)), 2) - value) <= 1e-12
 
 
 def _embedding_of_m1():
@@ -279,7 +278,7 @@ def test_climb_stops_on_a_rounding_plateau(name, level):
 
 def test_brute_subspace_domain_fallback():
     # Proper subspace domain exercises the coordinate-perturbation path.
-    value = brute_level_norm(_upper_triangular_inclusion(), 2, trials=500, seed=2)
+    value, _ = brute_search(_upper_triangular_inclusion(), 2, trials=500, seed=2)
     assert value >= 1.0 - 5e-3  # inclusion is a complete isometry
     assert value <= 1.0 + 1e-9
 
@@ -310,9 +309,9 @@ def test_batch_norms_match_svd_reference():
 def test_brute_never_exceeds_certified_caps():
     for name in ("identity_M2", "transpose_M2", "schur_M2", "trace_M2"):
         phi = get_entry(name).map
-        base_hi = base_norm(phi, seed=SEED).hi
+        base_hi = build_level_table(phi, 1, seed=SEED).bracket_at(1).hi
         for n in (1, 2):
-            brute = brute_level_norm(phi, n, trials=300, seed=SEED)
+            brute, _ = brute_search(phi, n, trials=300, seed=SEED)
             assert brute <= n * base_hi + 1e-9
 
 

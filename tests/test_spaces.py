@@ -17,6 +17,7 @@ from npspace import (
     level_norm,
     NonFiniteInput,
     OperatorSpace,
+    SpaceElement,
     make_space,
     pad_to,
     random_element,
@@ -94,7 +95,7 @@ def test_make_space_rejects_overcomplete():
 
 def test_realize_identity_level_one():
     sp = make_space(2, [I2])
-    x = sp.element(1, [[[1.0]]])
+    x = SpaceElement(sp, 1, [[[1.0]]])
     assert np.allclose(realize(x), I2)
 
 
@@ -147,7 +148,7 @@ def test_realize_is_linear_in_coords(a_re, a_im, b_re, b_im, seed):
     y = random_element(sp, 2, gen)
     a = complex(a_re, a_im)
     b = complex(b_re, b_im)
-    combo = sp.element(2, a * x.coords + b * y.coords)
+    combo = SpaceElement(sp, 2, a * x.coords + b * y.coords)
     want = a * realize(x) + b * realize(y)
     scale = max(1.0, np.abs(want).max())
     assert np.abs(realize(combo) - want).max() <= 1e-12 * scale
@@ -242,7 +243,7 @@ def test_element_from_matrix_round_trip(rng):
 
 def test_level_norm_zero():
     sp = full_matrix_space(2)
-    x = sp.element(2, np.zeros((2, 2, 4)))
+    x = SpaceElement(sp, 2, np.zeros((2, 2, 4)))
     assert level_norm(x) == 0.0
 
 
@@ -471,7 +472,7 @@ def test_witnessed_value_scales_the_witness_into_the_ball(rng):
     phi = get_entry("transpose_M3").map
     coords = 7.0 * (rng.standard_normal((1, 1, 9)) + 1j * rng.standard_normal((1, 1, 9)))
     value, witness = witnessed_value(phi.domain, phi.images(), 1, coords)
-    assert abs(level_norm(phi.domain.element(1, witness)) - 1.0) <= 1e-15
+    assert abs(level_norm(SpaceElement(phi.domain, 1, witness)) - 1.0) <= 1e-15
     assert value <= 1.0  # ||phi_1|| = 1 exactly
     assert value == rounded_down(spectral_norm(realize_batch(phi.images(), witness)), 1, 3, 3)
 
