@@ -12,6 +12,7 @@ from .errors import (
     InvariantViolation,
     NonFiniteInput,
     NpSpaceError,
+    ScaleOutOfRange,
     SpaceMismatch,
 )
 from .maps import (

@@ -17,6 +17,10 @@ class NonFiniteInput(NpSpaceError):
     """A basis matrix or map coefficient holds NaN or infinity."""
 
 
+class ScaleOutOfRange(NpSpaceError):
+    """A map's images are too large or too small against its domain basis to search."""
+
+
 class SpaceMismatch(NpSpaceError):
     """An element or map was combined with an incompatible space."""
 

@@ -33,6 +33,7 @@ from .errors import (
     InsufficientTable,
     InvalidLevel,
     InvariantViolation,
+    ScaleOutOfRange,
     SpaceMismatch,
 )
 from .optimize import DEFAULT_BUDGET, OptBudget, maximize_amplified_norm
@@ -52,6 +53,14 @@ from .spaces import (
     to_pairs,
     top_singular_values,
 )
+
+
+# A map's scale is its largest image entry over its domain's largest basis entry.  The
+# ascent's start representer grows like images / basis**2, so the Gram matrices of the
+# image realizations it eigensolves grow like scale**4.  A scale within 2**±MAX_SCALE_EXP
+# keeps those within 2**±960, which leaves 2**62 of the double range (2**±1022) to the
+# sums over dimensions.
+MAX_SCALE_EXP = 240
 
 
 @dataclass(frozen=True)
@@ -74,6 +83,14 @@ class LinearMapRep:
         c.setflags(write=False)
         object.__setattr__(self, "coeff", c)
         img = np.einsum("st,sab->tab", c, self.codomain._stack)
+        if np.any(img):
+            scale = float(np.abs(img).max()) / float(np.abs(self.domain._stack).max())
+            if not 2.0**-MAX_SCALE_EXP <= scale <= 2.0**MAX_SCALE_EXP:
+                raise ScaleOutOfRange(
+                    f"map {self.label!r} has scale {scale:.3g} (largest image entry over "
+                    f"largest domain basis entry), outside 2**-{MAX_SCALE_EXP}.."
+                    f"2**{MAX_SCALE_EXP}: its ascent would leave the floating-point range"
+                )
         img.setflags(write=False)
         object.__setattr__(self, "_images", img)
 

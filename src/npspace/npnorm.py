@@ -227,6 +227,8 @@ def index_estimate(source: LinearMapRep | Iterable[tuple[int, float]]) -> IndexE
     window = pairs[len(pairs) // 2 :]
     if any(v <= 0.0 for _, v in window):
         raise InsufficientData("fit window contains non-positive values")
+    if window[0][0] == window[-1][0]:  # one distinct level: the slope is undetermined
+        raise InsufficientData(f"index fit window holds one distinct level, {window[0][0]}")
     xs = np.log([float(n) for n, _ in window])
     ys = np.log([v for _, v in window])
     slope, intercept = np.polyfit(xs, ys, 1)

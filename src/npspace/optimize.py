@@ -2,7 +2,7 @@
 
 The quantity maximized is the ratio ||phi_n(x)|| / ||x|| over nonzero
 level-n elements x of the domain, both norms being spectral norms of
-realized matrices.  All restarts advance together as one stacked batch.
+realized matrices.  The restarts advance together as one stacked batch.
 Each live restart makes one proposal per iteration and keeps it only where
 the ratio rises, so every reported value is a lower bound witnessed by the
 re-checkable element x / ||x||.
@@ -22,9 +22,17 @@ would have been met within the ``max_iter`` budget left.
 
 Given a certified upper bound ``hi`` on the level norm, every restart stops
 as soon as the best ratio reaches ``hi * (1 - budget.tol)``: no restart can
-then gain more than ``budget.tol * hi``.  Such an ascent counts as
-converged, and its ``support`` is the number of restarts whose ratio reached
-that stop.  The default ``hi = inf`` never stops a search early.
+then gain more than ``budget.tol * hi``.  On a full matrix algebra, where a
+polar step often closes the row at once, restart 0 leads: it is drawn,
+evaluated and takes its first step alone, and restarts 1..R-1 are drawn and
+join one iteration later only if the best ratio is still under that stop.
+Each restart counts its ``max_iter`` steps from its own start, so a row that
+stays open ends as one batch of all restarts would end it.  On a proper
+subspace, where a gradient step seldom closes a row, all restarts start
+together.  An ascent that reaches the stop counts as converged, and its
+``support`` is the number of restarts drawn whose ratio reached it: 1 for a
+row that restart 0 closes.  The default ``hi = inf`` never stops a search
+early.
 
 An evaluation realizes both sides in one product, and one eigensolve of
 the A A* gives both sides' top singular pairs when their sizes agree
@@ -37,7 +45,8 @@ representer of a pair (u, v) of unit vectors of length n*m (m the
 codomain's ambient dimension).  It draws ``standard_normal((2, 2, n*m))``
 from ``SeedSequence([0x414D50, seed, n, r])`` in the order u real, u imag,
 v real, v imag, and normalizes each vector, so any start can be rebuilt
-offline from the seed alone.
+offline from the seed alone.  The stop decides only how many restarts are
+drawn, never what a drawn restart's start is.
 """
 
 from __future__ import annotations
@@ -102,7 +111,7 @@ class AscentOutcome:
     value: float
     coords: np.ndarray
     converged: bool
-    support: int  # number of restarts agreeing with the best value
+    support: int  # number of restarts drawn that agree with the best value or reach the stop
 
 
 def _representer(rep, n, *sides) -> np.ndarray:
@@ -114,21 +123,24 @@ def _representer(rep, n, *sides) -> np.ndarray:
     return flat.reshape(r, n, n, -1)
 
 
-def _starts(seed: int, n: int, size: int, restarts: int) -> tuple[np.ndarray, np.ndarray]:
-    """The start vectors ``(u0, v0)``, each (restarts, size), of the module's start stream:
-    ``default_rng([_SEED_TAG, seed, n, r])``'s draws, each vector divided by
-    ``sqrt(re.dot(re) + im.dot(im))``, which is ``np.linalg.norm``'s arithmetic.  ``re`` and
-    ``im`` are the strided views of the complex vector: BLAS sums a contiguous row of the
-    draws in another order, so its norm is not bitwise."""
+def _starts(
+    seed: int, n: int, size: int, restarts: int, first: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The start vectors ``(u0, v0)``, each (restarts - first, size), of restarts
+    first..restarts-1 in the module's start stream: restart r's are
+    ``default_rng([_SEED_TAG, seed, n, r])``'s draws whichever restarts are drawn with it,
+    each vector divided by ``sqrt(re.dot(re) + im.dot(im))``, which is ``np.linalg.norm``'s
+    arithmetic.  ``re`` and ``im`` are the strided views of the complex vector: BLAS sums a
+    contiguous row of the draws in another order, so its norm is not bitwise."""
     # numpy loads numpy.random on first use; importing it here keeps it out of import time.
     from numpy.random import PCG64, Generator, SeedSequence
 
-    g = np.empty((restarts, 2, 2, size))
-    for r in range(restarts):
-        Generator(PCG64(SeedSequence([_SEED_TAG, seed, n, r]))).standard_normal(out=g[r])
+    g = np.empty((restarts - first, 2, 2, size))
+    for r in range(first, restarts):
+        Generator(PCG64(SeedSequence([_SEED_TAG, seed, n, r]))).standard_normal(out=g[r - first])
     z = g[:, :, 0] + 1j * g[:, :, 1]
     sq = [w.real.dot(w.real) + w.imag.dot(w.imag) for w in z.reshape(-1, size)]
-    z /= np.sqrt(sq).reshape(restarts, 2, 1)
+    z /= np.sqrt(sq).reshape(-1, 2, 1)
     return z[:, 0], z[:, 1]
 
 
@@ -167,14 +179,20 @@ def maximize_amplified_norm(
             img, dom = (top_singular_pairs(block_matrices(p, e)) for p, e in zip(parts, (m, d)))
         return img[0] / dom[0], (*img, *dom)
 
-    x = _representer(reps[: m * m], n, _starts(seed, n, n * m, budget.restarts))
-    ratio, pairs = evaluate(x)
+    def draw(first, restarts):  # x, ratio and pairs of restarts first..restarts-1
+        x = _representer(reps[: m * m], n, _starts(seed, n, n * m, restarts, first))
+        ratio, pairs = evaluate(x)
+        return [x, ratio, *pairs]
+
+    # On M_d restart 0 leads by one iteration: the others start only if it leaves the row open.
+    lead = int(full and budget.restarts > 1)
+    x, ratio, *pairs = draw(0, 1 if lead else budget.restarts)
     stop = hi * (1.0 - budget.tol)
     step = np.full(budget.restarts, _STEP_START)
     stall = np.zeros(budget.restarts, dtype=int)
     converged = np.zeros(budget.restarts, dtype=bool)
-    done = np.zeros(budget.restarts, dtype=bool)
-    for it in range(budget.max_iter):
+    done = np.arange(budget.restarts) >= len(x)  # not drawn yet
+    for it in range(-lead, budget.max_iter):
         live = np.flatnonzero(~done)
         if live.size == 0 or ratio.max() >= stop:
             break
@@ -200,12 +218,20 @@ def maximize_amplified_norm(
         step[live] *= np.where(keep, _STEP_GROW, _STEP_SHRINK)
         small = new_ratio - old < budget.tol * np.maximum(1.0, ratio[live])
         stall[live] = np.where(small, stall[live] + 1, 0)
-        # A rejected polar step would only be proposed again unchanged, each
-        # repeat a small step, for the rest of the budget.
-        ends = full & ~keep
-        ahead = np.where(ends & small, budget.max_iter - 1 - it, 0)
-        converged[live] = stall[live] + ahead >= _STALL_LIMIT
-        done[live] = converged[live] | ends
+        if full:
+            # Steps each restart has left, counted from its own start.  A rejected polar
+            # step would only be proposed again unchanged, each repeat a small step.
+            left = budget.max_iter - 1 - it - lead * (live == 0)
+            ahead = np.where(small & ~keep, left, 0)
+            converged[live] = stall[live] + ahead >= _STALL_LIMIT
+            done[live] = converged[live] | ~keep | (left == 0)
+        else:
+            converged[live] = stall[live] >= _STALL_LIMIT
+            done[live] = converged[live]
+        if it < 0 and ratio[0] < stop:  # restart 0 left the row open: the others join
+            more = draw(1, budget.restarts)
+            x, ratio, *pairs = map(np.concatenate, zip((x, ratio, *pairs), more))
+            done[1:] = False
 
     best = int(np.argmax(ratio))
     value, witness = witnessed_value(space, images, n, x[best])

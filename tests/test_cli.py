@@ -76,6 +76,20 @@ def test_levels_nan_map_file_exit_2(tmp_path, capsys):
     assert "coefficients of map 'transpose_M2': entry (0, 3) is nanj, not a finite" in err
 
 
+def test_levels_map_out_of_scale_exit_2_before_any_work(tmp_path, capsys):
+    # Image entries of 1e78 on M2's unit basis once failed in an SVD mid-table.
+    from npspace import get_entry, map_to_dict
+
+    spec = map_to_dict(get_entry("transpose_M2").map)
+    spec["action"] = [[[1e78 * re, 1e78 * im] for re, im in a] for a in spec["action"]]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(spec))
+    out = tmp_path / "levels.csv"
+    assert run(["levels", str(big), "--out", str(out)]) == 2
+    assert "error: map 'transpose_M2' has scale 1e+78 " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_npnorm_trace_p2(tmp_path, capsys):
     out = tmp_path / "np.json"
     code = run(["npnorm", "catalog:trace_M2", "--p", "2", "--seed", "7", "--out", str(out)])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from npspace import (
     InvariantViolation,
     NonFiniteInput,
     OptBudget,
+    ScaleOutOfRange,
     SpaceElement,
     amplify,
     brute_search,
@@ -120,6 +122,59 @@ def test_make_map_rejects_inf_coefficient():
     action[2][1] = np.inf
     with pytest.raises(NonFiniteInput, match=r"coefficients of map 'phi': entry \(1, 2\) is \(inf"):
         make_map(M2, M2, action)
+
+
+def _rescaled(phi, image_exp, basis_exp):
+    """phi with its largest image entry 2**image_exp and its domain's largest basis
+    entry 2**basis_exp, and the factor its level norms scale by."""
+    stack, images = phi.domain._stack, phi.images()
+    top_basis, top_image = np.abs(stack).max(), np.abs(images).max()
+    dom = make_space(phi.domain.ambient_dim, list(stack / top_basis * 2.0**basis_exp), "V")
+    scaled = make_map(dom, phi.codomain, list(images / top_image * 2.0**image_exp), phi.label)
+    return scaled, 2.0 ** (image_exp - basis_exp) * top_basis / top_image
+
+
+SCALE_MAPS = ("transpose_M3", "rank_one_M2", "trace_M2", "sub3_of_M2")
+
+
+def _scale_map(name):
+    if name != "sub3_of_M2":
+        return get_entry(name).map
+    rng = np.random.default_rng(20261020)
+    V = random_subspace(2, 3, rng, "V")
+    return make_map(V, M2, list(rng.standard_normal((3, 2, 2))), name)
+
+
+@pytest.mark.parametrize("name", SCALE_MAPS)
+@pytest.mark.parametrize("sign", (1, -1), ids=("large_images", "large_basis"))
+def test_tables_build_at_the_corners_of_the_scale_range(name, sign):
+    # Images 2**120 over a basis 2**-120 is scale 2**240, the largest accepted,
+    # and the reverse the smallest.  Every row builds, and its bracket holds the
+    # same norm as the unscaled one does.  One step further is refused.
+    phi, e = _scale_map(name), maps.MAX_SCALE_EXP // 2
+    table = build_level_table(phi, phi.stabilization_level)
+    corner, factor = _rescaled(phi, sign * e, -sign * e)
+    for got, want in zip(build_level_table(corner, phi.stabilization_level).entries, table.entries):
+        lo, hi = got.bracket.lo / factor, got.bracket.hi / factor
+        assert 0.0 < lo <= hi, (got.level, lo, hi)
+        assert lo <= want.bracket.hi * (1 + 1e-12) and want.bracket.lo <= hi * (1 + 1e-12)
+    outside = f"has scale {2.0 ** (sign * (2 * e + 1)):.3g} "
+    with pytest.raises(ScaleOutOfRange, match=re.escape(outside)):
+        _rescaled(phi, sign * (e + 1), -sign * e)
+    with pytest.raises(ScaleOutOfRange):
+        _rescaled(phi, sign * e, -sign * (e + 1))
+
+
+@pytest.mark.parametrize(
+    "image_scale, basis_scale, scale", ((1e78, 1.0, "1e+78"), (1.0, 1e-80, "1e+80"))
+)
+def test_a_map_out_of_scale_is_refused_when_built(image_scale, basis_scale, scale):
+    # Both once built, then failed deep in an SVD of the table's first ascent.
+    dom = make_space(2, [np.array(b) * basis_scale for b in M2.basis], "V")
+    with pytest.raises(ScaleOutOfRange, match=f"map 'big' has scale {re.escape(scale)} "):
+        make_map(dom, M2, [np.array(b).T * image_scale for b in M2.basis], "big")
+    with pytest.raises(ScaleOutOfRange, match=f"has scale {re.escape(scale)} "):
+        scaled_map(_transpose(M2), image_scale / basis_scale)
 
 
 def test_make_map_rejects_wrong_action_count():

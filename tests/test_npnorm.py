@@ -398,6 +398,13 @@ def test_index_needs_three_points():
         index_estimate([(1, 1.0), (2, 2.0)])
 
 
+def test_index_window_of_one_distinct_level_is_insufficient():
+    # The upper half of these points is level 2 three times: a fit through it
+    # is singular (numpy's RankWarning), not a slope.
+    with pytest.raises(InsufficientData, match="one distinct level"):
+        index_estimate([(1, 1.0), (2, 2.0), (2, 3.0), (2, 4.0)])
+
+
 # ---------------------------------------------------------------------------
 # inclusion_check
 # ---------------------------------------------------------------------------

@@ -114,13 +114,15 @@ def _reference_starts(seed, n, size, restarts):
 @pytest.mark.parametrize("seed", (0, 7, 2**32, 2**40 + 3, 10**20))
 def test_starts_are_the_per_restart_stream_bitwise(seed, restarts):
     # The ascent tests compare values to 1e-12 only; this pins every bit of
-    # every start, so a change of stream cannot pass unseen.
+    # every start, so a change of stream cannot pass unseen.  Starting the
+    # draws at a later restart gives the same streams for the restarts drawn.
     for n in range(1, 5):
         for m in range(1, 6):
-            got = _starts(seed, n, n * m, restarts)
             want = _reference_starts(seed, n, n * m, restarts)
-            assert [a.shape for a in got] == [(restarts, n * m)] * 2
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (n, m)
+            for first in sorted({0, 1, restarts - 1} - {restarts}):
+                got = _starts(seed, n, n * m, restarts, first)
+                assert [a.shape for a in got] == [(restarts - first, n * m)] * 2
+                assert [a.tobytes() for a in got] == [a[first:].tobytes() for a in want], (n, m)
 
 
 def _reference_ascent(space, images, level, budget, seed):
@@ -210,13 +212,13 @@ def _random_full_map(d, m, seed):
     return make_map(full_matrix_space(d), full_matrix_space(m), list(images), f"rand_{d}_{m}")
 
 
-FULL_MAPS = {e.name: (lambda e=e: e.map) for e in list_entries() if not e.map.is_zero}
-FULL_MAPS.update(
-    {
-        f"random_M{d}_to_M{m}": (lambda d=d, m=m, s=s: _random_full_map(d, m, s))
-        for s, (d, m) in enumerate(((1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)))
-    }
-)
+RANDOM_SPECS = ((1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3))
+RANDOM_MAPS = {
+    f"random_M{d}_to_M{m}": (lambda d=d, m=m, s=s: _random_full_map(d, m, s))
+    for s, (d, m) in enumerate(RANDOM_SPECS)
+}
+CATALOG_MAPS = {e.name: (lambda e=e: e.map) for e in list_entries() if not e.map.is_zero}
+FULL_MAPS = CATALOG_MAPS | RANDOM_MAPS
 BUDGETS = (OptBudget(20, 200, 1e-11), OptBudget(1, 200, 1e-11), OptBudget(3, 4, 1e-11),
            OptBudget(5, 3, 1e-6))
 
@@ -302,11 +304,17 @@ def _outcome_bits(outcome):
     return outcome.value.hex(), outcome.coords.tobytes(), outcome.converged, outcome.support
 
 
-@pytest.mark.parametrize("which", sorted(SUBSPACE_MAPS))
+# Random M_d -> M_m maps that their certificates leave open (a map from or to M1
+# is closed by its own).
+OPEN_RANDOM_MAPS = {name: phi for name, phi in RANDOM_MAPS.items() if "M1" not in name}
+
+
+@pytest.mark.parametrize("which", sorted(SUBSPACE_MAPS | OPEN_RANDOM_MAPS))
 def test_an_unreached_certificate_leaves_the_ascent_bitwise(which):
     # A certified hi that no restart reaches stops nothing: value, witness,
-    # convergence and support are those of the ascent given no hi.
-    phi = SUBSPACE_MAPS[which]()
+    # convergence and support are those of the ascent given no hi, which the
+    # one-batch reference checks above.  On M_d restart 0 leads either way.
+    phi = (SUBSPACE_MAPS | OPEN_RANDOM_MAPS)[which]()
     haagerup = maps.haagerup_bounds(phi)
     for level in range(1, phi.codomain.ambient_dim + 1):
         hi, _ = maps._certificate(phi, level, haagerup)
@@ -317,21 +325,77 @@ def test_an_unreached_certificate_leaves_the_ascent_bitwise(which):
             assert _outcome_bits(got) == _outcome_bits(free), (level, seed)
 
 
+def _recording_starts(monkeypatch):
+    """The (restarts, first) of every ``_starts`` call the ascent makes, as it makes them."""
+    drawn = []
+
+    def recording(seed, n, size, restarts, first=0):
+        drawn.append((restarts, first))
+        return _starts(seed, n, size, restarts, first)
+
+    monkeypatch.setattr(optimize, "_starts", recording)
+    return drawn
+
+
 @pytest.mark.parametrize("name, level, hi", (("identity_M2", 2, 1.0), ("transpose_M3", 2, 2.0)))
 def test_an_ascent_stopped_by_its_certificate_is_converged(name, level, hi, monkeypatch):
-    # Every start of the identity already reaches hi: no step is taken, and all
-    # 20 restarts support it.  Transpose climbs to 2 and stops there.
+    # Restart 0's start of the identity already reaches hi: no step is taken, no
+    # other restart is drawn, and it alone supports the value.  Transpose climbs
+    # to 2 and stops there.
     phi = get_entry(name).map
     steps = []
     monkeypatch.setattr(optimize, "unrealize", lambda *args: steps.append(1) or unrealize(*args))
+    drawn = _recording_starts(monkeypatch)
     free = maximize_amplified_norm(phi.domain, phi.images(), level)
-    free_steps, steps[:] = len(steps), []
+    free_steps, steps[:], drawn[:] = len(steps), [], []
     got = maximize_amplified_norm(phi.domain, phi.images(), level, DEFAULT_BUDGET, 0, hi)
     assert got.converged and 1 <= got.support <= DEFAULT_BUDGET.restarts
     assert hi * (1.0 - 2 * DEFAULT_BUDGET.tol) <= got.value <= hi
     assert len(steps) < free_steps
     if name == "identity_M2":
-        assert (len(steps), got.support) == (0, DEFAULT_BUDGET.restarts)
+        assert (len(steps), got.support, drawn) == (0, 1, [(1, 0)])
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_MAPS))
+def test_a_row_restart_0_closes_draws_no_other_stream(name, monkeypatch):
+    # Restart 0 alone, given one step, tells whether its start or first polar
+    # step reaches hi (1 - tol).  Where it does, the ascent draws restart 0's
+    # stream only and returns restart 0's outcome; where not, it draws the
+    # others once, after that step.
+    phi = CATALOG_MAPS[name]()
+    haagerup = maps.haagerup_bounds(phi)
+    drawn = _recording_starts(monkeypatch)
+    for level in range(1, phi.stabilization_level + 1):
+        hi, _ = maps._certificate(phi, level, haagerup)
+        solo = maximize_amplified_norm(phi.domain, phi.images(), level, OptBudget(1, 1), 0, hi)
+        drawn.clear()
+        got = maximize_amplified_norm(phi.domain, phi.images(), level, DEFAULT_BUDGET, 0, hi)
+        if solo.converged:
+            assert drawn == [(1, 0)], level
+            assert _outcome_bits(got) == _outcome_bits(solo), level
+        else:
+            assert drawn == [(1, 0), (DEFAULT_BUDGET.restarts, 1)], level
+
+
+@pytest.mark.parametrize("which", sorted(OPEN_RANDOM_MAPS))
+def test_every_restart_takes_its_max_iter_steps(which, monkeypatch):
+    # Restart 0 steps alone once and the others join after it, yet each restart
+    # takes max_iter steps from its own start: 1 + 3 + 3 + 3 + 2 proposals.
+    budget = OptBudget(restarts=3, max_iter=4)
+    phi = OPEN_RANDOM_MAPS[which]()
+    steps = []
+
+    def proposing(space, n, mats):
+        steps.append(len(mats))
+        return unrealize(space, n, mats)
+
+    monkeypatch.setattr(optimize, "unrealize", proposing)
+    for level in range(1, phi.codomain.ambient_dim + 1):
+        _, taken, _ = _reference_ascent(phi.domain, phi.images(), level, budget, 0)
+        assert taken.tolist() == [budget.max_iter] * budget.restarts, level
+        steps.clear()
+        maximize_amplified_norm(phi.domain, phi.images(), level, budget, 0)
+        assert steps == [1, 3, 3, 3, 2], level
 
 
 @pytest.mark.parametrize("level", (1, 2))
