@@ -38,6 +38,7 @@ from .errors import (
 )
 from .optimize import DEFAULT_BUDGET, OptBudget, maximize_amplified_norm
 from .spaces import (
+    EPS,
     OperatorSpace,
     SpaceElement,
     _same_space,
@@ -45,6 +46,7 @@ from .spaces import (
     json_field,
     load_space,
     pad_to,
+    require_entry_range,
     require_finite,
     require_int,
     space_from_dict,
@@ -65,14 +67,27 @@ MAX_SCALE_EXP = 240
 
 @dataclass(frozen=True)
 class LinearMapRep:
-    """A linear map phi: V -> W as a k_W x k_V coordinate matrix."""
+    """A linear map phi: V -> W as a k_W x k_V coordinate matrix.
+
+    Unless the map is zero, its images' largest entry must lie within
+    2**±spaces.MAX_ENTRY_EXP and their scale against the domain basis within
+    2**±MAX_SCALE_EXP (ScaleOutOfRange).  Every constant of the map is derived once, in
+    __post_init__, and every array is read-only:
+
+    - ``is_zero``: ``not np.any(coeff)``.
+    - ``_coeff_norm``: ``spaces.spectral_norm(coeff)``.
+    - ``_images`` (k_V, e, e): the realized images of the domain basis (``images()``).
+    - ``_unit_images`` (d*d, e, e): phi on the matrix units of M_d (``unit_images()``).
+    """
 
     domain: OperatorSpace
     codomain: OperatorSpace
     coeff: np.ndarray
     label: str = "phi"
-    # Realized images of the domain basis, (k_V, e, e), filled in __post_init__.
+    is_zero: bool = field(init=False, repr=False, compare=False)
+    _coeff_norm: float = field(init=False, repr=False, compare=False)
     _images: np.ndarray = field(init=False, repr=False, compare=False)
+    _unit_images: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.array(self.coeff, dtype=complex)
@@ -82,8 +97,9 @@ class LinearMapRep:
         require_finite(c, f"coefficients of map {self.label!r}")
         c.setflags(write=False)
         object.__setattr__(self, "coeff", c)
+        object.__setattr__(self, "is_zero", not np.any(c))
         img = np.einsum("st,sab->tab", c, self.codomain._stack)
-        if np.any(img):
+        if not self.is_zero:
             scale = float(np.abs(img).max()) / float(np.abs(self.domain._stack).max())
             if not 2.0**-MAX_SCALE_EXP <= scale <= 2.0**MAX_SCALE_EXP:
                 raise ScaleOutOfRange(
@@ -91,12 +107,15 @@ class LinearMapRep:
                     f"largest domain basis entry), outside 2**-{MAX_SCALE_EXP}.."
                     f"2**{MAX_SCALE_EXP}: its ascent would leave the floating-point range"
                 )
+            require_entry_range(img, f"images of map {self.label!r}")
         img.setflags(write=False)
+        units = (self.domain._vec_pinv.T @ img.reshape(self.domain.dim, -1)).reshape(
+            -1, *img.shape[1:]
+        )
+        units.setflags(write=False)
+        object.__setattr__(self, "_coeff_norm", spectral_norm(c))
         object.__setattr__(self, "_images", img)
-
-    @property
-    def is_zero(self) -> bool:
-        return not np.any(self.coeff)
+        object.__setattr__(self, "_unit_images", units)
 
     @property
     def stabilization_level(self) -> int:
@@ -110,8 +129,7 @@ class LinearMapRep:
 
     def unit_images(self) -> np.ndarray:
         """phi on the matrix units E_jk of M_d (their projections onto V), (d*d, e, e), row-major."""
-        flat = self.domain._vec_pinv.T @ self._images.reshape(self.domain.dim, -1)
-        return flat.reshape(-1, *self._images.shape[1:])
+        return self._unit_images
 
 
 def make_map(
@@ -181,9 +199,8 @@ def coefficient_relaxation_bound(phi: LinearMapRep, level: int) -> float:
     conditioning on both sides, and ||x||_F <= sqrt(nd) ||x|| on the input.
     """
     level = require_int(level, "level", InvalidLevel)
-    c2 = spectral_norm(phi.coeff)
     factor = phi.codomain._vec_smax / phi.domain._vec_smin
-    return math.sqrt(level * phi.domain.ambient_dim) * c2 * factor
+    return math.sqrt(level * phi.domain.ambient_dim) * phi._coeff_norm * factor
 
 
 def haagerup_bounds(phi: LinearMapRep) -> tuple[float, float]:
@@ -213,8 +230,8 @@ def haagerup_bounds(phi: LinearMapRep) -> tuple[float, float]:
     factored = np.einsum("xpjkq,xtjk->xtpq", (a @ b).reshape(2, m, d, d, m),
                          np.stack([basis, basis.swapaxes(1, 2)]))
     misses = np.linalg.norm((phi.images() - factored).reshape(2, len(basis), -1), axis=-1)
-    residual = math.sqrt(d) * misses @ np.linalg.norm(phi.domain._vec_pinv, axis=1)
-    cb, flip = norms[:, 0] * norms[:, 1] * (1.0 + 4 * d * m * np.finfo(float).eps) + residual
+    residual = math.sqrt(d) * misses @ phi.domain._pinv_norms
+    cb, flip = norms[:, 0] * norms[:, 1] * (1.0 + 4 * d * m * EPS) + residual
     return float(cb), float(min(cb, flip))
 
 

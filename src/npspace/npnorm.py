@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .bracket import SOURCE_MONOTONICITY, SOURCE_SMITH, SOURCE_TRIVIAL_ZERO, NormBracket
 from .errors import InsufficientData, InvalidLevel, SpaceMismatch
 from .maps import LevelNormTable, LinearMapRep
-from .spaces import _same_space, require_int
+from .spaces import EPS, _same_space, require_int
 
 VERDICT_MEMBER = "member"
 VERDICT_NOT_MEMBER = "not_member"
@@ -33,6 +34,19 @@ CLOSED_FORM_ZERO = "zero"
 # Largest K that zeta_bracket sums up to: its partial sum takes time linear
 # in K, and zeta_tail is already certified far below this.
 MAX_TRUNCATION = 100_000
+
+# The smallest normal double.
+_TINY = float(np.finfo(float).tiny)
+
+# Allowances for rounding, in units of EPS = 2**-52, the largest relative spacing of
+# doubles.  The platform's pow is taken to be within _POW_ULPS ulps (glibc's is within
+# one).  Each term of ``zeta_tail`` (its first term, the integral, the two
+# Euler-Maclaurin terms, the naive bound) is one pow and at most seven roundings of half
+# an ulp from its value; a partial sum is one pow per term and fsum's half an ulp.  Each
+# slack is twice what it covers, so the roundings of the widening itself are covered too.
+_POW_ULPS = 2
+_TAIL_SLACK = 2 * (_POW_ULPS + 4) * EPS
+_SUM_SLACK = 2 * (_POW_ULPS + 1) * EPS
 
 
 def require_p(p) -> float:
@@ -46,15 +60,18 @@ def require_p(p) -> float:
 
 
 def zeta_tail(p: float, K: int) -> tuple[float, float]:
-    """Certified bounds on sum_{n > K} n^{-p}.
+    """Certified bounds on sum_{n > K} n^{-p}, as Python floats.
 
     Integral comparison sharpened with one Euler-Maclaurin correction term;
     the correction's own error has known sign and size for this completely
-    monotone summand, so both sides stay certified.  Below the smallest normal
-    double a step of rounding is 2^-1074 whatever the value, enough to invert or
-    zero the bracket, so an underflowing lo widens to [0, max(hi, 2 * tiny)].
-    Divergence (p <= 1) is signaled as (+inf, +inf), not raised; a NaN p raises
-    ValueError.
+    monotone summand, so both sides stay certified.  Every power has an exact
+    exponent (1 - p and -p are exact doubles for 1 < p < 2**53), and each term
+    is within _TAIL_SLACK / 2 relative of its value: the bounds are widened by
+    _TAIL_SLACK, the Euler-Maclaurin lower one by _TAIL_SLACK of both terms it
+    subtracts.  Below the smallest normal double a step of rounding is 2^-1074
+    whatever the value, enough to invert or zero the bracket, so an
+    underflowing lo widens to [0, max(hi, 2 * tiny)].  Divergence (p <= 1) is
+    signaled as (+inf, +inf), not raised; a NaN p raises ValueError.
     """
     p = float(p)
     if math.isnan(p):
@@ -63,18 +80,18 @@ def zeta_tail(p: float, K: int) -> tuple[float, float]:
     if p <= 1.0:
         return math.inf, math.inf
     a = float(K + 1)
+    first = a**-p  # the tail's first term, f(a)
     integral = a ** (1.0 - p) / (p - 1.0)
-    em_hi = integral + 0.5 * a ** (-p) + p * a ** (-p - 1.0) / 12.0
-    em_width = p * (p + 1.0) * (p + 2.0) * a ** (-p - 3.0) / 720.0
+    em_hi = integral + 0.5 * first + p * first / (12.0 * a)
+    em_width = p * (p + 1.0) * (p + 2.0) * first / (720.0 * (a * a * a))
     naive_hi = (K ** (1.0 - p) / (p - 1.0)) if K >= 1 else (1.0 + 1.0 / (p - 1.0))
-    lo = max(integral, a ** (-p))
+    lo = max(integral, first) * (1.0 - _TAIL_SLACK)
     # For p beyond about 5.6e102 the correction's width is inf * 0 = NaN.
     if math.isfinite(em_hi - em_width):
-        lo = max(em_hi - em_width, lo)
-    hi = min(em_hi, naive_hi)
-    tiny = np.finfo(float).tiny
-    if lo < tiny:
-        lo, hi = 0.0, max(hi, 2.0 * tiny)
+        lo = max(em_hi - em_width - _TAIL_SLACK * (em_hi + em_width), lo)
+    hi = min(em_hi, naive_hi) * (1.0 + _TAIL_SLACK)
+    if lo < _TINY:
+        lo, hi = 0.0, max(hi, 2.0 * _TINY)
     return lo, hi
 
 
@@ -87,16 +104,20 @@ def over_power(x: float, n: int, p: float) -> float:
 
 
 def zeta_bracket(p: float, K: int = 64) -> tuple[float, float]:
-    """Certified bounds on the full sum zeta(p), p > 1."""
+    """Certified bounds on the full sum zeta(p), p > 1, as Python floats.
+
+    The partial sum of n^-p, n <= K, is within _SUM_SLACK / 2 relative of its
+    value; each of its sums with ``zeta_tail``'s bounds is widened by _SUM_SLACK.
+    """
     K = require_int(K, "K", minimum=0)
     if K > MAX_TRUNCATION:
         raise ValueError(f"K must be at most MAX_TRUNCATION = {MAX_TRUNCATION}, got {K}")
     p = float(p)
     if p <= 1.0:
         return math.inf, math.inf
-    partial = math.fsum(n ** (-p) for n in range(1, K + 1))
+    partial = math.fsum(map(pow, range(1, K + 1), repeat(-p)))
     tlo, thi = zeta_tail(p, K)
-    return partial + tlo, partial + thi
+    return (partial + tlo) * (1.0 - _SUM_SLACK), (partial + thi) * (1.0 + _SUM_SLACK)
 
 
 @dataclass(frozen=True)
@@ -176,7 +197,7 @@ def np_norm(phi: LinearMapRep, p, table: LevelNormTable) -> NpResult:
 
     head = [table.bracket_at(n) for n in range(1, s)]
     bs = table.bracket_at(s)
-    zeta_head = math.fsum(n ** (-pp) for n in range(s, K + 1))
+    zeta_head = math.fsum(map(pow, range(s, K + 1), repeat(-pp)))
     zlo, zhi = zeta_tail(pp, K)
     tail_lo = bs.lo * zlo
     tail_hi = bs.hi * zhi

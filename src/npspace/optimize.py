@@ -164,9 +164,8 @@ def maximize_amplified_norm(
     # `reps` stacks the representer matrices conj(S) G^T of both sides (S the flattened
     # columns, G = (V^H V)^{-1}; the domain's is _vec_pinv^T); `gram` is V^H V.
     sides = np.concatenate([images.reshape(k, -1), space._stack.reshape(k, -1)], axis=1)
-    gram_inv = space._vec_pinv @ space._vec_pinv.conj().T
-    reps = np.concatenate([images.reshape(k, -1).T.conj() @ gram_inv.T, space._vec_pinv.T])
-    gram = space._vec.conj().T @ space._vec
+    reps = np.concatenate([images.reshape(k, -1).T.conj() @ space._gram_inv.T, space._vec_pinv.T])
+    gram = space._gram
 
     def evaluate(coords):
         r, flat = len(coords), coords.reshape(-1, k) @ sides
@@ -196,7 +195,7 @@ def maximize_amplified_norm(
         live = np.flatnonzero(~done)
         if live.size == 0 or ratio.max() >= stop:
             break
-        every = live.size == budget.restarts  # the gathers copy: skip them if all are live
+        every = live.size == len(x)  # the gathers copy: skip them if every drawn one is live
         img, img_u, img_v, dom, dom_u, dom_v = pairs if every else [p[live] for p in pairs]
         if full:
             w = _representer(reps[: m * m], n, (img_u, img_v))
@@ -216,7 +215,7 @@ def maximize_amplified_norm(
         for p, q in zip((x, ratio, *pairs), (prop, new_ratio, *new_pairs)):
             p[took] = q[keep]
         step[live] *= np.where(keep, _STEP_GROW, _STEP_SHRINK)
-        small = new_ratio - old < budget.tol * np.maximum(1.0, ratio[live])
+        small = new_ratio - old < budget.tol * ratio[live]
         stall[live] = np.where(small, stall[live] + 1, 0)
         if full:
             # Steps each restart has left, counted from its own start.  A rejected polar
@@ -238,7 +237,7 @@ def maximize_amplified_norm(
     if ratio[best] >= stop:  # within tol of a certificate: that is the optimum
         return AscentOutcome(value, witness, True, int(np.sum(ratio >= stop)))
     support = int(
-        np.sum(converged & (np.abs(ratio - ratio[best]) <= _AGREE_REL * max(1.0, ratio[best])))
+        np.sum(converged & (np.abs(ratio - ratio[best]) <= _AGREE_REL * ratio[best]))
     )
     # Agreement marks a likely optimum, a diagnostic no bound reads: a lone restart has none.
     conv = bool(converged[best]) and support >= 2

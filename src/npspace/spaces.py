@@ -14,16 +14,41 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DependentBasis, DimensionMismatch, InvalidLevel, NonFiniteInput, SpaceMismatch
+from .errors import (
+    DependentBasis,
+    DimensionMismatch,
+    InvalidLevel,
+    NonFiniteInput,
+    ScaleOutOfRange,
+    SpaceMismatch,
+)
 
 # Relative smallest-singular-value cutoff below which a basis is rejected.
 INDEPENDENCE_CUTOFF = 1e-10
+
+# Largest entry of a basis, and of a map's images, lies within 2**±MAX_ENTRY_EXP: the
+# Gram products V^H V and pinv pinv^H then stay within 2**±960 and leave 2**62 of the
+# double range (2**±1022) to the sums over dimensions.
+MAX_ENTRY_EXP = 480
+
+# Machine epsilon, the largest relative spacing of doubles.
+EPS = float(np.finfo(float).eps)
 
 
 def rounded_down(value: float, level: int, d: int, m: int) -> float:
     """value, a ratio of two SVD norms of size <= N matrices, each within N eps, lowered by
     4 N eps; N is one bound for every level <= m, so a table's levels keep their order."""
-    return float(value * (1.0 - 4 * max(level, m) * max(d, m) * np.finfo(float).eps))
+    return float(value * (1.0 - 4 * max(level, m) * max(d, m) * EPS))
+
+
+def require_entry_range(arr: np.ndarray, what: str) -> None:
+    """Raise ScaleOutOfRange if the largest entry of arr lies outside 2**±MAX_ENTRY_EXP."""
+    top = float(np.abs(arr).max())
+    if not 2.0**-MAX_ENTRY_EXP <= top <= 2.0**MAX_ENTRY_EXP:
+        raise ScaleOutOfRange(
+            f"{what}: largest entry {top:.3g} is outside 2**-{MAX_ENTRY_EXP}..2**{MAX_ENTRY_EXP},"
+            f" where its Gram products would leave the floating-point range"
+        )
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
@@ -79,29 +104,41 @@ def require_int(value, what: str, error: type = ValueError, minimum: int = 1) ->
     raise error(f"{what} must be {kind}, got {value!r}")
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
+def _readonly(arr: np.ndarray, dtype: type = complex) -> np.ndarray:
+    out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
 
 
 @dataclass(frozen=True)
 class OperatorSpace:
-    """A subspace of the d x d complex matrices, given by an ordered basis."""
+    """A subspace of the d x d complex matrices, given by an ordered basis.
+
+    Its basis must be independent (DependentBasis) with its largest entry within
+    2**±MAX_ENTRY_EXP (ScaleOutOfRange).  Every constant of the space is derived once,
+    in __post_init__, and every array is read-only:
+
+    - ``_stack`` (k, d, d): the basis matrices.
+    - ``_vec`` (d*d, k): column t is basis[t] flattened.
+    - ``_vec_pinv`` (k, d*d): ``np.linalg.pinv(_vec)``, least-squares coordinate recovery.
+    - ``_vec_smin``, ``_vec_smax``: the smallest and largest singular values of ``_vec``.
+    - ``_gram`` (k, k): V^H V, ``_vec.conj().T @ _vec``.
+    - ``_gram_inv`` (k, k): pinv pinv^H, ``_vec_pinv @ _vec_pinv.conj().T``.
+    - ``_pinv_norms`` (k,): the row norms ``np.linalg.norm(_vec_pinv, axis=1)``.
+    """
 
     ambient_dim: int
     basis: tuple
     label: str = "V"
 
-    # Derived arrays, filled in __post_init__:
-    #   _stack     (k, d, d)  basis matrices
-    #   _vec       (d*d, k)   column t = basis[t] flattened
-    #   _vec_pinv  (k, d*d)   least-squares coordinate recovery
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
     _vec: np.ndarray = field(init=False, repr=False, compare=False)
     _vec_pinv: np.ndarray = field(init=False, repr=False, compare=False)
     _vec_smin: float = field(init=False, repr=False, compare=False)
     _vec_smax: float = field(init=False, repr=False, compare=False)
+    _gram: np.ndarray = field(init=False, repr=False, compare=False)
+    _gram_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    _pinv_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = require_int(self.ambient_dim, "ambient_dim", DimensionMismatch)
@@ -126,11 +163,16 @@ class OperatorSpace:
                 f"basis of {self.label!r} is dependent or nearly so "
                 f"(smin/smax = {smin / smax if smax else 0.0:.3e})"
             )
+        require_entry_range(stack, f"basis of {self.label!r}")
+        pinv = _readonly(np.linalg.pinv(vec))
         object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "_vec", vec)
-        object.__setattr__(self, "_vec_pinv", _readonly(np.linalg.pinv(vec)))
+        object.__setattr__(self, "_vec_pinv", pinv)
         object.__setattr__(self, "_vec_smin", smin)
         object.__setattr__(self, "_vec_smax", smax)
+        object.__setattr__(self, "_gram", _readonly(vec.conj().T @ vec))
+        object.__setattr__(self, "_gram_inv", _readonly(pinv @ pinv.conj().T))
+        object.__setattr__(self, "_pinv_norms", _readonly(np.linalg.norm(pinv, axis=1), float))
 
     @property
     def dim(self) -> int:

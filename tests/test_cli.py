@@ -90,6 +90,23 @@ def test_levels_map_out_of_scale_exit_2_before_any_work(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("exp", (481, -481))
+def test_levels_basis_out_of_range_exit_2_before_any_work(tmp_path, capsys, exp):
+    # A domain basis entry of 2**±481 is refused when the map file is read.
+    from npspace import get_entry, map_to_dict
+
+    spec = map_to_dict(get_entry("transpose_M2").map)
+    f = 2.0**exp
+    spec["domain"]["basis"] = [[[[f * re, f * im] for re, im in row] for row in b]
+                               for b in spec["domain"]["basis"]]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "levels.csv"
+    assert run(["levels", str(path), "--out", str(out)]) == 2
+    assert "error: basis of 'M2': largest entry " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_npnorm_trace_p2(tmp_path, capsys):
     out = tmp_path / "np.json"
     code = run(["npnorm", "catalog:trace_M2", "--p", "2", "--seed", "7", "--out", str(out)])

@@ -58,6 +58,7 @@ from npspace.maps import (
 )
 from npspace import maps
 from npspace.optimize import DEFAULT_BUDGET, AscentOutcome, maximize_amplified_norm
+from npspace.spaces import MAX_ENTRY_EXP, spectral_norm
 
 SEED = 11
 
@@ -124,6 +125,39 @@ def test_make_map_rejects_inf_coefficient():
         make_map(M2, M2, action)
 
 
+@pytest.mark.parametrize("name", ("transpose_M3", "trace_M2", "zero_M2", "sub3_of_M2"))
+def test_map_constants_are_read_only_and_their_formulas_bitwise(name):
+    phi = _scale_map(name)
+    pinv, images = phi.domain._vec_pinv, phi.images()
+    units = (pinv.T @ images.reshape(phi.domain.dim, -1)).reshape(-1, *images.shape[1:])
+    assert phi.is_zero == (not np.any(phi.coeff))
+    assert phi._coeff_norm == spectral_norm(phi.coeff)
+    assert phi._unit_images.tobytes() == units.tobytes()
+    assert phi.unit_images() is phi._unit_images and phi.images() is phi._images
+    for arr in (phi.coeff, phi._images, phi._unit_images):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+
+
+def test_a_catalog_table_takes_no_svd_of_the_coefficients(monkeypatch):
+    # The coefficient relaxation reads the norm its map keeps: no level takes it again.
+    seen = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        seen.append(a)
+        return svd(a, *args, **kwargs)
+
+    entries = [e for e in list_entries() if not e.map.is_zero]
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    for entry in entries:
+        seen.clear()
+        build_level_table(entry.map, entry.map.stabilization_level + 1)
+        assert seen, entry.name
+        assert not any(np.shares_memory(a, entry.map.coeff) for a in seen), entry.name
+
+
 def _rescaled(phi, image_exp, basis_exp):
     """phi with its largest image entry 2**image_exp and its domain's largest basis
     entry 2**basis_exp, and the factor its level norms scale by."""
@@ -163,6 +197,47 @@ def test_tables_build_at_the_corners_of_the_scale_range(name, sign):
         _rescaled(phi, sign * (e + 1), -sign * e)
     with pytest.raises(ScaleOutOfRange):
         _rescaled(phi, sign * e, -sign * (e + 1))
+
+
+def _top_entry_at(mats, exp):
+    """mats scaled by a power of two: the largest entry in (2**(exp-1), 2**exp] for
+    exp > 0, in [2**exp, 2**(exp+1)) for exp < 0."""
+    m, e = np.frexp(np.abs(mats).max())
+    return mats * 2.0 ** (exp - e + (exp < 0 or m == 0.5))
+
+
+def _entries_at(phi, image_exp, basis_exp):
+    """phi with its images' and its domain basis's largest entries near 2**image_exp and
+    2**basis_exp (``_top_entry_at``), and the factor its level norms scale by."""
+    stack, images = phi.domain._stack, phi.images()
+    dom = make_space(phi.domain.ambient_dim, list(_top_entry_at(stack, basis_exp)), "V")
+    scaled = make_map(dom, phi.codomain, list(_top_entry_at(images, image_exp)), phi.label)
+    factor = np.abs(scaled.images()).max() / np.abs(images).max()
+    return scaled, factor * np.abs(stack).max() / np.abs(dom._stack).max()
+
+
+ENTRY_CORNERS = ((480, 480), (480, 241), (241, 480), (-480, -480), (-480, -241), (-241, -480))
+
+
+@pytest.mark.parametrize("name", SCALE_MAPS)
+def test_tables_build_at_the_corners_of_the_entry_range(name):
+    # Largest image and basis entries within 2**±480, their scale within 2**±240:
+    # every row builds and holds the unscaled norm.  One step further is refused.
+    phi = _scale_map(name)
+    table = build_level_table(phi, phi.stabilization_level)
+    for image_exp, basis_exp in ENTRY_CORNERS:
+        corner, factor = _entries_at(phi, image_exp, basis_exp)
+        got = build_level_table(corner, phi.stabilization_level)
+        for a, b in zip(got.entries, table.entries):
+            lo, hi = a.bracket.lo / factor, a.bracket.hi / factor
+            assert abs(lo - b.bracket.lo) <= 1e-12 * b.bracket.lo, (image_exp, basis_exp, a.level)
+            assert abs(hi - b.bracket.hi) <= 1e-12 * b.bracket.hi, (image_exp, basis_exp, a.level)
+    for sign in (1, -1):
+        e = sign * MAX_ENTRY_EXP
+        with pytest.raises(ScaleOutOfRange, match=r"basis of 'V': largest entry "):
+            _entries_at(phi, e, e + sign)
+        with pytest.raises(ScaleOutOfRange, match=f"images of map '{name}': largest entry "):
+            _entries_at(phi, e + sign, e)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@
 
 import math
 import sys
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,6 +144,40 @@ def test_zeta_bracket_intersects_oracle(p):
     lo, hi = zeta_bracket(p, 64)
     olo, ohi = _zeta_oracle(p)
     assert lo <= ohi and hi >= olo
+
+
+# Even Bernoulli numbers B_2 .. B_24.
+_BERNOULLI = tuple(map(Fraction, ("1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730", "7/6",
+                                  "-3617/510", "43867/798", "-174611/330", "854513/138",
+                                  "-236364091/2730")))
+
+
+def _decimal_tail(p, K, ctx, terms=200):
+    """sum_{n > K} n^-p in ``ctx``: ``terms`` terms, then Euler-Maclaurin at
+    N = K + terms + 1 to B_24, whose remainder is below 1e-50 relative at N >= 201."""
+    P, N = Decimal(p), Decimal(K + terms + 1)
+    total = sum(ctx.power(Decimal(n), -P) for n in range(K + 1, K + terms + 1))
+    total += ctx.power(N, 1 - P) / (P - 1) + ctx.power(N, -P) / 2
+    rising, factorial = P, Decimal(1)  # (p)_(2j-1) = p (p+1) .. (p+2j-2), and (2j)!
+    for j, b in enumerate(_BERNOULLI, 1):
+        factorial *= (2 * j - 1) * (2 * j)
+        coeff = Decimal(b.numerator) / Decimal(b.denominator) / factorial
+        total += coeff * rising * ctx.power(N, -P - 2 * j + 1)
+        rising *= (P + 2 * j - 1) * (P + 2 * j)
+    return total
+
+
+@pytest.mark.parametrize("p", [1.0001, 1.5, 2.0, 3.0, 5.0, 7.5, 10.0, 50.0, 200.0, 300.0])
+def test_zeta_bounds_contain_a_60_digit_reference(p):
+    # zeta_bracket(5, 64) once had its lo 6.1e-17 relative above zeta(5), and
+    # zeta_bracket(10, 64) lay wholly 1.1e-16 below zeta(10).
+    with localcontext(Context(prec=60)) as ctx:
+        zeta = _decimal_tail(p, 0, ctx)
+        for K in (0, 1, 8, 64, 2048):
+            tail = _decimal_tail(p, K, ctx)
+            for (lo, hi), want in ((zeta_tail(p, K), tail), (zeta_bracket(p, K), zeta)):
+                assert type(lo) is float and type(hi) is float, (p, K)
+                assert Decimal(lo) <= want <= Decimal(hi), (p, K, lo, hi)
 
 
 def test_require_p_validation():

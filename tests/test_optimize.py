@@ -8,6 +8,7 @@ from npspace import (
     get_entry,
     list_entries,
     make_map,
+    make_space,
     maps,
     optimize,
     random_subspace,
@@ -190,13 +191,13 @@ def _reference_ascent(space, images, level, budget, seed):
         for p, q in zip(pairs, new_pairs):
             p[took] = q[keep]
         step[live] *= np.where(keep, _STEP_GROW, _STEP_SHRINK)
-        small = new_ratio - old < budget.tol * np.maximum(1.0, ratio[live])
+        small = new_ratio - old < budget.tol * ratio[live]
         stall[live] = np.where(small, stall[live] + 1, 0)
         converged[live] = stall[live] >= _STALL_LIMIT
 
     best = int(np.argmax(ratio))
     support = int(
-        np.sum(converged & (np.abs(ratio - ratio[best]) <= _AGREE_REL * max(1.0, ratio[best])))
+        np.sum(converged & (np.abs(ratio - ratio[best]) <= _AGREE_REL * ratio[best]))
     )
     best_x = x[best] / spectral_norm(realize(SpaceElement(space, n, x[best])))
     value = spectral_norm(realize_batch(images, best_x))
@@ -414,3 +415,21 @@ def test_subspace_evaluation_is_one_eigensolve_of_both_sides(monkeypatch, level)
     monkeypatch.setattr(optimize, "top_singular_pairs", counting)
     maximize_amplified_norm(phi.domain, images, level, DEFAULT_BUDGET, 3)
     assert counted == [2 * r for r in evaluated]
+
+
+@pytest.mark.parametrize("exp", (50, -50))
+def test_a_scaled_domain_basis_scales_the_brackets(exp):
+    # The stall and agreement tests are relative: scaling the domain basis by a
+    # power of two scales every bracket by its inverse and changes no search.
+    # With the absolute tests, level 2 of this map read its lo 4.1e-3 low at 2**50.
+    rng = np.random.default_rng(5)
+    V = random_subspace(2, 2, rng, "V")
+    images = list(rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2)))
+    M2 = full_matrix_space(2)
+    table = maps.build_level_table(make_map(V, M2, images), 2)
+    scaled = make_space(2, list(V._stack * 2.0**exp), "V")
+    got = maps.build_level_table(make_map(scaled, M2, images), 2)
+    for a, b in zip(got.entries, table.entries):
+        for side in ("lo", "hi"):
+            want = getattr(b.bracket, side)
+            assert abs(getattr(a.bracket, side) * 2.0**exp - want) <= 1e-12 * want, (a.level, side)

@@ -17,6 +17,7 @@ from npspace import (
     level_norm,
     NonFiniteInput,
     OperatorSpace,
+    ScaleOutOfRange,
     SpaceElement,
     make_space,
     pad_to,
@@ -30,6 +31,7 @@ from npspace import (
     verify_axioms,
 )
 from npspace.spaces import (
+    MAX_ENTRY_EXP,
     from_pairs,
     matrix_blocks,
     realize_batch,
@@ -86,6 +88,48 @@ def test_make_space_rejects_wrong_shape():
 def test_make_space_rejects_overcomplete():
     with pytest.raises(DependentBasis):
         make_space(1, [np.array([[1.0]]), np.array([[2.0]])])
+
+
+SPACES = {
+    "M3": lambda: full_matrix_space(3),
+    "trace_M2_domain": lambda: get_entry("trace_M2").map.domain,
+    "sub4_of_M3": lambda: random_subspace(3, 4, np.random.default_rng(3), "V"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_space_constants_are_read_only_and_their_formulas_bitwise(name):
+    sp = SPACES[name]()
+    vec, pinv = sp._vec, sp._vec_pinv
+    svals = np.linalg.svd(vec, compute_uv=False)
+    assert np.array_equal(pinv, np.linalg.pinv(vec))
+    assert (sp._vec_smin, sp._vec_smax) == (svals[-1], svals[0])
+    derived = {
+        "_gram": vec.conj().T @ vec,
+        "_gram_inv": pinv @ pinv.conj().T,
+        "_pinv_norms": np.linalg.norm(pinv, axis=1),
+    }
+    for attr, want in derived.items():
+        got = getattr(sp, attr)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
+    for attr in ("_stack", "_vec", "_vec_pinv", *derived):
+        arr = getattr(sp, attr)
+        assert not arr.flags.writeable, attr
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_a_basis_entry_out_of_range_is_refused(sign):
+    # The largest entry may lie within 2**±480; one step further is refused.
+    # A basis of 1e160 once built and then overflowed in the ascent's Gram products.
+    units = np.stack(_units(3))
+    sp = make_space(3, list(units * 2.0 ** (sign * MAX_ENTRY_EXP)))
+    assert np.isfinite(sp._gram).all() and np.isfinite(sp._gram_inv).all()
+    for bad in (2.0 ** (sign * (MAX_ENTRY_EXP + 1)), 1e160**sign):
+        with pytest.raises(ScaleOutOfRange, match=r"basis of 'V': largest entry .* is outside "
+                                                  r"2\*\*-480\.\.2\*\*480"):
+            make_space(3, list(units * bad))
 
 
 # ---------------------------------------------------------------------------
