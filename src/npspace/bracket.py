@@ -59,14 +59,13 @@ class NormBracket:
 
     @property
     def rel_width(self) -> float:
-        """Width relative to max(1, hi); inf brackets give inf."""
+        """Width relative to hi: 0 for [0, 0], inf for an infinite hi."""
         if math.isinf(self.hi):
             return math.inf
-        return (self.hi - self.lo) / max(1.0, self.hi)
+        return self.width / self.hi if self.hi else 0.0
 
-    def is_tight(self, rel: float = 1e-6) -> bool:
-        return self.rel_width <= rel
 
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+def within(value: float, bound: float, rel: float) -> bool:
+    """value <= bound + rel * |bound|: the one slack rule of every check, a slack
+    relative to the bound, so a check decides alike at every scale of its map."""
+    return value <= bound + rel * abs(bound)

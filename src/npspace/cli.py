@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import catalog as _catalog
+from .bracket import within
 from .errors import InvariantViolation, NpSpaceError
 from .maps import (
     MAX_LEVEL,
@@ -159,7 +160,7 @@ def _suite_bounds(seed: int) -> list[tuple[str, bool, str]]:
         los = [e.bracket.lo for e in table.entries]
         his = [e.bracket.hi for e in table.entries]
         mono = all(a <= b for a, b in zip(los, los[1:]))
-        cap = all(h <= (i + 1) * his[0] * (1 + 1e-12) for i, h in enumerate(his))
+        cap = all(within(h, (i + 1) * his[0], 1e-12) for i, h in enumerate(his))
         cv = cross_validate(table, seed=seed)
         checks.append((f"monotone_lo[{entry.name}]", mono, f"los={los}"))
         checks.append((f"linear_cap[{entry.name}]", cap, f"his={his}"))

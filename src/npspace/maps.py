@@ -141,8 +141,9 @@ def make_map(
     """Build a map from its action on the domain basis.
 
     Each action entry is either a k_W coordinate vector or an e x e matrix
-    lying in the codomain; matrices outside the codomain's span raise
-    InconsistentAction, as does a coordinate/matrix disagreement.
+    lying in the codomain.  A matrix whose least-squares projection onto the
+    codomain misses it by more than 1e-12 of its own largest entry is outside
+    the codomain's span and raises InconsistentAction, at every scale.
     """
     if len(action) != domain.dim:
         raise DimensionMismatch(
@@ -157,8 +158,7 @@ def make_map(
         elif arr.shape == (e, e):
             coords = codomain.coords_of(arr)
             back = np.einsum("s,sab->ab", coords, codomain._stack)
-            scale = max(float(np.abs(arr).max()), 1.0)
-            if np.abs(back - arr).max() > 1e-12 * scale:
+            if np.abs(back - arr).max() > 1e-12 * np.abs(arr).max():
                 raise InconsistentAction(
                     f"action[{t}] is not in the span of the codomain basis"
                 )

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bracket import SOURCE_MONOTONICITY, SOURCE_SMITH, SOURCE_TRIVIAL_ZERO, NormBracket
+from .bracket import SOURCE_MONOTONICITY, SOURCE_SMITH, SOURCE_TRIVIAL_ZERO, NormBracket, within
 from .errors import InsufficientData, InvalidLevel, SpaceMismatch
 from .maps import LevelNormTable, LinearMapRep
 from .spaces import EPS, _same_space, require_int
@@ -290,15 +290,20 @@ class InclusionReport:
 
 
 def inclusion_check(phi: LinearMapRep, p: float, q: float, table: LevelNormTable) -> InclusionReport:
-    """Check the norm comparison ||phi||_q <= ||phi||_p for 1 <= p <= q."""
+    """Check the norm comparison ||phi||_q <= ||phi||_p for 1 <= p <= q.
+
+    Every comparison is ``bracket.within``, relative to its bound:
+    ``bracket_ok`` holds if lo_q is within 1e-9 of hi_p; each bracket is tight
+    if its hi is within 1e-6 of its lo (so [0, 0] and [inf, inf] are); and
+    only if both are, ``values_ok`` asks the same of lo_q + hi_q against
+    lo_p + hi_p, twice the midpoints.
+    """
     pp, qq = require_p(p), require_p(q)
     if not pp <= qq:
         raise ValueError(f"need p <= q, got p={pp}, q={qq}")
-    rp = np_norm(phi, pp, table)
-    rq = np_norm(phi, qq, table)
-    bracket_ok = rq.bracket.lo <= rp.bracket.hi + 1e-9
-    both_tight = rp.bracket.is_tight() and rq.bracket.is_tight()
-    values_ok = True
-    if both_tight:
-        values_ok = rq.bracket.midpoint <= rp.bracket.midpoint + 1e-9
+    rp, rq = np_norm(phi, pp, table), np_norm(phi, qq, table)
+    bp, bq = rp.bracket, rq.bracket
+    bracket_ok = within(bq.lo, bp.hi, 1e-9)
+    both_tight = within(bp.hi, bp.lo, 1e-6) and within(bq.hi, bq.lo, 1e-6)
+    values_ok = not both_tight or within(bq.lo + bq.hi, bp.lo + bp.hi, 1e-9)
     return InclusionReport(pp, qq, rp, rq, bracket_ok, values_ok, both_tight)

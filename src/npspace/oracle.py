@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bracket import within
 from .errors import InvalidLevel
 from .maps import LevelNormTable, LinearMapRep
 from .spaces import (
@@ -217,9 +218,11 @@ def cross_validate(
 ) -> CrossValidationReport:
     """Check brute lower bounds against the table's certified brackets.
 
-    The brute value must stay below every certified upper bound (else a
-    bound is wrong) and the table's lower bound must come within 5e-3
-    relative of the brute value (else the ascent is underperforming).
+    Both checks are ``bracket.within``: the brute value must not exceed a
+    certified hi by more than 1e-9 of it (``hi_ok``, else a bound is wrong)
+    nor the table's lo by more than 5e-3 of it (``lo_ok``, else the ascent is
+    underperforming).  Both slacks are relative, so a map scaled by any factor
+    is judged as at scale 1.
     """
     phi = table.map
     trials = require_trials(trials)
@@ -230,8 +233,8 @@ def cross_validate(
     for n in range(1, min(max_level, table.max_level) + 1):
         bracket = table.bracket_at(n)
         brute, witness = brute_search(phi, n, trials, seed + n)
-        hi_ok = brute <= bracket.hi + 1e-9
-        lo_ok = bracket.lo >= brute - 5e-3 * max(1.0, brute)
+        hi_ok = within(brute, bracket.hi, 1e-9)
+        lo_ok = within(brute, bracket.lo, 5e-3)
         ok = ok and hi_ok and lo_ok
         rows.append(
             {

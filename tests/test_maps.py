@@ -1,6 +1,7 @@
 """Maps: construction, amplification, and certified level-norm brackets."""
 
 import dataclasses
+import math
 import pickle
 import re
 
@@ -45,6 +46,7 @@ from npspace.bracket import (
     SOURCE_SMITH,
     SOURCE_TRIVIAL_ZERO,
     NormBracket,
+    within,
 )
 from npspace.maps import (
     LevelEntry,
@@ -116,6 +118,16 @@ def test_make_map_rejects_matrix_outside_codomain_span():
     diag_space = make_space(2, [units[0], units[3]], "diag")
     with pytest.raises(InconsistentAction):
         make_map(M2, diag_space, [units[0], units[1], units[2], units[3]])
+
+
+@pytest.mark.parametrize("scale", (1e-20, 1.0, 1e20))
+def test_make_map_rejects_a_matrix_outside_the_span_at_every_scale(scale):
+    # Half of the action lies off the diagonal; a misfit floored at 1 let it pass at 1e-20.
+    units = [np.array(b) for b in M2.basis]
+    diag_space = make_space(2, [units[0], units[3]], "diag")
+    zero = np.zeros((2, 2))
+    with pytest.raises(InconsistentAction, match=r"action\[0\]"):
+        make_map(M2, diag_space, [scale * np.array([[1.0, 1.0], [0.0, 0.0]]), zero, zero, zero])
 
 
 def test_make_map_rejects_inf_coefficient():
@@ -378,6 +390,22 @@ def _coeff_to_action(coeff):
 # ---------------------------------------------------------------------------
 # Level brackets
 # ---------------------------------------------------------------------------
+
+
+def test_within_is_one_relative_slack():
+    assert within(1.0, 1.0, 0.0) and within(3e-300, 3e-300, 1e-9)
+    assert within(1.0 + 5e-10, 1.0, 1e-9) and not within(1.0 + 2e-9, 1.0, 1e-9)
+    assert within(-1.0 - 5e-10, -1.0, 1e-9)  # the slack is relative to |bound|
+    # A zero bound has no slack, so the smallest positive value exceeds it.
+    assert within(0.0, 0.0, 1e-9) and not within(5e-324, 0.0, 1e-9)
+    assert within(1e300, math.inf, 1e-9) and within(math.inf, math.inf, 1e-9)
+    assert not within(math.inf, 1e300, 1e-9)
+
+
+def test_rel_width_is_relative_to_hi():
+    assert NormBracket(0.5, 0.75, SOURCE_OPTIMIZER, SOURCE_HAAGERUP).rel_width == 1.0 / 3.0
+    assert NormBracket(0.0, 0.0, SOURCE_TRIVIAL_ZERO, SOURCE_TRIVIAL_ZERO).rel_width == 0.0
+    assert NormBracket(1.0, math.inf, SOURCE_OPTIMIZER, SOURCE_HAAGERUP).rel_width == math.inf
 
 
 def test_level_bracket_transpose_levels():

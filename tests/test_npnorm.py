@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import replace
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from npspace import (
     zeta_bracket,
     zeta_tail,
 )
-from npspace import maps
+from npspace import maps, npnorm
 from npspace.npnorm import MAX_TRUNCATION, VERDICT_MEMBER, VERDICT_NOT_MEMBER
 
 SEED = 11
@@ -460,6 +461,26 @@ def test_inclusion_transpose(catalog_tables, catalog_entries):
         catalog_entries["transpose_M2"].map, 2.5, 4.0, catalog_tables["transpose_M2"]
     )
     assert rep.passed and rep.both_tight
+
+
+@pytest.mark.parametrize("scale", (1e-20, 1.0, 1e20))
+def test_inclusion_flags_a_q_series_above_the_p_series_at_every_scale(
+    monkeypatch, catalog_entries, scale
+):
+    # Negative control: the q = 3 bracket made twice the p = 2 one must fail
+    # both comparisons; an absolute 1e-9 slack let it pass at scale 1e-20.
+    phi = scaled_map(catalog_entries["identity_M2"].map, scale)
+    table = build_level_table(phi, 2, seed=SEED)
+    exact = npnorm.np_norm
+
+    def doubled(phi, p, table):
+        r = exact(phi, 2.0, table)
+        b = r.bracket
+        return r if p == 2.0 else replace(r, bracket=replace(b, lo=2 * b.lo, hi=2 * b.hi))
+
+    monkeypatch.setattr(npnorm, "np_norm", doubled)
+    rep = inclusion_check(phi, 2.0, 3.0, table)
+    assert rep.both_tight and not rep.bracket_ok and not rep.values_ok and not rep.passed
 
 
 def test_inclusion_zero(catalog_tables, catalog_entries):

@@ -1,5 +1,7 @@
 """Brute-force oracle: lower-bound quality and table cross-validation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from npspace import (
     make_space,
     random_subspace,
     realize,
+    scaled_map,
 )
 from npspace.maps import LevelEntry, LevelNormTable
 from npspace.optimize import DEFAULT_BUDGET
@@ -358,6 +361,21 @@ def test_cross_validate_flags_corrupted_table():
     report = cross_validate(tampered, trials=200, seed=3, max_level=2)
     assert not report.passed
     assert not report.rows[0]["hi_ok"]
+
+
+@pytest.mark.parametrize("scale", (1e-20, 1.0, 1e20))
+def test_cross_validate_rejects_a_halved_table_at_every_scale(scale):
+    # Every bracket halved puts the brute value twice above each hi and lo; an
+    # absolute 1e-9 slack let that pass at scale 1e-20.
+    phi = scaled_map(get_entry("transpose_M2").map, scale)
+    table = build_level_table(phi, 2, seed=0)
+    halved = tuple(
+        replace(e, bracket=replace(e.bracket, lo=e.bracket.lo / 2, hi=e.bracket.hi / 2))
+        for e in table.entries
+    )
+    report = cross_validate(replace(table, entries=halved), trials=100, seed=0, max_level=2)
+    assert not report.passed
+    assert not any(r["hi_ok"] or r["lo_ok"] for r in report.rows)
 
 
 def test_report_json_serializable():

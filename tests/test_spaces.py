@@ -30,6 +30,7 @@ from npspace import (
     spectral_norm,
     verify_axioms,
 )
+from npspace import spaces
 from npspace.spaces import (
     MAX_ENTRY_EXP,
     from_pairs,
@@ -340,14 +341,37 @@ def test_verify_axioms_scalar_space():
     assert report.passed
 
 
-def test_verify_axioms_corrupted_norm_reports_m1_failure():
-    # Negative control: a norm that misreports level 2 must break M1.
-    def corrupted(x):
-        return level_norm(x) * (1.1 if x.level == 2 else 1.0)
-
-    report = verify_axioms(full_matrix_space(2), samples=50, seed=7, norm_fn=corrupted)
+def test_verify_axioms_corrupted_norm_reports_m1_failure(monkeypatch):
+    # Negative control: a realization that misreports level 2 must break M1.
+    exact = spaces.realize
+    monkeypatch.setattr(spaces, "realize", lambda x: exact(x) * (1.1 if x.level == 2 else 1.0))
+    report = verify_axioms(full_matrix_space(2), samples=50, seed=7)
     assert not report.passed
     assert any(f["check"] == "M1" for f in report.failures)
+
+
+@pytest.mark.parametrize("scale", (1e8, 1e20))
+def test_verify_axioms_passes_on_a_scaled_basis(scale):
+    # An absolute M2 slack of 1e-9 failed 9 (at 1e8) and 8 (at 1e20) of these
+    # 50 samples on rounding alone; the relative slack scales with the norms.
+    report = verify_axioms(make_space(2, [scale * u for u in _units(2)]), samples=50, seed=0)
+    assert report.passed, report.failures[:3]
+    assert report.m2_worst <= 1e-9
+
+
+@pytest.mark.parametrize("scale", (1e-20, 1.0, 1e20))
+def test_verify_axioms_reports_an_inflated_sandwich_at_every_scale(monkeypatch, scale):
+    # Negative control: a sandwich 10% too large must break M2 however small its norms.
+    exact = spaces.sandwich
+
+    def inflated(alpha, x, beta):
+        y = exact(alpha, x, beta)
+        return SpaceElement(y.space, y.level, 1.1 * y.coords)
+
+    monkeypatch.setattr(spaces, "sandwich", inflated)
+    report = verify_axioms(make_space(2, [scale * u for u in _units(2)]), samples=50, seed=7)
+    assert not report.passed
+    assert any(f["check"] == "M2" for f in report.failures)
 
 
 def _reference_axioms(space, samples, seed):
@@ -370,7 +394,8 @@ def _reference_axioms(space, samples, seed):
         alpha = rng.standard_normal((lo, lx)) + 1j * rng.standard_normal((lo, lx))
         beta = rng.standard_normal((lx, lo)) + 1j * rng.standard_normal((lx, lo))
         lhs = level_norm(sandwich(alpha, x, beta))
-        excess = lhs - spectral_norm(alpha) * level_norm(x) * spectral_norm(beta)
+        rhs = spectral_norm(alpha) * level_norm(x) * spectral_norm(beta)
+        excess = (lhs - rhs) / max(rhs, 1e-300)
         m2_worst = max(m2_worst, excess)
         if excess > 1e-9:
             failures.append({"check": "M2", "sample": i, "violation": excess})
