@@ -138,7 +138,7 @@ def expected_np_bracket(entry: CatalogEntry, p: float, K: int) -> tuple[float, f
         raise ValueError(f"closed-form evaluation needs p > 1, got {p}")
     K = require_int(K, "K", minimum=entry.expected_stabilization)
     rule = entry.expected_level_norms
-    partial = math.fsum(over_power(rule(n), n, p) for n in range(1, K + 1))
+    los, his = zip(*(over_power(rule(n), rule(n), n, p) for n in range(1, K + 1)))
     stable_value = rule(K + 1)
     tlo, thi = zeta_tail(p, K)
-    return partial + stable_value * tlo, partial + stable_value * thi
+    return math.fsum(los) + stable_value * tlo, math.fsum(his) + stable_value * thi

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from typing import Iterable
 
@@ -95,14 +96,6 @@ def zeta_tail(p: float, K: int) -> tuple[float, float]:
     return lo, hi
 
 
-def over_power(x: float, n: int, p: float) -> float:
-    """x / n**p, or x * n**-p (which underflows instead) once n**p overflows."""
-    try:
-        return x / n**p
-    except OverflowError:
-        return x * n**-p
-
-
 def zeta_bracket(p: float, K: int = 64) -> tuple[float, float]:
     """Certified bounds on the full sum zeta(p), p > 1, as Python floats.
 
@@ -118,6 +111,52 @@ def zeta_bracket(p: float, K: int = 64) -> tuple[float, float]:
     partial = math.fsum(map(pow, range(1, K + 1), repeat(-p)))
     tlo, thi = zeta_tail(p, K)
     return (partial + tlo) * (1.0 - _SUM_SLACK), (partial + thi) * (1.0 + _SUM_SLACK)
+
+
+def _truncation(s: int) -> int:
+    """K = max(64, 4 s): ``np_norm`` sums n^-p termwise through K, ``zeta_tail`` beyond."""
+    return max(64, 4 * s)
+
+
+@lru_cache(maxsize=256)
+def _zeta_parts(p: float, s: int) -> tuple[float, float, float, float]:
+    """Bounds ``(head_lo, head_hi, tail_lo, tail_hi)`` on the two zeta sums that
+    ``np_norm`` weights row s by: the head sum_{s <= n <= K} n^-p and ``zeta_tail(p, K)``,
+    K = max(64, 4 s).  The head widens by _SUM_SLACK, as ``zeta_bracket``'s partial sum.
+    A term below the smallest normal double is off by at most 2 ulps of 2^-1074, so K
+    such terms by K tiny 2^-51, which the slack's margin covers once the head is at
+    least K tiny; a smaller head widens to [0, max(hi, 2 K tiny)].  The 256 most recent
+    (p, s) are kept: a process sums each once, however many tables it reads at p."""
+    K = _truncation(s)
+    head = math.fsum(map(pow, range(s, K + 1), repeat(-p)))
+    lo, hi = head * (1.0 - _SUM_SLACK), head * (1.0 + _SUM_SLACK)
+    if lo < K * _TINY:
+        lo, hi = 0.0, max(hi, 2.0 * K * _TINY)
+    return (lo, hi, *zeta_tail(p, K))
+
+
+def _down(x: float) -> float:
+    """The next double toward 0 from x >= 0: a lower bound on any value x is nearest to."""
+    return math.nextafter(x, 0.0)
+
+
+def _up(x: float) -> float:
+    """The next double above x: an upper bound on any value x is nearest to."""
+    return math.nextafter(x, math.inf)
+
+
+def over_power(lo: float, hi: float, n: int, p: float) -> tuple[float, float]:
+    """Bounds on [lo, hi] / n^p, lo >= 0.  n**p is within _POW_ULPS ulps and each quotient
+    one rounding from its value, so each widens by _SUM_SLACK.  If n**p overflows, n^p >
+    2^1023, and hi 2^-1022 bounds the quotient.  Below the smallest normal double a step
+    of rounding is 2^-1074 whatever the value, so a side under it widens: lo to 0 and a
+    nonzero hi to 2 tiny, as ``zeta_tail`` widens an underflowing tail."""
+    try:
+        power = n**p
+        qlo, qhi = lo / power * (1.0 - _SUM_SLACK), hi / power * (1.0 + _SUM_SLACK)
+    except OverflowError:
+        qlo, qhi = 0.0, math.ldexp(hi, -1022)
+    return (qlo if qlo >= _TINY else 0.0), (qhi if qhi >= _TINY or not hi else 2.0 * _TINY)
 
 
 @dataclass(frozen=True)
@@ -167,7 +206,11 @@ def np_norm(phi: LinearMapRep, p, table: LevelNormTable) -> NpResult:
     sum_{n >= s} n^-p.  That zeta sum is summed termwise up to
     K = max(64, 4 s) and closed by ``zeta_tail`` beyond K; at K >= 64 its relative
     width is below 6e-11 for every p > 1: most of a catalog series' width at p <= 2
-    (2e-11 to 7e-11), and all that a larger K could take off.  For p > 1 the table must
+    (2e-11 to 7e-11), and all that a larger K could take off.  Both zeta parts come
+    from ``_zeta_parts``, which a process sums once per (p, s).  Every rounding is
+    covered: the head sum widens by _SUM_SLACK, each quotient of a level bracket by
+    n^p by _SUM_SLACK, each product of a level bracket with a zeta bound moves one ulp
+    outward, and so does each side's final ``math.fsum``.  For p > 1 the table must
     reach s = ``phi.stabilization_level``; a shorter one raises InsufficientTable.  At
     p = 1 only row 1 is read, and for the zero map no row.  A table built for another
     map raises SpaceMismatch.  The verdict says whether phi lies in N^p: every nonzero
@@ -176,7 +219,7 @@ def np_norm(phi: LinearMapRep, p, table: LevelNormTable) -> NpResult:
     _require_table_for(phi, table)
     pp = require_p(p)
     s = phi.stabilization_level
-    K = max(64, 4 * s)
+    K = _truncation(s)
 
     if phi.is_zero:
         bracket = NormBracket(0.0, 0.0, SOURCE_TRIVIAL_ZERO, SOURCE_TRIVIAL_ZERO)
@@ -197,13 +240,12 @@ def np_norm(phi: LinearMapRep, p, table: LevelNormTable) -> NpResult:
 
     head = [table.bracket_at(n) for n in range(1, s)]
     bs = table.bracket_at(s)
-    zeta_head = math.fsum(map(pow, range(s, K + 1), repeat(-pp)))
-    zlo, zhi = zeta_tail(pp, K)
-    tail_lo = bs.lo * zlo
-    tail_hi = bs.hi * zhi
-    terms = [(over_power(b.lo, n, pp), over_power(b.hi, n, pp)) for n, b in enumerate(head, 1)]
-    terms += [(bs.lo * zeta_head, bs.hi * zeta_head), (tail_lo, tail_hi)]
-    lo, hi = (math.fsum(side) for side in zip(*terms))
+    head_lo, head_hi, zlo, zhi = _zeta_parts(pp, s)
+    tail_lo, tail_hi = _down(bs.lo * zlo), _up(bs.hi * zhi)
+    terms = [over_power(b.lo, b.hi, n, pp) for n, b in enumerate(head, 1)]
+    terms += [(_down(bs.lo * head_lo), _up(bs.hi * head_hi)), (tail_lo, tail_hi)]
+    los, his = zip(*terms)
+    lo, hi = _down(math.fsum(los)), _up(math.fsum(his))
     closed = CLOSED_FORM_FUNCTIONAL if phi.codomain.ambient_dim == 1 else CLOSED_FORM_STABILIZED
     bracket = NormBracket(lo, hi, SOURCE_SMITH, SOURCE_SMITH)
     return NpResult(pp, bracket, VERDICT_MEMBER, K, tail_lo, tail_hi, closed)

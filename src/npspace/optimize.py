@@ -46,13 +46,17 @@ codomain's ambient dimension).  It draws ``standard_normal((2, 2, n*m))``
 from ``SeedSequence([0x414D50, seed, n, r])`` in the order u real, u imag,
 v real, v imag, and normalizes each vector, so any start can be rebuilt
 offline from the seed alone.  The stop decides only how many restarts are
-drawn, never what a drawn restart's start is.
+drawn, never what a drawn restart's start is.  Since a start depends on
+nothing else, a process draws each one once: ``_starts`` keeps its 64 most
+recent results, so every table built after the first with the same seed,
+level, codomain size and restart count reads its starts again, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,6 +127,7 @@ def _representer(rep, n, *sides) -> np.ndarray:
     return flat.reshape(r, n, n, -1)
 
 
+@lru_cache(maxsize=64)
 def _starts(
     seed: int, n: int, size: int, restarts: int, first: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +136,9 @@ def _starts(
     ``default_rng([_SEED_TAG, seed, n, r])``'s draws whichever restarts are drawn with it,
     each vector divided by ``sqrt(re.dot(re) + im.dot(im))``, which is ``np.linalg.norm``'s
     arithmetic.  ``re`` and ``im`` are the strided views of the complex vector: BLAS sums a
-    contiguous row of the draws in another order, so its norm is not bitwise."""
+    contiguous row of the draws in another order, so its norm is not bitwise.  The arrays
+    are read-only, as the 64 most recent are kept and returned again to every later call
+    with the same arguments."""
     # numpy loads numpy.random on first use; importing it here keeps it out of import time.
     from numpy.random import PCG64, Generator, SeedSequence
 
@@ -141,6 +148,7 @@ def _starts(
     z = g[:, :, 0] + 1j * g[:, :, 1]
     sq = [w.real.dot(w.real) + w.imag.dot(w.imag) for w in z.reshape(-1, size)]
     z /= np.sqrt(sq).reshape(-1, 2, 1)
+    z.flags.writeable = False
     return z[:, 0], z[:, 1]
 
 

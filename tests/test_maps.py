@@ -58,7 +58,7 @@ from npspace.maps import (
     haagerup_bounds,
     witness_to_dict,
 )
-from npspace import maps
+from npspace import maps, npnorm, optimize
 from npspace.optimize import DEFAULT_BUDGET, AscentOutcome, maximize_amplified_norm
 from npspace.spaces import MAX_ENTRY_EXP, spectral_norm
 
@@ -766,6 +766,47 @@ def test_table_is_the_four_round_propagation_bitwise():
     assert SOURCE_MONOTONICITY in lo_fired
     assert {SOURCE_HAAGERUP, SOURCE_N_TIMES_NORM, SOURCE_SMITH} <= hi_fired
     assert SOURCE_MONOTONICITY not in hi_fired
+
+
+def _tables_and_series(maps_, p_grid, clear=()):
+    """Every map's table through its stabilization level and its series at each p,
+    as bits: the rows' ``_row_bits`` and each NpResult's repr (float reprs round-trip).
+    The caches in ``clear`` are cleared before each map."""
+    out = []
+    for phi in maps_:
+        for cache in clear:
+            cache.cache_clear()
+        table = build_level_table(phi, phi.stabilization_level, seed=7)
+        out.append(([_row_bits(e) for e in table.entries],
+                    [repr(np_norm(phi, p, table)) for p in p_grid]))
+    return out
+
+
+def test_tables_and_series_built_cold_equal_those_built_warm():
+    # The start and zeta caches hold values that depend on their arguments alone:
+    # every bit of every table and series is the same whether they miss or hit.
+    maps_ = [e.map for e in list_entries()]
+    maps_ += [_random_map(*spec, seed) for seed, spec in enumerate(RANDOM_SPECS)]
+    p_grid = (1.0, 1.0001, 1.5, 2.0, 3.0, 10.0, 1000.0)
+    caches = (optimize._starts, npnorm._zeta_parts)
+    cold = _tables_and_series(maps_, p_grid, clear=caches)
+    hits = [cache.cache_info().hits for cache in caches]
+    warm = _tables_and_series(maps_, p_grid)
+    assert all(c.cache_info().hits > h for c, h in zip(caches, hits))
+    assert warm == cold
+
+
+def test_both_caches_are_bounded_and_cached_starts_refuse_writes():
+    for cache in (optimize._starts, npnorm._zeta_parts):
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < math.inf
+    u, v = optimize._starts(3, 2, 4, 5, 1)
+    assert optimize._starts(3, 2, 4, 5, 1)[0] is u
+    for a in (u, v):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0
 
 
 def _synthetic_ascent(monkeypatch, rows):

@@ -181,6 +181,51 @@ def test_zeta_bounds_contain_a_60_digit_reference(p):
                 assert Decimal(lo) <= want <= Decimal(hi), (p, K, lo, hi)
 
 
+# The catalog's level norms at 60 digits: the rule's own value where it is an
+# integer, and the two irrational norms from the maps' exact coefficients.
+_EXACT_NORM = {
+    "schur_M2": lambda: Decimal(2).sqrt(),
+    "rank_one_M2": lambda: ((Decimal(0.6) ** 2 + Decimal(0.8) ** 2) * 5).sqrt(),
+}
+
+
+def _exact_norm(entry, n):
+    if entry.name in _EXACT_NORM:
+        return _EXACT_NORM[entry.name]()
+    value = entry.expected_level_norms(n)
+    assert value.is_integer(), (entry.name, n)
+    return Decimal(value)
+
+
+def _tightest(value):
+    """The narrowest bracket of doubles around a Decimal: [v, v] for a double v."""
+    f = float(value)
+    lo = f if Decimal(f) <= value else math.nextafter(f, 0.0)
+    return lo, f if Decimal(f) >= value else math.nextafter(f, math.inf)
+
+
+@pytest.mark.parametrize("p", [1.0001, 1.5, 2.0, 3.0, 5.0, 10.0, 50.0, 200.0, 1000.0])
+def test_series_brackets_contain_a_60_digit_closed_form(catalog_tables, catalog_entries, p):
+    # Every quotient, product and sum of np_norm rounds outward: the bracket holds
+    # sum_{n < s} ||phi_n|| n^-p + ||phi_s|| sum_{n >= s} n^-p at 60 digits, from the
+    # built table and from the table of the tightest brackets around the true norms,
+    # whose rows lend the series no slack (exact rows for all but two maps).
+    with localcontext(Context(prec=60)) as ctx:
+        for name, entry in catalog_entries.items():
+            s = entry.map.stabilization_level
+            want = sum(
+                _exact_norm(entry, n) * ctx.power(Decimal(n), -Decimal(p)) for n in range(1, s)
+            )
+            want += _exact_norm(entry, s) * _decimal_tail(p, s - 1, ctx)
+            built, rows = catalog_tables[name], []
+            for e in built.entries:
+                lo, hi = _tightest(_exact_norm(entry, e.level))
+                rows.append(replace(e, bracket=replace(e.bracket, lo=lo, hi=hi)))
+            for table in (built, replace(built, entries=tuple(rows))):
+                r = np_norm(entry.map, p, table)
+                assert Decimal(r.bracket.lo) <= want <= Decimal(r.bracket.hi), (name, p, r)
+
+
 def test_require_p_validation():
     with pytest.raises(ValueError, match=r"p must satisfy 1 <= p < inf, got 0.5"):
         require_p(0.5)
