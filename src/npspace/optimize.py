@@ -1,55 +1,42 @@
 """Batched ascent for amplified spectral norms.
 
-The quantity maximized is the ratio ||phi_n(x)|| / ||x|| over nonzero
-level-n elements x of the domain, both norms being spectral norms of
-realized matrices.  The restarts advance together as one stacked batch.
-Each live restart makes one proposal per iteration and keeps it only where
-the ratio rises, so every reported value is a lower bound witnessed by the
-re-checkable element x / ||x||.
+The quantity maximized is ||phi_n(x)|| / ||x|| over nonzero level-n elements
+x of the domain.  The restarts advance as one stacked batch.  Each live
+restart makes one proposal per iteration and keeps it only where the ratio
+rises, so every value is a lower bound witnessed by x / ||x||, which
+``spaces.witnessed_value`` certifies.
 
-With (u, v) the top singular pair of phi_n(x), the proposal on a full
-matrix algebra is the polar factor of the realized representer of
-x -> Re<u, phi_n(x) v>: the exact maximizer of that functional over the
-unit ball.  On a proper subspace it is a step along the gradient of the
-log ratio, taken from the top singular pairs of both realizations, with a
-per-restart step length that grows on success and shrinks on failure.
+On a full matrix algebra M_d each x is a realized nd x nd polar factor, of
+norm 1, so the ratio is ||phi_n(x)||: one product of x's blocks with phi on
+the matrix units of M_d.  With (u, v) its top singular pair, the proposal is
+the polar factor of phi_n*(u v*), the exact maximizer of x -> Re<u, phi_n(x) v>
+over the unit ball.  The basis is read only to un-realize the best x, once,
+for its witness.  A rejected proposal would be made again unchanged, so a
+restart ends at its first rejected step; it counts as converged exactly when
+the stall rule (``_STALL_LIMIT`` steps without a rise) would have been met
+within the ``max_iter`` budget left.
 
-The polar step depends only on the restart's stored singular pair, so on a
-full matrix algebra a rejected proposal would be made again unchanged:
-the restart ends at its first rejected step.  It counts as converged
-exactly when the stall rule (``_STALL_LIMIT`` iterations without a rise)
-would have been met within the ``max_iter`` budget left.
+On a proper subspace x is a coordinate array and the proposal is a step
+along the gradient of the log ratio, from the top singular pairs of both
+realizations, with a per-restart length that grows on success and shrinks on
+failure.  One product realizes both sides, one eigensolve of the A A* gives
+both sides' pairs when their sizes agree (``spaces.top_singular_pairs``),
+and a step's length comes from the Gram matrix V^H V.
 
-Given a certified upper bound ``hi`` on the level norm, every restart stops
-as soon as the best ratio reaches ``hi * (1 - budget.tol)``: no restart can
-then gain more than ``budget.tol * hi``.  On a full matrix algebra, where a
-polar step often closes the row at once, restart 0 leads: it is drawn,
-evaluated and takes its first step alone, and restarts 1..R-1 are drawn and
-join one iteration later only if the best ratio is still under that stop.
-Each restart counts its ``max_iter`` steps from its own start, so a row that
-stays open ends as one batch of all restarts would end it.  On a proper
-subspace, where a gradient step seldom closes a row, all restarts start
-together.  An ascent that reaches the stop counts as converged, and its
-``support`` is the number of restarts drawn whose ratio reached it: 1 for a
-row that restart 0 closes.  The default ``hi = inf`` never stops a search
-early.
-
-An evaluation realizes both sides in one product, and one eigensolve of
-the A A* gives both sides' top singular pairs when their sizes agree
-(``spaces.top_singular_pairs``).  Representers are one product, a step's
-length comes from the Gram matrix V^H V, and only the polar step takes a
-full SVD.  The best restart's value is certified by ``spaces.witnessed_value``.
+Given a certified upper bound ``hi``, every restart stops once the best ratio
+reaches ``hi * (1 - budget.tol)``.  On M_d restart 0 leads: it is drawn,
+evaluated and steps once alone, and restarts 1..R-1 join one iteration later
+only if the row is still open.  Each restart counts its ``max_iter`` steps
+from its own start.  An ascent that reaches the stop is converged, and its
+``support`` is the number of restarts drawn that reached it.
 
 The start stream is a contract: restart r at level n starts from the
-representer of a pair (u, v) of unit vectors of length n*m (m the
-codomain's ambient dimension).  It draws ``standard_normal((2, 2, n*m))``
-from ``SeedSequence([0x414D50, seed, n, r])`` in the order u real, u imag,
-v real, v imag, and normalizes each vector, so any start can be rebuilt
-offline from the seed alone.  The stop decides only how many restarts are
-drawn, never what a drawn restart's start is.  Since a start depends on
-nothing else, a process draws each one once: ``_starts`` keeps its 64 most
-recent results, so every table built after the first with the same seed,
-level, codomain size and restart count reads its starts again, bit for bit.
+representer of phi_n*(u v*), on M_d from its polar factor, with (u, v) unit
+vectors of length n*m (m the codomain's ambient dimension) normalized from one
+draw of ``standard_normal((2, 2, n*m))`` by ``SeedSequence([0x414D50, seed, n,
+r])``, in the order u real, u imag, v real, v imag (``_starts``).  So any start
+can be rebuilt offline from the seed, and the stop decides only how many
+restarts are drawn.
 """
 
 from __future__ import annotations
@@ -65,7 +52,6 @@ from .spaces import (
     OperatorSpace,
     block_matrices,
     matrix_blocks,
-    realize_batch,
     require_int,
     top_singular_pairs,
     unrealize,
@@ -127,6 +113,12 @@ def _representer(rep, n, *sides) -> np.ndarray:
     return flat.reshape(r, n, n, -1)
 
 
+def _polar(mats: np.ndarray) -> np.ndarray:
+    """The unitary polar factor U V* of each matrix U S V* in a stack, from its full SVD."""
+    u, _, vh = np.linalg.svd(mats)
+    return u @ vh
+
+
 @lru_cache(maxsize=64)
 def _starts(
     seed: int, n: int, size: int, restarts: int, first: int = 0
@@ -169,27 +161,45 @@ def maximize_amplified_norm(
         return AscentOutcome(0.0, np.zeros((n, n, k), dtype=complex), True, budget.restarts)
 
     full = space.is_full_matrix_algebra
-    # `reps` stacks the representer matrices conj(S) G^T of both sides (S the flattened
-    # columns, G = (V^H V)^{-1}; the domain's is _vec_pinv^T); `gram` is V^H V.
-    sides = np.concatenate([images.reshape(k, -1), space._stack.reshape(k, -1)], axis=1)
-    reps = np.concatenate([images.reshape(k, -1).T.conj() @ space._gram_inv.T, space._vec_pinv.T])
-    gram = space._gram
+    if full:  # phi on M_d's matrix units (d*d, m*m), as ``LinearMapRep.unit_images``
+        units = space._vec_pinv.T @ images.reshape(k, -1)
 
-    def evaluate(coords):
-        r, flat = len(coords), coords.reshape(-1, k) @ sides
-        if m == d:  # one eigensolve, image blocks first
-            mats = block_matrices(flat.reshape(r, n, n, 2, -1).transpose(3, 0, 1, 2, 4), d)
-            s, u, v = top_singular_pairs(mats.reshape(2 * r, n * d, n * d))
-            img, dom = (s[:r], u[:r], v[:r]), (s[r:], u[r:], v[r:])
-        else:
-            parts = np.split(flat.reshape(r, n, n, -1), [m * m], axis=-1)
-            img, dom = (top_singular_pairs(block_matrices(p, e)) for p, e in zip(parts, (m, d)))
-        return img[0] / dom[0], (*img, *dom)
+        def evaluate(x):  # the ratio ||phi_n(x)|| and its top singular pair (u, v)
+            return top_singular_pairs(block_matrices(matrix_blocks(x, n) @ units, m))
+
+        def polar_step(u, v):  # the polar factor of phi_n*(u v*)
+            return _polar(block_matrices(_representer(units.T.conj(), n, (u, v)), d))
+    else:
+        # `reps` stacks the representer matrices conj(S) G^T of both sides (S the flattened
+        # columns, G = (V^H V)^{-1}; the domain's is _vec_pinv^T); `gram` is V^H V.
+        flat_images = images.reshape(k, -1)
+        sides = np.concatenate([flat_images, space._stack.reshape(k, -1)], axis=1)
+        reps = np.concatenate([flat_images.T.conj() @ space._gram_inv.T, space._vec_pinv.T])
+        gram = space._gram
+
+        def evaluate(coords):
+            r, flat = len(coords), coords.reshape(-1, k) @ sides
+            if m == d:  # one eigensolve, image blocks first
+                mats = block_matrices(flat.reshape(r, n, n, 2, -1).transpose(3, 0, 1, 2, 4), d)
+                s, u, v = top_singular_pairs(mats.reshape(2 * r, n * d, n * d))
+                img, dom = (s[:r], u[:r], v[:r]), (s[r:], u[r:], v[r:])
+            else:
+                parts = np.split(flat.reshape(r, n, n, -1), [m * m], axis=-1)
+                img, dom = (top_singular_pairs(block_matrices(p, e)) for p, e in zip(parts, (m, d)))
+            return (img[0] / dom[0], *img, *dom)
+
+        def gradient_step(live, img, img_u, img_v, dom, dom_u, dom_v):
+            uv = (img_u / img[:, None], img_v), (dom_u / -dom[:, None], dom_v)
+            grad = _representer(reps, n, *uv)  # of log(img / dom)
+            size = np.sqrt(np.einsum("rijs,st,rijt->r", grad.conj(), gram, grad).real.clip(0.0))
+            # A vanishing gradient (a constant ratio) leaves x where it is.
+            t = np.divide(step[live] * dom, size, out=np.zeros_like(size), where=size > 0)
+            return x[live] + t[:, None, None, None] * grad
 
     def draw(first, restarts):  # x, ratio and pairs of restarts first..restarts-1
-        x = _representer(reps[: m * m], n, _starts(seed, n, n * m, restarts, first))
-        ratio, pairs = evaluate(x)
-        return [x, ratio, *pairs]
+        uv = _starts(seed, n, n * m, restarts, first)
+        x = polar_step(*uv) if full else _representer(reps[: m * m], n, uv)
+        return [x, *evaluate(x)]
 
     # On M_d restart 0 leads by one iteration: the others start only if it leaves the row open.
     lead = int(full and budget.restarts > 1)
@@ -204,19 +214,9 @@ def maximize_amplified_norm(
         if live.size == 0 or ratio.max() >= stop:
             break
         every = live.size == len(x)  # the gathers copy: skip them if every drawn one is live
-        img, img_u, img_v, dom, dom_u, dom_v = pairs if every else [p[live] for p in pairs]
-        if full:
-            w = _representer(reps[: m * m], n, (img_u, img_v))
-            pu, _, pvh = np.linalg.svd(realize_batch(space._stack, w))
-            prop = unrealize(space, n, pu @ pvh)
-        else:
-            uv = (img_u / img[:, None], img_v), (dom_u / -dom[:, None], dom_v)
-            grad = _representer(reps, n, *uv)  # of log(img / dom)
-            size = np.sqrt(np.einsum("rijs,st,rijt->r", grad.conj(), gram, grad).real.clip(0.0))
-            # A vanishing gradient (a constant ratio) leaves x where it is.
-            t = np.divide(step[live] * dom, size, out=np.zeros_like(size), where=size > 0)
-            prop = x[live] + t[:, None, None, None] * grad
-        new_ratio, new_pairs = evaluate(prop)
+        cur = pairs if every else [p[live] for p in pairs]
+        prop = polar_step(*cur) if full else gradient_step(live, *cur)
+        new_ratio, *new_pairs = evaluate(prop)
         old = ratio[live]
         keep = new_ratio > old
         took = live[keep]
@@ -225,23 +225,22 @@ def maximize_amplified_norm(
         step[live] *= np.where(keep, _STEP_GROW, _STEP_SHRINK)
         small = new_ratio - old < budget.tol * ratio[live]
         stall[live] = np.where(small, stall[live] + 1, 0)
+        converged[live] = stall[live] >= _STALL_LIMIT
+        done[live] = converged[live]
         if full:
             # Steps each restart has left, counted from its own start.  A rejected polar
             # step would only be proposed again unchanged, each repeat a small step.
             left = budget.max_iter - 1 - it - lead * (live == 0)
-            ahead = np.where(small & ~keep, left, 0)
-            converged[live] = stall[live] + ahead >= _STALL_LIMIT
+            converged[live] |= stall[live] + np.where(small & ~keep, left, 0) >= _STALL_LIMIT
             done[live] = converged[live] | ~keep | (left == 0)
-        else:
-            converged[live] = stall[live] >= _STALL_LIMIT
-            done[live] = converged[live]
         if it < 0 and ratio[0] < stop:  # restart 0 left the row open: the others join
             more = draw(1, budget.restarts)
             x, ratio, *pairs = map(np.concatenate, zip((x, ratio, *pairs), more))
             done[1:] = False
 
     best = int(np.argmax(ratio))
-    value, witness = witnessed_value(space, images, n, x[best])
+    coords = unrealize(space, n, x[best]) if full else x[best]
+    value, witness = witnessed_value(space, images, n, coords)
     if ratio[best] >= stop:  # within tol of a certificate: that is the optimum
         return AscentOutcome(value, witness, True, int(np.sum(ratio >= stop)))
     support = int(

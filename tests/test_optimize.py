@@ -13,6 +13,7 @@ from npspace import (
     optimize,
     random_subspace,
 )
+from npspace.bracket import within
 from npspace.optimize import (
     _AGREE_REL,
     _SEED_TAG,
@@ -29,6 +30,8 @@ from npspace.optimize import (
 )
 from npspace.spaces import (
     SpaceElement,
+    block_matrices,
+    matrix_blocks,
     level_norm,
     realize,
     realize_batch,
@@ -127,36 +130,44 @@ def test_starts_are_the_per_restart_stream_bitwise(seed, restarts):
 
 
 def _reference_ascent(space, images, level, budget, seed):
-    """Reference ascent: each side realized, represented and sized on its own.
+    """Reference ascent: every restart iterated until it stalls.
 
-    On M_d it iterates every restart until it stalls: rejected polar steps
-    are proposed again until the stall rule fires.  It uses the ascent's own
-    representer there, so that only the early end differs.  On a proper
+    On M_d it runs the ascent's own kernel on realized matrices (phi on the
+    matrix units, one eigensolve of the image, the polar factor of the
+    representer, each restart started from the polar factor of its start
+    representer), so that only the early end and the lead differ: rejected
+    polar steps are proposed again until the stall rule fires.  On a proper
     subspace it is the gradient loop that realizes, represents and sizes
-    each side on its own, with two eigensolves per evaluation.  Also
-    returns, per restart, the iterations it took up to and including its
-    first rejection (or until it left the loop without one), and the number
-    of restarts each evaluation realized.
+    each side on its own, with two eigensolves per evaluation.  Also returns,
+    per restart, the iterations it took up to and including its first
+    rejection (or until it left the loop without one), and the number of
+    restarts each evaluation realized.
     """
-    n = int(level)
+    n, d, m = int(level), space.ambient_dim, images.shape[-1]
     stack = space._stack
     gram_inv = space._vec_pinv @ space._vec_pinv.conj().T
     full = space.is_full_matrix_algebra
+    units = space._vec_pinv.T @ images.reshape(len(images), -1)
 
-    u0, v0 = _reference_starts(seed, n, n * images.shape[1], budget.restarts)
+    u0, v0 = _reference_starts(seed, n, n * m, budget.restarts)
     evaluated = []
 
-    def evaluate(coords):
-        evaluated.append(len(coords))
-        img, img_u, img_v = top_singular_pairs(realize_batch(images, coords))
-        dom, dom_u, dom_v = top_singular_pairs(realize_batch(stack, coords))
+    def evaluate(x):
+        evaluated.append(len(x))
+        if full:  # x realized, a polar factor
+            img = top_singular_pairs(block_matrices(matrix_blocks(x, n) @ units, m))
+            return img[0], img
+        img, img_u, img_v = top_singular_pairs(realize_batch(images, x))
+        dom, dom_u, dom_v = top_singular_pairs(realize_batch(stack, x))
         return img / dom, (img, img_u, img_v, dom, dom_u, dom_v)
 
-    if full:
-        rep = images.reshape(len(images), -1).T.conj() @ gram_inv.T
-        represent = lambda u, v: _representer(rep, n, (u, v))  # noqa: E731
-    else:
-        represent = lambda u, v: _reference_representer(gram_inv, images, n, u, v)  # noqa: E731
+    def represent(u, v):
+        if not full:
+            return _reference_representer(gram_inv, images, n, u, v)
+        w = block_matrices(_representer(units.T.conj(), n, (u, v)), d)
+        pu, _, pvh = np.linalg.svd(w)
+        return pu @ pvh
+
     x = represent(u0, v0)
     ratio, pairs = evaluate(x)
     step = np.full(budget.restarts, _STEP_START)
@@ -168,13 +179,12 @@ def _reference_ascent(space, images, level, budget, seed):
         live = np.flatnonzero(~converged)
         if live.size == 0:
             break
-        img, img_u, img_v, dom, dom_u, dom_v = (p[live] for p in pairs)
-        w = represent(img_u, img_v)
+        img, img_u, img_v, *dom_pair = (p[live] for p in pairs)
         if full:
-            pu, _, pvh = np.linalg.svd(realize_batch(stack, w))
-            prop = unrealize(space, n, pu @ pvh)
+            prop = represent(img_u, img_v)
         else:
-            grad = w / img[:, None, None, None] - _reference_representer(
+            dom, dom_u, dom_v = dom_pair
+            grad = represent(img_u, img_v) / img[:, None, None, None] - _reference_representer(
                 gram_inv, stack, n, dom_u, dom_v
             ) / dom[:, None, None, None]
             size = np.linalg.norm(realize_batch(stack, grad), axis=(-2, -1))
@@ -199,7 +209,8 @@ def _reference_ascent(space, images, level, budget, seed):
     support = int(
         np.sum(converged & (np.abs(ratio - ratio[best]) <= _AGREE_REL * ratio[best]))
     )
-    best_x = x[best] / spectral_norm(realize(SpaceElement(space, n, x[best])))
+    coords = unrealize(space, n, x[best]) if full else x[best]
+    best_x = coords / spectral_norm(realize(SpaceElement(space, n, coords)))
     value = spectral_norm(realize_batch(images, best_x))
     # The same rounding down as the ascent's, so that only the loops differ.
     value = rounded_down(value, n, space.ambient_dim, images.shape[1])
@@ -239,6 +250,32 @@ def test_full_algebra_ascent_matches_the_stall_loop(which, budget):
             assert abs(got.value - ref.value) <= 1e-12 * max(1.0, ref.value), level
 
 
+def _haar_unitary(rng, k):
+    q, r = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+@pytest.mark.parametrize("which", sorted(FULL_MAPS))
+def test_full_algebra_search_is_basis_free(which):
+    # The M_d search runs on realized matrices and reads the basis only to
+    # un-realize its witness.  Cloned into a Haar-random orthonormal basis
+    # b'_t = sum_s Q_st b_s, with the images changed the same way, a map gets
+    # the same search: the same restarts converge and agree, and the same value
+    # to rounding.
+    phi = FULL_MAPS[which]()
+    q = _haar_unitary(np.random.default_rng(20261019), phi.domain.dim)
+    clone = make_space(phi.domain.ambient_dim, list(np.einsum("sab,st->tab", phi.domain._stack, q)))
+    images = np.einsum("sab,st->tab", phi.images(), q)
+    for level in range(1, phi.stabilization_level + 1):
+        for seed in (0, 7):
+            want = maximize_amplified_norm(phi.domain, phi.images(), level, DEFAULT_BUDGET, seed)
+            got = maximize_amplified_norm(clone, images, level, DEFAULT_BUDGET, seed)
+            assert (got.converged, got.support) == (want.converged, want.support), (level, seed)
+            assert within(got.value, want.value, 1e-12), (level, seed)
+            assert within(want.value, got.value, 1e-12), (level, seed)
+
+
 @pytest.mark.parametrize(("name", "level"), (("transpose_M3", 2), ("schur_M2", 1)))
 def test_full_algebra_restart_evaluates_nothing_after_its_first_rejection(
     monkeypatch, name, level
@@ -255,9 +292,9 @@ def test_full_algebra_restart_evaluates_nothing_after_its_first_rejection(
 
     monkeypatch.setattr(optimize, "top_singular_pairs", counting)
     maximize_amplified_norm(phi.domain, images, level, DEFAULT_BUDGET, 3)
-    # Two realizations (image and domain) per restart: the starts, then
-    # every iteration up to and including the first rejection.
-    assert sum(counted) == 2 * (DEFAULT_BUDGET.restarts + int(taken.sum()))
+    # One realization (the image) per restart: the starts, then every
+    # iteration up to and including the first rejection.
+    assert sum(counted) == DEFAULT_BUDGET.restarts + int(taken.sum())
 
 
 def _random_subspace_map(d, kdim, m, seed):
@@ -326,6 +363,18 @@ def test_an_unreached_certificate_leaves_the_ascent_bitwise(which):
             assert _outcome_bits(got) == _outcome_bits(free), (level, seed)
 
 
+def _counting_polar(monkeypatch):
+    """The number of matrices of every polar factor the ascent takes, as it takes them."""
+    counted, polar = [], optimize._polar
+
+    def counting(mats):
+        counted.append(len(mats))
+        return polar(mats)
+
+    monkeypatch.setattr(optimize, "_polar", counting)
+    return counted
+
+
 def _recording_starts(monkeypatch):
     """The (restarts, first) of every ``_starts`` call the ascent makes, as it makes them."""
     drawn = []
@@ -340,12 +389,11 @@ def _recording_starts(monkeypatch):
 
 @pytest.mark.parametrize("name, level, hi", (("identity_M2", 2, 1.0), ("transpose_M3", 2, 2.0)))
 def test_an_ascent_stopped_by_its_certificate_is_converged(name, level, hi, monkeypatch):
-    # Restart 0's start of the identity already reaches hi: no step is taken, no
-    # other restart is drawn, and it alone supports the value.  Transpose climbs
-    # to 2 and stops there.
+    # Restart 0's start of the identity already reaches hi: its start is the one
+    # polar factor taken, no other restart is drawn, and it alone supports the
+    # value.  Transpose climbs to 2 and stops there.
     phi = get_entry(name).map
-    steps = []
-    monkeypatch.setattr(optimize, "unrealize", lambda *args: steps.append(1) or unrealize(*args))
+    steps = _counting_polar(monkeypatch)
     drawn = _recording_starts(monkeypatch)
     free = maximize_amplified_norm(phi.domain, phi.images(), level)
     free_steps, steps[:], drawn[:] = len(steps), [], []
@@ -354,7 +402,7 @@ def test_an_ascent_stopped_by_its_certificate_is_converged(name, level, hi, monk
     assert hi * (1.0 - 2 * DEFAULT_BUDGET.tol) <= got.value <= hi
     assert len(steps) < free_steps
     if name == "identity_M2":
-        assert (len(steps), got.support, drawn) == (0, 1, [(1, 0)])
+        assert (steps, got.support, drawn) == ([1], 1, [(1, 0)])
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG_MAPS))
@@ -380,23 +428,18 @@ def test_a_row_restart_0_closes_draws_no_other_stream(name, monkeypatch):
 
 @pytest.mark.parametrize("which", sorted(OPEN_RANDOM_MAPS))
 def test_every_restart_takes_its_max_iter_steps(which, monkeypatch):
-    # Restart 0 steps alone once and the others join after it, yet each restart
-    # takes max_iter steps from its own start: 1 + 3 + 3 + 3 + 2 proposals.
+    # Restart 0 starts and steps alone once and the others start after it, yet
+    # each restart takes max_iter steps from its own start: after the polar
+    # factors of the starts (1, then 2), 1 + 3 + 3 + 3 + 2 proposals.
     budget = OptBudget(restarts=3, max_iter=4)
     phi = OPEN_RANDOM_MAPS[which]()
-    steps = []
-
-    def proposing(space, n, mats):
-        steps.append(len(mats))
-        return unrealize(space, n, mats)
-
-    monkeypatch.setattr(optimize, "unrealize", proposing)
+    steps = _counting_polar(monkeypatch)
     for level in range(1, phi.codomain.ambient_dim + 1):
         _, taken, _ = _reference_ascent(phi.domain, phi.images(), level, budget, 0)
         assert taken.tolist() == [budget.max_iter] * budget.restarts, level
         steps.clear()
         maximize_amplified_norm(phi.domain, phi.images(), level, budget, 0)
-        assert steps == [1, 3, 3, 3, 2], level
+        assert steps == [1, 1, 2, 3, 3, 3, 2], level
 
 
 @pytest.mark.parametrize("level", (1, 2))
