@@ -54,6 +54,7 @@ from .spaces import (
     spectral_norm,
     to_pairs,
     top_singular_values,
+    unit_images,
 )
 
 
@@ -109,9 +110,7 @@ class LinearMapRep:
                 )
             require_entry_range(img, f"images of map {self.label!r}")
         img.setflags(write=False)
-        units = (self.domain._vec_pinv.T @ img.reshape(self.domain.dim, -1)).reshape(
-            -1, *img.shape[1:]
-        )
+        units = unit_images(self.domain, img)
         units.setflags(write=False)
         object.__setattr__(self, "_coeff_norm", spectral_norm(c))
         object.__setattr__(self, "_images", img)

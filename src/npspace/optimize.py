@@ -1,42 +1,56 @@
 """Batched ascent for amplified spectral norms.
 
 The quantity maximized is ||phi_n(x)|| / ||x|| over nonzero level-n elements
-x of the domain.  The restarts advance as one stacked batch.  Each live
-restart makes one proposal per iteration and keeps it only where the ratio
-rises, so every value is a lower bound witnessed by x / ||x||, which
-``spaces.witnessed_value`` certifies.
+x of the domain, both norms being spectral norms of realized matrices.  The
+restarts advance together as one stacked batch.  Each live restart makes one
+proposal per iteration and keeps it only where the ratio rises, so every
+value is a lower bound witnessed by the re-checkable element x / ||x||,
+which ``spaces.witnessed_value`` certifies.
 
 On a full matrix algebra M_d each x is a realized nd x nd polar factor, of
 norm 1, so the ratio is ||phi_n(x)||: one product of x's blocks with phi on
-the matrix units of M_d.  With (u, v) its top singular pair, the proposal is
-the polar factor of phi_n*(u v*), the exact maximizer of x -> Re<u, phi_n(x) v>
-over the unit ball.  The basis is read only to un-realize the best x, once,
-for its witness.  A rejected proposal would be made again unchanged, so a
-restart ends at its first rejected step; it counts as converged exactly when
-the stall rule (``_STALL_LIMIT`` steps without a rise) would have been met
-within the ``max_iter`` budget left.
+the matrix units of M_d (``spaces.unit_images``), and one eigensolve of the
+image gives its top singular pair (u, v).  There is no domain side.  The
+proposal is the polar factor of phi_n*(u v*), one product with the
+conjugate unit images: the exact maximizer of x -> Re<u, phi_n(x) v> over
+the unit ball.  The search reads the basis of M_d only to un-realize the
+best x, once, for its witness.  The polar step depends only on the
+restart's stored singular pair, so a rejected proposal would be made again
+unchanged: the restart ends at its first rejected step.  It counts as
+converged exactly when the stall rule (``_STALL_LIMIT`` iterations without a
+rise) would have been met within the ``max_iter`` budget left.
 
 On a proper subspace x is a coordinate array and the proposal is a step
-along the gradient of the log ratio, from the top singular pairs of both
-realizations, with a per-restart length that grows on success and shrinks on
-failure.  One product realizes both sides, one eigensolve of the A A* gives
-both sides' pairs when their sizes agree (``spaces.top_singular_pairs``),
-and a step's length comes from the Gram matrix V^H V.
+along the gradient of the log ratio, taken from the top singular pairs of
+both realizations, with a per-restart length that grows on success and
+shrinks on failure.  An evaluation realizes both sides in one product, and
+one eigensolve of the A A* gives both sides' pairs when their sizes agree
+(``spaces.top_singular_pairs``).  Representers are one product, and a
+step's length comes from the Gram matrix V^H V.  Only the polar step (and
+the polar start below) takes a full SVD.
 
-Given a certified upper bound ``hi``, every restart stops once the best ratio
-reaches ``hi * (1 - budget.tol)``.  On M_d restart 0 leads: it is drawn,
-evaluated and steps once alone, and restarts 1..R-1 join one iteration later
-only if the row is still open.  Each restart counts its ``max_iter`` steps
-from its own start.  An ascent that reaches the stop is converged, and its
-``support`` is the number of restarts drawn that reached it.
+Given a certified upper bound ``hi`` on the level norm, every restart stops
+as soon as the best ratio reaches ``hi * (1 - budget.tol)``: no restart can
+then gain more than ``budget.tol * hi``.  On M_d, where a polar start or
+step often closes the row at once, restart 0 leads: it is drawn, evaluated
+and takes its first step alone, and restarts 1..R-1 are drawn and join one
+iteration later only if the best ratio is still under that stop.  Each
+restart counts its ``max_iter`` steps from its own start, so a row that
+stays open ends as one batch of all restarts would end it.  On a proper
+subspace, where a gradient step seldom closes a row, all restarts start
+together.  An ascent that reaches the stop counts as converged, and its
+``support`` is the number of restarts drawn whose ratio reached it: 1 for a
+row that restart 0 closes.  The default ``hi = inf`` never stops a search
+early.
 
 The start stream is a contract: restart r at level n starts from the
-representer of phi_n*(u v*), on M_d from its polar factor, with (u, v) unit
-vectors of length n*m (m the codomain's ambient dimension) normalized from one
-draw of ``standard_normal((2, 2, n*m))`` by ``SeedSequence([0x414D50, seed, n,
-r])``, in the order u real, u imag, v real, v imag (``_starts``).  So any start
-can be rebuilt offline from the seed, and the stop decides only how many
-restarts are drawn.
+representer of phi_n*(u v*), on M_d from its polar factor, for a pair
+(u, v) of unit vectors of length n*m (m the codomain's ambient dimension).
+It draws ``standard_normal((2, 2, n*m))`` from ``SeedSequence([0x414D50,
+seed, n, r])`` in the order u real, u imag, v real, v imag, and normalizes
+each vector (``_starts``), so any start can be rebuilt offline from the seed
+alone.  The stop decides only how many restarts are drawn, never what a
+drawn restart's start is.
 """
 
 from __future__ import annotations
@@ -54,6 +68,7 @@ from .spaces import (
     matrix_blocks,
     require_int,
     top_singular_pairs,
+    unit_images,
     unrealize,
     witnessed_value,
 )
@@ -152,8 +167,10 @@ def maximize_amplified_norm(
     seed: int = 0,
     hi: float = math.inf,
 ) -> AscentOutcome:
-    """Multi-restart batched ascent; deterministic for a fixed seed.  It stops once
-    the best ratio reaches ``hi * (1 - budget.tol)``, ``hi`` a certified upper bound."""
+    """Multi-restart batched ascent; deterministic for a fixed seed.  On M_d it runs on
+    realized polar factors from polar starts and un-realizes only the best; on a proper
+    subspace it takes gradient steps on coordinates.  It stops once the best ratio
+    reaches ``hi * (1 - budget.tol)``, ``hi`` a certified upper bound."""
     n = require_int(level, "level", InvalidLevel)
     seed = require_int(seed, "seed", minimum=0)
     k, m, d = space.dim, images.shape[-1], space.ambient_dim
@@ -161,8 +178,8 @@ def maximize_amplified_norm(
         return AscentOutcome(0.0, np.zeros((n, n, k), dtype=complex), True, budget.restarts)
 
     full = space.is_full_matrix_algebra
-    if full:  # phi on M_d's matrix units (d*d, m*m), as ``LinearMapRep.unit_images``
-        units = space._vec_pinv.T @ images.reshape(k, -1)
+    if full:
+        units = unit_images(space, images).reshape(d * d, m * m)
 
         def evaluate(x):  # the ratio ||phi_n(x)|| and its top singular pair (u, v)
             return top_singular_pairs(block_matrices(matrix_blocks(x, n) @ units, m))
@@ -225,14 +242,15 @@ def maximize_amplified_norm(
         step[live] *= np.where(keep, _STEP_GROW, _STEP_SHRINK)
         small = new_ratio - old < budget.tol * ratio[live]
         stall[live] = np.where(small, stall[live] + 1, 0)
-        converged[live] = stall[live] >= _STALL_LIMIT
-        done[live] = converged[live]
         if full:
             # Steps each restart has left, counted from its own start.  A rejected polar
             # step would only be proposed again unchanged, each repeat a small step.
             left = budget.max_iter - 1 - it - lead * (live == 0)
-            converged[live] |= stall[live] + np.where(small & ~keep, left, 0) >= _STALL_LIMIT
+            converged[live] = stall[live] + np.where(small & ~keep, left, 0) >= _STALL_LIMIT
             done[live] = converged[live] | ~keep | (left == 0)
+        else:
+            converged[live] = stall[live] >= _STALL_LIMIT
+            done[live] = converged[live]
         if it < 0 and ratio[0] < stop:  # restart 0 left the row open: the others join
             more = draw(1, budget.restarts)
             x, ratio, *pairs = map(np.concatenate, zip((x, ratio, *pairs), more))

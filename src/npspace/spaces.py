@@ -259,6 +259,13 @@ def unrealize(space: OperatorSpace, n: int, mats: np.ndarray) -> np.ndarray:
     return coords.reshape(*blocks.shape[:-1], space.dim)
 
 
+def unit_images(space: OperatorSpace, images: np.ndarray) -> np.ndarray:
+    """A linear map on ``space`` carried to the matrix units E_jk of M_d (their
+    projections onto V): from its (k, e, e) basis images to (d*d, e, e), row-major."""
+    flat = space._vec_pinv.T @ images.reshape(space.dim, -1)
+    return flat.reshape(-1, *images.shape[1:])
+
+
 def realize(x: SpaceElement) -> np.ndarray:
     """The (nd) x (nd) matrix whose (i, j) block is the entry x_{ij} of V."""
     return realize_batch(x.space._stack, x.coords)
