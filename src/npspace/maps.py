@@ -59,10 +59,10 @@ from .spaces import (
 
 
 # A map's scale is its largest image entry over its domain's largest basis entry.  The
-# ascent's start representer grows like images / basis**2, so the Gram matrices of the
-# image realizations it eigensolves grow like scale**4.  A scale within 2**±MAX_SCALE_EXP
-# keeps those within 2**±960, which leaves 2**62 of the double range (2**±1022) to the
-# sums over dimensions.
+# ascent's start on a proper subspace, the representer of phi_n*(u v*) in an orthonormal
+# basis of V, is of the order of scale, so the products A A* of the image realizations it
+# eigensolves grow like scale**4.  A scale within 2**±MAX_SCALE_EXP keeps those within
+# 2**±960, which leaves 2**62 of the double range (2**±1022) to the sums over dimensions.
 MAX_SCALE_EXP = 240
 
 

@@ -20,13 +20,15 @@ unchanged: the restart ends at its first rejected step.  It counts as
 converged exactly when the stall rule (``_STALL_LIMIT`` iterations without a
 rise) would have been met within the ``max_iter`` budget left.
 
-On a proper subspace x is a coordinate array and the proposal is a step
-along the gradient of the log ratio, taken from the top singular pairs of
-both realizations, with a per-restart length that grows on success and
-shrinks on failure.  An evaluation realizes both sides in one product, and
-one eigensolve of the A A* gives both sides' pairs when their sizes agree
-(``spaces.top_singular_pairs``).  Representers are one product, and a
-step's length comes from the Gram matrix V^H V.  Only the polar step (and
+On a proper subspace x holds coordinates against an orthonormal basis of V
+(``OperatorSpace._orth``), so the search is V's, not the given basis's; the
+best x is carried to that basis once, for its witness.  The proposal is a
+gradient step on the log ratio, from the top singular pairs of both sides,
+with a per-restart length that grows on success and shrinks on failure.  An
+evaluation realizes both sides in one product, and one eigensolve of the
+A A* gives both sides' pairs when their sizes agree
+(``spaces.top_singular_pairs``).  On both branches a representer is one
+product with the conjugate of what realizes x, and only the polar step (and
 the polar start below) takes a full SVD.
 
 Given a certified upper bound ``hi`` on the level norm, every restart stops
@@ -119,11 +121,11 @@ class AscentOutcome:
     support: int  # number of restarts drawn that agree with the best value or reach the stop
 
 
-def _representer(rep, n, *sides) -> np.ndarray:
+def _representer(rep, n, *pairs) -> np.ndarray:
     """Coordinates of the element w of M_n(V) with Re<w, x>_F = sum Re<u, y(x) v>
-    over the (u, v) in ``sides``, from the sides' stacked matrices ``rep``."""
-    r = len(sides[0][0])
-    outer = [matrix_blocks(u[:, :, None] * v.conj()[:, None, :], n) for u, v in sides]
+    over the (u, v) in ``pairs``, one per side, from the sides' stacked matrices ``rep``."""
+    r = len(pairs[0][0])
+    outer = [matrix_blocks(u[:, :, None] * v.conj()[:, None, :], n) for u, v in pairs]
     flat = np.concatenate([o.reshape(r * n * n, -1) for o in outer], axis=-1) @ rep
     return flat.reshape(r, n, n, -1)
 
@@ -169,8 +171,8 @@ def maximize_amplified_norm(
 ) -> AscentOutcome:
     """Multi-restart batched ascent; deterministic for a fixed seed.  On M_d it runs on
     realized polar factors from polar starts and un-realizes only the best; on a proper
-    subspace it takes gradient steps on coordinates.  It stops once the best ratio
-    reaches ``hi * (1 - budget.tol)``, ``hi`` a certified upper bound."""
+    subspace it takes gradient steps on coordinates in an orthonormal basis of V.  It
+    stops once the best ratio reaches ``hi * (1 - budget.tol)``, ``hi`` a certified upper bound."""
     n = require_int(level, "level", InvalidLevel)
     seed = require_int(seed, "seed", minimum=0)
     k, m, d = space.dim, images.shape[-1], space.ambient_dim
@@ -178,22 +180,20 @@ def maximize_amplified_norm(
         return AscentOutcome(0.0, np.zeros((n, n, k), dtype=complex), True, budget.restarts)
 
     full = space.is_full_matrix_algebra
+    units = unit_images(space, images).reshape(d * d, m * m)
+    # x is realized by `sides`: on M_d its blocks by phi's unit images, on V its coordinates by
+    # phi's images of V's orthonormal basis, then that basis.  Both coordinates are orthonormal.
+    sides = units if full else np.concatenate([space._orth @ units, space._orth], axis=1)
+    reps = sides.T.conj()
+
+    def represent(u, v):  # phi_n*(u v*), on M_d its polar factor
+        w = _representer(reps[: m * m], n, (u, v))
+        return _polar(block_matrices(w, d)) if full else w
+
     if full:
-        units = unit_images(space, images).reshape(d * d, m * m)
-
         def evaluate(x):  # the ratio ||phi_n(x)|| and its top singular pair (u, v)
-            return top_singular_pairs(block_matrices(matrix_blocks(x, n) @ units, m))
-
-        def polar_step(u, v):  # the polar factor of phi_n*(u v*)
-            return _polar(block_matrices(_representer(units.T.conj(), n, (u, v)), d))
+            return top_singular_pairs(block_matrices(matrix_blocks(x, n) @ sides, m))
     else:
-        # `reps` stacks the representer matrices conj(S) G^T of both sides (S the flattened
-        # columns, G = (V^H V)^{-1}; the domain's is _vec_pinv^T); `gram` is V^H V.
-        flat_images = images.reshape(k, -1)
-        sides = np.concatenate([flat_images, space._stack.reshape(k, -1)], axis=1)
-        reps = np.concatenate([flat_images.T.conj() @ space._gram_inv.T, space._vec_pinv.T])
-        gram = space._gram
-
         def evaluate(coords):
             r, flat = len(coords), coords.reshape(-1, k) @ sides
             if m == d:  # one eigensolve, image blocks first
@@ -208,14 +208,13 @@ def maximize_amplified_norm(
         def gradient_step(live, img, img_u, img_v, dom, dom_u, dom_v):
             uv = (img_u / img[:, None], img_v), (dom_u / -dom[:, None], dom_v)
             grad = _representer(reps, n, *uv)  # of log(img / dom)
-            size = np.sqrt(np.einsum("rijs,st,rijt->r", grad.conj(), gram, grad).real.clip(0.0))
+            size = np.linalg.norm(grad.reshape(len(live), -1), axis=1)
             # A vanishing gradient (a constant ratio) leaves x where it is.
             t = np.divide(step[live] * dom, size, out=np.zeros_like(size), where=size > 0)
             return x[live] + t[:, None, None, None] * grad
 
     def draw(first, restarts):  # x, ratio and pairs of restarts first..restarts-1
-        uv = _starts(seed, n, n * m, restarts, first)
-        x = polar_step(*uv) if full else _representer(reps[: m * m], n, uv)
+        x = represent(*_starts(seed, n, n * m, restarts, first))
         return [x, *evaluate(x)]
 
     # On M_d restart 0 leads by one iteration: the others start only if it leaves the row open.
@@ -232,7 +231,7 @@ def maximize_amplified_norm(
             break
         every = live.size == len(x)  # the gathers copy: skip them if every drawn one is live
         cur = pairs if every else [p[live] for p in pairs]
-        prop = polar_step(*cur) if full else gradient_step(live, *cur)
+        prop = represent(*cur) if full else gradient_step(live, *cur)
         new_ratio, *new_pairs = evaluate(prop)
         old = ratio[live]
         keep = new_ratio > old
@@ -257,7 +256,7 @@ def maximize_amplified_norm(
             done[1:] = False
 
     best = int(np.argmax(ratio))
-    coords = unrealize(space, n, x[best]) if full else x[best]
+    coords = unrealize(space, n, x[best]) if full else x[best] @ (space._orth @ space._vec_pinv.T)
     value, witness = witnessed_value(space, images, n, coords)
     if ratio[best] >= stop:  # within tol of a certificate: that is the optimum
         return AscentOutcome(value, witness, True, int(np.sum(ratio >= stop)))

@@ -28,7 +28,8 @@ from .errors import (
 INDEPENDENCE_CUTOFF = 1e-10
 
 # Largest entry of a basis, and of a map's images, lies within 2**±MAX_ENTRY_EXP: the
-# Gram products V^H V and pinv pinv^H then stay within 2**±960 and leave 2**62 of the
+# pseudo-inverse then lies at the reciprocal scale, and a product of two entries (an
+# eigensolve's A A* of realized images is one) within 2**±960, which leaves 2**62 of the
 # double range (2**±1022) to the sums over dimensions.
 MAX_ENTRY_EXP = 480
 
@@ -48,7 +49,7 @@ def require_entry_range(arr: np.ndarray, what: str) -> None:
     if not 2.0**-MAX_ENTRY_EXP <= top <= 2.0**MAX_ENTRY_EXP:
         raise ScaleOutOfRange(
             f"{what}: largest entry {top:.3g} is outside 2**-{MAX_ENTRY_EXP}..2**{MAX_ENTRY_EXP},"
-            f" where its Gram products would leave the floating-point range"
+            f" where products of its entries would leave the floating-point range"
         )
 
 
@@ -123,8 +124,7 @@ class OperatorSpace:
     - ``_vec`` (d*d, k): column t is basis[t] flattened.
     - ``_vec_pinv`` (k, d*d): ``np.linalg.pinv(_vec)``, least-squares coordinate recovery.
     - ``_vec_smin``, ``_vec_smax``: the smallest and largest singular values of ``_vec``.
-    - ``_gram`` (k, k): V^H V, ``_vec.conj().T @ _vec``.
-    - ``_gram_inv`` (k, k): pinv pinv^H, ``_vec_pinv @ _vec_pinv.conj().T``.
+    - ``_orth`` (k, d*d): an orthonormal basis of V, the rows of ``np.linalg.qr(_vec)[0].T``.
     - ``_pinv_norms`` (k,): the row norms ``np.linalg.norm(_vec_pinv, axis=1)``.
     """
 
@@ -137,8 +137,7 @@ class OperatorSpace:
     _vec_pinv: np.ndarray = field(init=False, repr=False, compare=False)
     _vec_smin: float = field(init=False, repr=False, compare=False)
     _vec_smax: float = field(init=False, repr=False, compare=False)
-    _gram: np.ndarray = field(init=False, repr=False, compare=False)
-    _gram_inv: np.ndarray = field(init=False, repr=False, compare=False)
+    _orth: np.ndarray = field(init=False, repr=False, compare=False)
     _pinv_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -171,8 +170,7 @@ class OperatorSpace:
         object.__setattr__(self, "_vec_pinv", pinv)
         object.__setattr__(self, "_vec_smin", smin)
         object.__setattr__(self, "_vec_smax", smax)
-        object.__setattr__(self, "_gram", _readonly(vec.conj().T @ vec))
-        object.__setattr__(self, "_gram_inv", _readonly(pinv @ pinv.conj().T))
+        object.__setattr__(self, "_orth", _readonly(np.linalg.qr(vec)[0].T))
         object.__setattr__(self, "_pinv_norms", _readonly(np.linalg.norm(pinv, axis=1), float))
 
     @property

@@ -363,6 +363,28 @@ def test_subspace_ascent_matches_the_two_sided_loop(which, budget):
             assert abs(got.value - ref.value) <= 1e-12 * max(1.0, ref.value), level
 
 
+@pytest.mark.parametrize("which", sorted(SUBSPACE_MAPS))
+def test_subspace_search_is_free_of_the_basis_conditioning(which):
+    # The search runs in an orthonormal basis of V, so it belongs to V and the map,
+    # not to the basis given for V.  Changed by A = U1 diag(1 .. 1e-7) U2, basis and
+    # images alike, a map gets the same search: the same restarts converge and agree,
+    # and the value moves by rounding amplified by cond(A) = 1e7 at most.  A search
+    # through V^H V, which squares cond(A), misses this bound.
+    phi = SUBSPACE_MAPS[which]()
+    k = phi.domain.dim
+    rng = np.random.default_rng(20261020)
+    a = _haar_unitary(rng, k) * np.geomspace(1.0, 1e-7, k) @ _haar_unitary(rng, k)
+    clone = make_space(phi.domain.ambient_dim, list(np.einsum("sab,st->tab", phi.domain._stack, a)))
+    images = np.einsum("sab,st->tab", phi.images(), a)
+    for level in range(1, phi.stabilization_level + 1):
+        for seed in (0, 7):
+            want = maximize_amplified_norm(phi.domain, phi.images(), level, DEFAULT_BUDGET, seed)
+            got = maximize_amplified_norm(clone, images, level, DEFAULT_BUDGET, seed)
+            assert (got.converged, got.support) == (want.converged, want.support), (level, seed)
+            assert within(got.value, want.value, 1e-7), (level, seed)
+            assert within(want.value, got.value, 1e-7), (level, seed)
+
+
 def _outcome_bits(outcome):
     return outcome.value.hex(), outcome.coords.tobytes(), outcome.converged, outcome.support
 
@@ -501,3 +523,25 @@ def test_a_scaled_domain_basis_scales_the_brackets(exp):
         for side in ("lo", "hi"):
             want = getattr(b.bracket, side)
             assert abs(getattr(a.bracket, side) * 2.0**exp - want) <= 1e-12 * want, (a.level, side)
+
+
+@pytest.mark.parametrize("which", ("sub3_of_M2_to_M3", "sub5_of_M3_to_M2"))
+def test_subspace_evaluation_of_unequal_sides_is_two_eigensolves(monkeypatch, which):
+    # V < M_d -> M_m with m != d: the image and domain realizations differ in size,
+    # so an evaluation eigensolves the r images (size n m), then the r domains (n d).
+    phi = SUBSPACE_MAPS[which]()
+    images, d, m = phi.images(), phi.domain.ambient_dim, phi.codomain.ambient_dim
+    shapes = []
+
+    def counting(mats):
+        shapes.append(mats.shape)
+        return top_singular_pairs(mats)
+
+    monkeypatch.setattr(optimize, "top_singular_pairs", counting)
+    for level in range(1, phi.stabilization_level + 1):
+        _, _, evaluated = _reference_ascent(phi.domain, images, level, DEFAULT_BUDGET, 3)
+        shapes.clear()
+        maximize_amplified_norm(phi.domain, images, level, DEFAULT_BUDGET, 3)
+        sizes = (level * m, level * d)
+        want = [(r, e, e) for r in evaluated for e in sizes]
+        assert shapes == want, level

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from npspace import (
     DependentBasis,
     DimensionMismatch,
+    build_level_table,
     direct_sum,
     element_from_matrix,
     full_matrix_space,
@@ -19,6 +20,7 @@ from npspace import (
     OperatorSpace,
     ScaleOutOfRange,
     SpaceElement,
+    make_map,
     make_space,
     pad_to,
     random_element,
@@ -106,13 +108,13 @@ def test_space_constants_are_read_only_and_their_formulas_bitwise(name):
     assert np.array_equal(pinv, np.linalg.pinv(vec))
     assert (sp._vec_smin, sp._vec_smax) == (svals[-1], svals[0])
     derived = {
-        "_gram": vec.conj().T @ vec,
-        "_gram_inv": pinv @ pinv.conj().T,
+        "_orth": np.linalg.qr(vec)[0].T,
         "_pinv_norms": np.linalg.norm(pinv, axis=1),
     }
     for attr, want in derived.items():
         got = getattr(sp, attr)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
+    assert np.abs(sp._orth @ sp._orth.conj().T - np.eye(sp.dim)).max() <= 1e-14
     for attr in ("_stack", "_vec", "_vec_pinv", *derived):
         arr = getattr(sp, attr)
         assert not arr.flags.writeable, attr
@@ -123,10 +125,19 @@ def test_space_constants_are_read_only_and_their_formulas_bitwise(name):
 @pytest.mark.parametrize("sign", (1, -1))
 def test_a_basis_entry_out_of_range_is_refused(sign):
     # The largest entry may lie within 2**±480; one step further is refused.
-    # A basis of 1e160 once built and then overflowed in the ascent's Gram products.
+    # A basis of 1e160 once built and then overflowed in the ascent.
     units = np.stack(_units(3))
     sp = make_space(3, list(units * 2.0 ** (sign * MAX_ENTRY_EXP)))
-    assert np.isfinite(sp._gram).all() and np.isfinite(sp._gram_inv).all()
+    assert np.isfinite(sp._orth).all() and np.isfinite(sp._vec_pinv).all()
+    # A proper subspace at the edge, its images scaled alike, builds a finite table.
+    rng = np.random.default_rng([20261020, 3, 4])
+    mats = rng.standard_normal((2, 4, 3, 3)) + 1j * rng.standard_normal((2, 4, 3, 3))
+    basis, images = (a * 2.0 ** (sign * MAX_ENTRY_EXP - np.frexp(np.abs(a).max())[1] + (sign < 0))
+                     for a in mats)
+    phi = make_map(make_space(3, list(basis)), full_matrix_space(3), list(images))
+    for row in build_level_table(phi, 3).entries:
+        assert np.isfinite([row.bracket.lo, row.bracket.hi]).all(), row.level
+        assert 0.0 < row.bracket.lo and np.isfinite(row.witness).all(), row.level
     for bad in (2.0 ** (sign * (MAX_ENTRY_EXP + 1)), 1e160**sign):
         with pytest.raises(ScaleOutOfRange, match=r"basis of 'V': largest entry .* is outside "
                                                   r"2\*\*-480\.\.2\*\*480"):
