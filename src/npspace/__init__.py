@@ -1,7 +1,7 @@
 """Concrete operator spaces, amplification-norm brackets, and N^p norms."""
 
 from .bracket import NormBracket, SOURCES
-from .catalog import CatalogEntry, expected_np_bracket, get_entry, list_entries
+from .catalog import CatalogEntry, get_entry, list_entries
 from .errors import (
     DependentBasis,
     DimensionMismatch,
@@ -35,7 +35,6 @@ from .npnorm import (
     index_estimate,
     np_norm,
     require_p,
-    zeta_bracket,
     zeta_tail,
 )
 from .optimize import AscentOutcome, OptBudget, maximize_amplified_norm

@@ -2,9 +2,11 @@
 
 Every entry carries a closed-form rule n -> ||phi_n|| taken from classical
 operator-space facts (functionals, transpose, Schur multipliers, complete
-isometries).  The rules are not trusted blindly: tests validate each one
-against the brute-force oracle at small levels before anything else relies
-on it.
+isometries).  The module is data only: it evaluates no series, since
+``npnorm.np_norm`` is the one place a series is closed.  The rules are not
+trusted blindly: tests validate each one against the brute-force oracle at
+small levels, and the series ``np_norm`` computes from the catalog's tables
+against the rules summed to 60 digits.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .maps import LinearMapRep, make_map
-from .npnorm import over_power, zeta_tail
-from .spaces import full_matrix_space, make_space, require_int
+from .spaces import full_matrix_space, make_space
 
 PROVENANCE_PAPER_COROLLARY = "paper_corollary"
 PROVENANCE_DERIVED_ORACLE = "derived_oracle"
@@ -27,12 +28,11 @@ PROVENANCE_TRIVIAL = "trivial"
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A named map, its closed-form rule n -> ||phi_n|| and the level the rule stabilizes at."""
+    """A named map and its closed-form rule n -> ||phi_n||."""
 
     name: str
     map: LinearMapRep
     expected_level_norms: Callable[[int], float]
-    expected_stabilization: int
     provenance: str
 
 
@@ -45,32 +45,24 @@ def _entries() -> tuple[CatalogEntry, ...]:
     entries = []
 
     zero = make_map(m2, m2, [np.zeros((2, 2))] * 4, "zero_M2")
-    entries.append(CatalogEntry("zero_M2", zero, lambda n: 0.0, 1, PROVENANCE_TRIVIAL))
+    entries.append(CatalogEntry("zero_M2", zero, lambda n: 0.0, PROVENANCE_TRIVIAL))
 
     for d, space in ((2, m2), (3, m3)):
         ident = make_map(space, space, [b for b in space.basis], f"identity_M{d}")
-        entries.append(
-            CatalogEntry(f"identity_M{d}", ident, lambda n: 1.0, 1, PROVENANCE_TRIVIAL)
-        )
+        entries.append(CatalogEntry(f"identity_M{d}", ident, lambda n: 1.0, PROVENANCE_TRIVIAL))
 
     for d, space in ((2, m2), (3, m3)):
         transp = make_map(space, space, [np.array(b).T for b in space.basis], f"transpose_M{d}")
-        entries.append(
-            CatalogEntry(
-                f"transpose_M{d}",
-                transp,
-                lambda n, d=d: float(min(n, d)),
-                d,
-                PROVENANCE_DERIVED_ORACLE,
-            )
-        )
+        entries.append(CatalogEntry(
+            f"transpose_M{d}", transp, lambda n, d=d: float(min(n, d)), PROVENANCE_DERIVED_ORACLE
+        ))
 
     trace = make_map(
         m2, m1, [np.array([[np.trace(b)]]) for b in m2.basis], "trace_M2"
     )
     # Functionals have ||f_n|| = ||f|| for every n; the trace functional on
     # the spectral unit ball attains |tr I| = 2.
-    entries.append(CatalogEntry("trace_M2", trace, lambda n: 2.0, 1, PROVENANCE_PAPER_COROLLARY))
+    entries.append(CatalogEntry("trace_M2", trace, lambda n: 2.0, PROVENANCE_PAPER_COROLLARY))
 
     a = np.array([0.6, 0.8j])
     b = np.array([2.0, -1.0])
@@ -81,15 +73,9 @@ def _entries() -> tuple[CatalogEntry, ...]:
         "rank_one_M2",
     )
     rank_one_value = float(np.linalg.norm(a) * np.linalg.norm(b))
-    entries.append(
-        CatalogEntry(
-            "rank_one_M2",
-            rank_one,
-            lambda n, v=rank_one_value: v,
-            1,
-            PROVENANCE_PAPER_COROLLARY,
-        )
-    )
+    entries.append(CatalogEntry(
+        "rank_one_M2", rank_one, lambda n, v=rank_one_value: v, PROVENANCE_PAPER_COROLLARY
+    ))
 
     # Entrywise multiplier by [[1, 1], [-1, 1]]: norm sqrt(2) at every level
     # (a rotation witness from below, a length-sqrt(2) column factorization
@@ -98,11 +84,9 @@ def _entries() -> tuple[CatalogEntry, ...]:
     schur = make_map(
         m2, m2, [mult * np.array(bm) for bm in m2.basis], "schur_M2"
     )
-    entries.append(
-        CatalogEntry(
-            "schur_M2", schur, lambda n: math.sqrt(2.0), 1, PROVENANCE_DERIVED_ORACLE
-        )
-    )
+    entries.append(CatalogEntry(
+        "schur_M2", schur, lambda n: math.sqrt(2.0), PROVENANCE_DERIVED_ORACLE
+    ))
 
     units = m2.basis
     diag_space = make_space(2, [units[0], units[3]], "diag(M2)")
@@ -112,9 +96,7 @@ def _entries() -> tuple[CatalogEntry, ...]:
         [units[0], np.zeros((2, 2)), np.zeros((2, 2)), units[3]],
         "diag_M2",
     )
-    entries.append(
-        CatalogEntry("diag_M2", diag, lambda n: 1.0, 1, PROVENANCE_DERIVED_ORACLE)
-    )
+    entries.append(CatalogEntry("diag_M2", diag, lambda n: 1.0, PROVENANCE_DERIVED_ORACLE))
 
     return tuple(entries)
 
@@ -129,16 +111,3 @@ def get_entry(name: str) -> CatalogEntry:
             return entry
     known = ", ".join(e.name for e in _entries())
     raise KeyError(f"no catalog entry {name!r}; known entries: {known}")
-
-
-def expected_np_bracket(entry: CatalogEntry, p: float, K: int) -> tuple[float, float]:
-    """Evaluate the entry's closed-form rule as a partial sum plus zeta tail."""
-    p = float(p)
-    if not p > 1.0:
-        raise ValueError(f"closed-form evaluation needs p > 1, got {p}")
-    K = require_int(K, "K", minimum=entry.expected_stabilization)
-    rule = entry.expected_level_norms
-    los, his = zip(*(over_power(rule(n), rule(n), n, p) for n in range(1, K + 1)))
-    stable_value = rule(K + 1)
-    tlo, thi = zeta_tail(p, K)
-    return math.fsum(los) + stable_value * tlo, math.fsum(his) + stable_value * thi

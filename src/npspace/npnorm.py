@@ -32,10 +32,6 @@ CLOSED_FORM_FUNCTIONAL = "functional"
 CLOSED_FORM_STABILIZED = "stabilized"
 CLOSED_FORM_ZERO = "zero"
 
-# Largest K that zeta_bracket sums up to: its partial sum takes time linear
-# in K, and zeta_tail is already certified far below this.
-MAX_TRUNCATION = 100_000
-
 # The smallest normal double.
 _TINY = float(np.finfo(float).tiny)
 
@@ -96,23 +92,6 @@ def zeta_tail(p: float, K: int) -> tuple[float, float]:
     return lo, hi
 
 
-def zeta_bracket(p: float, K: int = 64) -> tuple[float, float]:
-    """Certified bounds on the full sum zeta(p), p > 1, as Python floats.
-
-    The partial sum of n^-p, n <= K, is within _SUM_SLACK / 2 relative of its
-    value; each of its sums with ``zeta_tail``'s bounds is widened by _SUM_SLACK.
-    """
-    K = require_int(K, "K", minimum=0)
-    if K > MAX_TRUNCATION:
-        raise ValueError(f"K must be at most MAX_TRUNCATION = {MAX_TRUNCATION}, got {K}")
-    p = float(p)
-    if p <= 1.0:
-        return math.inf, math.inf
-    partial = math.fsum(map(pow, range(1, K + 1), repeat(-p)))
-    tlo, thi = zeta_tail(p, K)
-    return (partial + tlo) * (1.0 - _SUM_SLACK), (partial + thi) * (1.0 + _SUM_SLACK)
-
-
 def _truncation(s: int) -> int:
     """K = max(64, 4 s): ``np_norm`` sums n^-p termwise through K, ``zeta_tail`` beyond."""
     return max(64, 4 * s)
@@ -122,7 +101,8 @@ def _truncation(s: int) -> int:
 def _zeta_parts(p: float, s: int) -> tuple[float, float, float, float]:
     """Bounds ``(head_lo, head_hi, tail_lo, tail_hi)`` on the two zeta sums that
     ``np_norm`` weights row s by: the head sum_{s <= n <= K} n^-p and ``zeta_tail(p, K)``,
-    K = max(64, 4 s).  The head widens by _SUM_SLACK, as ``zeta_bracket``'s partial sum.
+    K = max(64, 4 s).  This is the only place a zeta sum is closed.  The head is within
+    _SUM_SLACK / 2 relative of its value (a pow per term, one fsum) and widens by _SUM_SLACK.
     A term below the smallest normal double is off by at most 2 ulps of 2^-1074, so K
     such terms by K tiny 2^-51, which the slack's margin covers once the head is at
     least K tiny; a smaller head widens to [0, max(hi, 2 K tiny)].  The 256 most recent

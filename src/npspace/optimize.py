@@ -95,7 +95,8 @@ _STEP_SHRINK = 0.5
 
 @dataclass(frozen=True)
 class OptBudget:
-    """Search effort: restarts and per-restart max_iter (``spaces.require_int``), stop tol > 0."""
+    """Search effort: restarts and per-restart max_iter (``spaces.require_int``), and the
+    relative stop tol, 0 < tol < 1: a level closes once its lo reaches hi (1 - tol)."""
 
     restarts: int = 20
     max_iter: int = 200
@@ -104,7 +105,7 @@ class OptBudget:
     def __post_init__(self):
         for name in ("restarts", "max_iter"):
             object.__setattr__(self, name, require_int(getattr(self, name), name))
-        if not 0 < self.tol < math.inf:
+        if not 0 < self.tol < 1:
             raise ValueError(f"invalid budget {self!r}")
 
 

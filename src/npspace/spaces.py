@@ -118,13 +118,14 @@ class OperatorSpace:
 
     Its basis must be independent (DependentBasis) with its largest entry within
     2**±MAX_ENTRY_EXP (ScaleOutOfRange).  Every constant of the space is derived once,
-    in __post_init__, and every array is read-only:
+    in __post_init__, from one thin SVD ``u s vh`` of ``vec.conj()``, where column t of the
+    (d*d, k) matrix vec is basis[t] flattened; every array is read-only:
 
     - ``_stack`` (k, d, d): the basis matrices.
-    - ``_vec`` (d*d, k): column t is basis[t] flattened.
-    - ``_vec_pinv`` (k, d*d): ``np.linalg.pinv(_vec)``, least-squares coordinate recovery.
-    - ``_vec_smin``, ``_vec_smax``: the smallest and largest singular values of ``_vec``.
-    - ``_orth`` (k, d*d): an orthonormal basis of V, the rows of ``np.linalg.qr(_vec)[0].T``.
+    - ``_vec_pinv`` (k, d*d): ``vh.T (1 / s) u.T``, least-squares coordinate recovery.  It
+      is ``np.linalg.pinv(vec)`` bitwise, as pinv factors vec by this same SVD.
+    - ``_vec_smin``, ``_vec_smax``: the smallest and largest singular values s of vec.
+    - ``_orth`` (k, d*d): ``u.conj().T``, whose rows are an orthonormal basis of V.
     - ``_pinv_norms`` (k,): the row norms ``np.linalg.norm(_vec_pinv, axis=1)``.
     """
 
@@ -133,7 +134,6 @@ class OperatorSpace:
     label: str = "V"
 
     _stack: np.ndarray = field(init=False, repr=False, compare=False)
-    _vec: np.ndarray = field(init=False, repr=False, compare=False)
     _vec_pinv: np.ndarray = field(init=False, repr=False, compare=False)
     _vec_smin: float = field(init=False, repr=False, compare=False)
     _vec_smax: float = field(init=False, repr=False, compare=False)
@@ -154,8 +154,8 @@ class OperatorSpace:
         object.__setattr__(self, "basis", mats)
         stack = _readonly(np.stack(mats))
         require_finite(stack, f"basis of {self.label!r}")
-        vec = _readonly(stack.reshape(len(mats), d * d).T)
-        svals = np.linalg.svd(vec, compute_uv=False)
+        vec = stack.reshape(len(mats), d * d).T
+        u, svals, vh = np.linalg.svd(vec.conj(), full_matrices=False)
         smax = float(svals[0])
         smin = float(svals[-1])
         if len(mats) > d * d or smin <= INDEPENDENCE_CUTOFF * smax:
@@ -164,13 +164,12 @@ class OperatorSpace:
                 f"(smin/smax = {smin / smax if smax else 0.0:.3e})"
             )
         require_entry_range(stack, f"basis of {self.label!r}")
-        pinv = _readonly(np.linalg.pinv(vec))
+        pinv = _readonly(vh.T @ ((1.0 / svals)[:, None] * u.T))
         object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "_vec", vec)
         object.__setattr__(self, "_vec_pinv", pinv)
         object.__setattr__(self, "_vec_smin", smin)
         object.__setattr__(self, "_vec_smax", smax)
-        object.__setattr__(self, "_orth", _readonly(np.linalg.qr(vec)[0].T))
+        object.__setattr__(self, "_orth", _readonly(u.conj().T))
         object.__setattr__(self, "_pinv_norms", _readonly(np.linalg.norm(pinv, axis=1), float))
 
     @property

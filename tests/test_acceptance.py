@@ -8,6 +8,7 @@ whole battery a second time and compares the serialized results bytewise.
 import json
 import math
 import time
+from decimal import Context, localcontext
 
 import numpy as np
 import pytest
@@ -24,9 +25,10 @@ from npspace import (
     np_norm,
     random_subspace,
     verify_axioms,
-    zeta_bracket,
 )
 from npspace.npnorm import VERDICT_MEMBER, VERDICT_NOT_MEMBER
+
+from conftest import _decimal_tail
 
 SEED = 2026
 
@@ -151,18 +153,17 @@ def run_battery(seed: int) -> dict:
         brutes.append(brute)
         ok5 = ok5 and brute >= want - 1e-3
         ok5 = ok5 and t_table.bracket_at(n).hi <= want + 1e-9
-    zl, zh = zeta_bracket(3.0, 2048)
-    closed_lo, closed_hi = 1.0 + 2.0 * (zl - 1.0), 1.0 + 2.0 * (zh - 1.0)
+    with localcontext(Context(prec=60)) as ctx:
+        closed = float(1 + 2 * (_decimal_tail(3.0, 0, ctx) - 1))
     r5 = np_norm(t_phi, 3.0, t_table)
-    ok5 = ok5 and r5.bracket.lo - 1e-12 <= closed_lo
-    ok5 = ok5 and r5.bracket.hi + 1e-12 >= closed_hi
+    ok5 = ok5 and r5.bracket.lo - 1e-12 <= closed <= r5.bracket.hi + 1e-12
     ok5 = ok5 and r5.bracket.width <= 1e-5
     results["c5"] = {
         "passed": ok5,
         "detail": (
             f"brute={['%.6f' % b for b in brutes]}, "
             f"N3 bracket [{r5.bracket.lo:.12f}, {r5.bracket.hi:.12f}] "
-            f"vs closed form [{closed_lo:.12f}, {closed_hi:.12f}]"
+            f"vs closed form {closed:.12f}"
         ),
         "payload": json.dumps({"brute": brutes, "np3": r5.to_json_dict()}, sort_keys=True),
     }
@@ -174,8 +175,9 @@ def run_battery(seed: int) -> dict:
     payload6 = {}
     for p in (2.0, 3.0):
         r = np_norm(tr_phi, p, tables["trace_M2"])
-        zl, zh = zeta_bracket(p, 2048)
-        prod_lo, prod_hi = f_bracket.lo * zl, f_bracket.hi * zh
+        with localcontext(Context(prec=60)) as ctx:
+            zeta = float(_decimal_tail(p, 0, ctx))
+        prod_lo, prod_hi = f_bracket.lo * zeta, f_bracket.hi * zeta
         ok6 = ok6 and r.bracket.lo <= prod_hi + 1e-12
         ok6 = ok6 and r.bracket.hi >= prod_lo - 1e-12
         ok6 = ok6 and r.bracket.rel_width <= 1e-5

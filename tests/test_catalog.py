@@ -1,19 +1,15 @@
 """Catalog entries: closed-form rules validated against the oracle."""
 
-import math
-
 import numpy as np
 import pytest
 
 from npspace import (
     brute_search,
-    expected_np_bracket,
     get_entry,
     list_entries,
     load_map,
     map_from_dict,
     map_to_dict,
-    np_norm,
 )
 
 SEED = 11
@@ -63,49 +59,6 @@ def test_expected_rules_match_oracle_small_levels(name):
         brute, _ = brute_search(entry.map, n, trials=400, seed=SEED)
         assert brute <= want + 1e-9  # oracle is a lower bound for the truth
         assert brute >= want - 5e-3 * max(1.0, want)
-
-
-def test_expected_np_bracket_transpose_p3():
-    entry = get_entry("transpose_M2")
-    lo, hi = expected_np_bracket(entry, 3.0, 64)
-    want = 1.0 + 2.0 * (1.2020569031595943 - 1.0)
-    assert lo - 1e-12 <= want <= hi + 1e-12
-    assert hi - lo <= 1e-6
-
-
-def test_expected_np_bracket_identity_p2():
-    entry = get_entry("identity_M2")
-    lo, hi = expected_np_bracket(entry, 2.0, 64)
-    assert lo - 1e-12 <= 1.6449340668482264 <= hi + 1e-12
-    assert hi - lo <= 1e-6
-
-
-@pytest.mark.parametrize("p", [171.0, 1025.0, 1e6, 1e300])
-def test_expected_np_bracket_at_huge_p(p):
-    # With K = 64 the partial sum once divided by 64**p, which overflows
-    # from p = 171 on.
-    for entry in list_entries():
-        lo, hi = expected_np_bracket(entry, p, 64)
-        assert math.isfinite(lo) and math.isfinite(hi) and lo <= hi, entry.name
-    lo, hi = expected_np_bracket(get_entry("transpose_M3"), p, 64)
-    assert lo <= 1.0 <= hi
-
-
-def test_expected_np_bracket_zero():
-    lo, hi = expected_np_bracket(get_entry("zero_M2"), 2.0, 64)
-    assert lo == hi == 0.0
-
-
-@pytest.mark.parametrize("p", [2.0, 2.5, 3.0])
-def test_np_norm_matches_expected_brackets(catalog_tables, p):
-    # Computed brackets intersect the closed-form brackets and stay narrow.
-    for entry in list_entries():
-        table = catalog_tables[entry.name]
-        got = np_norm(entry.map, p, table)
-        lo, hi = expected_np_bracket(entry, p, 64)
-        assert got.bracket.lo <= hi + 1e-9
-        assert got.bracket.hi >= lo - 1e-9
-        assert got.bracket.width <= 1e-6
 
 
 def test_schur_stabilizes_by_ambient_dimension(catalog_tables):

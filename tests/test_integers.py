@@ -32,7 +32,6 @@ from npspace import (
     space_from_dict,
     space_to_dict,
     verify_axioms,
-    zeta_bracket,
     zeta_tail,
 )
 from npspace.cli import _suite_axioms, main
@@ -119,7 +118,6 @@ ENTRY_POINTS = {
     "cross_validate.trials": (ValueError, 1, 8, lambda t: cross_validate(_table(), trials=t)),
     "verify_axioms.samples": (ValueError, 1, 3, lambda s: verify_axioms(M2, s, seed=0)),
     "zeta_tail.K": (ValueError, 0, 8, lambda k: zeta_tail(2.5, k)),
-    "zeta_bracket.K": (ValueError, 0, 8, lambda k: zeta_bracket(2.5, k)),
     # seeds
     "build_level_table.seed": (ValueError, 0, 7, lambda s: _table(seed=s)),
     "maximize_amplified_norm.seed": (

@@ -4,7 +4,6 @@ import math
 import sys
 from dataclasses import replace
 from decimal import Context, Decimal, localcontext
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,12 +21,13 @@ from npspace import (
     require_p,
     scaled_map,
     sum_map,
-    zeta_bracket,
     zeta_tail,
 )
 from npspace import maps, npnorm
 from npspace.bracket import within
-from npspace.npnorm import MAX_TRUNCATION, VERDICT_MEMBER, VERDICT_NOT_MEMBER
+from npspace.npnorm import VERDICT_MEMBER, VERDICT_NOT_MEMBER, _zeta_parts
+
+from conftest import _decimal_tail, _exact_norm
 
 SEED = 11
 
@@ -44,7 +44,7 @@ ZETA3 = 1.2020569031595943
 
 
 # ---------------------------------------------------------------------------
-# zeta_tail / zeta_bracket
+# zeta_tail / _zeta_parts
 # ---------------------------------------------------------------------------
 
 
@@ -75,14 +75,12 @@ def test_zeta_tail_vanishes_for_large_k():
 def test_zeta_tail_divergent_signaled_as_inf():
     assert zeta_tail(1.0, 10) == (math.inf, math.inf)
     assert zeta_tail(0.5, 0) == (math.inf, math.inf)
-    assert zeta_bracket(-math.inf) == (math.inf, math.inf)
+    assert zeta_tail(-math.inf, 0) == (math.inf, math.inf)
 
 
-def test_zeta_tail_and_bracket_reject_a_nan_p():
+def test_zeta_tail_rejects_a_nan_p():
     with pytest.raises(ValueError, match="p must be a number, got nan"):
         zeta_tail(math.nan, 64)
-    with pytest.raises(ValueError, match="p must be a number, got nan"):
-        zeta_bracket(math.nan)
 
 
 @pytest.mark.parametrize("p", [1.0001, 1.5, 2.0, 2.5, 3.0, 4.0, 7.0, 12.0])
@@ -115,18 +113,12 @@ def test_zeta_tail_stays_ordered_and_positive_where_its_terms_underflow():
 def test_zeta_bounds_stay_finite_for_huge_p(p, K):
     # p * (p + 1) * (p + 2) overflows there, and the Euler-Maclaurin
     # correction's width came out NaN, which made every bracket NaN.
-    for lo, hi in (zeta_tail(p, K), zeta_bracket(p, K)):
-        assert math.isfinite(lo) and math.isfinite(hi)
-        assert 0.0 <= lo <= hi
-    lo, hi = zeta_bracket(p, K)
-    assert lo <= 1.0 <= hi  # zeta(p) rounds to 1.0
-
-
-def test_truncation_above_the_cap_is_rejected_before_any_sum():
-    with pytest.raises(ValueError, match="MAX_TRUNCATION"):
-        zeta_bracket(2.0, 10**8)
-    lo, hi = zeta_bracket(2.0, MAX_TRUNCATION)
-    assert lo <= ZETA2 <= hi
+    lo, hi = zeta_tail(p, K)
+    assert math.isfinite(lo) and math.isfinite(hi)
+    assert 0.0 <= lo <= hi
+    head_lo, head_hi, tail_lo, tail_hi = _zeta_parts(p, 1)
+    assert 0.0 <= tail_lo <= tail_hi < 1e-300
+    assert head_lo <= 1.0 <= head_hi  # zeta(p) rounds to 1.0
 
 
 @pytest.mark.parametrize("p", [171.0, 1025.0, 1e6, 1e300])
@@ -142,60 +134,41 @@ def test_series_head_terms_do_not_overflow_for_huge_p(catalog_tables, catalog_en
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 5.0])
-def test_zeta_bracket_intersects_oracle(p):
-    lo, hi = zeta_bracket(p, 64)
+def test_zeta_parts_intersect_oracle(p):
+    head_lo, head_hi, tail_lo, tail_hi = _zeta_parts(p, 1)
     olo, ohi = _zeta_oracle(p)
-    assert lo <= ohi and hi >= olo
+    assert head_lo + tail_lo <= ohi and head_hi + tail_hi >= olo
 
 
-# Even Bernoulli numbers B_2 .. B_24.
-_BERNOULLI = tuple(map(Fraction, ("1/6", "-1/30", "1/42", "-1/30", "5/66", "-691/2730", "7/6",
-                                  "-3617/510", "43867/798", "-174611/330", "854513/138",
-                                  "-236364091/2730")))
+ZETA_GRID = [1.0001, 1.5, 2.0, 3.0, 5.0, 7.5, 10.0, 50.0, 200.0, 300.0]
 
 
-def _decimal_tail(p, K, ctx, terms=200):
-    """sum_{n > K} n^-p in ``ctx``: ``terms`` terms, then Euler-Maclaurin at
-    N = K + terms + 1 to B_24, whose remainder is below 1e-50 relative at N >= 201."""
-    P, N = Decimal(p), Decimal(K + terms + 1)
-    total = sum(ctx.power(Decimal(n), -P) for n in range(K + 1, K + terms + 1))
-    total += ctx.power(N, 1 - P) / (P - 1) + ctx.power(N, -P) / 2
-    rising, factorial = P, Decimal(1)  # (p)_(2j-1) = p (p+1) .. (p+2j-2), and (2j)!
-    for j, b in enumerate(_BERNOULLI, 1):
-        factorial *= (2 * j - 1) * (2 * j)
-        coeff = Decimal(b.numerator) / Decimal(b.denominator) / factorial
-        total += coeff * rising * ctx.power(N, -P - 2 * j + 1)
-        rising *= (P + 2 * j - 1) * (P + 2 * j)
-    return total
-
-
-@pytest.mark.parametrize("p", [1.0001, 1.5, 2.0, 3.0, 5.0, 7.5, 10.0, 50.0, 200.0, 300.0])
+@pytest.mark.parametrize("p", ZETA_GRID)
 def test_zeta_bounds_contain_a_60_digit_reference(p):
-    # zeta_bracket(5, 64) once had its lo 6.1e-17 relative above zeta(5), and
-    # zeta_bracket(10, 64) lay wholly 1.1e-16 below zeta(10).
     with localcontext(Context(prec=60)) as ctx:
-        zeta = _decimal_tail(p, 0, ctx)
         for K in (0, 1, 8, 64, 2048):
-            tail = _decimal_tail(p, K, ctx)
-            for (lo, hi), want in ((zeta_tail(p, K), tail), (zeta_bracket(p, K), zeta)):
-                assert type(lo) is float and type(hi) is float, (p, K)
-                assert Decimal(lo) <= want <= Decimal(hi), (p, K, lo, hi)
+            lo, hi = zeta_tail(p, K)
+            assert type(lo) is float and type(hi) is float, (p, K)
+            assert Decimal(lo) <= _decimal_tail(p, K, ctx) <= Decimal(hi), (p, K, lo, hi)
 
 
-# The catalog's level norms at 60 digits: the rule's own value where it is an
-# integer, and the two irrational norms from the maps' exact coefficients.
-_EXACT_NORM = {
-    "schur_M2": lambda: Decimal(2).sqrt(),
-    "rank_one_M2": lambda: ((Decimal(0.6) ** 2 + Decimal(0.8) ** 2) * 5).sqrt(),
-}
-
-
-def _exact_norm(entry, n):
-    if entry.name in _EXACT_NORM:
-        return _EXACT_NORM[entry.name]()
-    value = entry.expected_level_norms(n)
-    assert value.is_integer(), (entry.name, n)
-    return Decimal(value)
+@pytest.mark.parametrize("p", [*ZETA_GRID, 1000.0])
+def test_zeta_parts_contain_a_60_digit_reference(p):
+    # The head sum_{s <= n <= K} n^-p and the tail beyond K = max(64, 4 s), for K
+    # from 64 to 2048.  Where the head's terms underflow (from s = 3 at p = 1000,
+    # s = 16 at p = 300, s = 512 at p = 200) it widens to [0, 2 K tiny].  A partial
+    # sum through 64 plus this tail once had its lo 6.1e-17 relative above zeta(5),
+    # and lay wholly 1.1e-16 below zeta(10).
+    with localcontext(Context(prec=60)) as ctx:
+        P = Decimal(p)
+        for s in (1, 2, 3, 16, 512):
+            K = max(64, 4 * s)
+            head = sum(ctx.power(Decimal(n), -P) for n in range(s, K + 1))
+            parts = _zeta_parts(p, s)
+            assert all(type(x) is float for x in parts), (p, s)
+            head_lo, head_hi, tail_lo, tail_hi = map(Decimal, parts)
+            assert head_lo <= head <= head_hi, (p, s, parts)
+            assert tail_lo <= _decimal_tail(p, K, ctx) <= tail_hi, (p, s, parts)
 
 
 def _tightest(value):
@@ -205,12 +178,13 @@ def _tightest(value):
     return lo, f if Decimal(f) >= value else math.nextafter(f, math.inf)
 
 
-@pytest.mark.parametrize("p", [1.0001, 1.5, 2.0, 3.0, 5.0, 10.0, 50.0, 200.0, 1000.0])
+@pytest.mark.parametrize("p", [1.0001, 1.5, 2.0, 2.5, 3.0, 5.0, 10.0, 50.0, 200.0, 1000.0])
 def test_series_brackets_contain_a_60_digit_closed_form(catalog_tables, catalog_entries, p):
     # Every quotient, product and sum of np_norm rounds outward: the bracket holds
     # sum_{n < s} ||phi_n|| n^-p + ||phi_s|| sum_{n >= s} n^-p at 60 digits, from the
     # built table and from the table of the tightest brackets around the true norms,
-    # whose rows lend the series no slack (exact rows for all but two maps).
+    # whose rows lend the series no slack (exact rows for all but two maps).  Every
+    # bracket is also at most 1e-6 wide.
     with localcontext(Context(prec=60)) as ctx:
         for name, entry in catalog_entries.items():
             s = entry.map.stabilization_level
@@ -225,6 +199,7 @@ def test_series_brackets_contain_a_60_digit_closed_form(catalog_tables, catalog_
             for table in (built, replace(built, entries=tuple(rows))):
                 r = np_norm(entry.map, p, table)
                 assert Decimal(r.bracket.lo) <= want <= Decimal(r.bracket.hi), (name, p, r)
+                assert r.bracket.width <= 1e-6, (name, p, r)
 
 
 def test_require_p_validation():
@@ -356,15 +331,16 @@ def test_np_norm_triangle_inequality(catalog_entries):
 
 def test_np_norm_bounded_by_cb_times_zeta(catalog_tables, catalog_entries):
     # Stabilized series are at most the sup norm (row s + 1) times the full zeta sum.
+    with localcontext(Context(prec=60)) as ctx:
+        zetas = {p: float(_decimal_tail(p, 0, ctx)) for p in (1.5, 2.0, 3.0)}
     for name, table in catalog_tables.items():
         phi = catalog_entries[name].map
         if phi.is_zero:
             continue
-        for p in (1.5, 2.0, 3.0):
+        for p, zeta in zetas.items():
             r = np_norm(phi, p, table)
             cb_hi = table.bracket_at(phi.stabilization_level + 1).hi
-            zeta_hi = zeta_bracket(p, 64)[1]
-            assert r.bracket.hi <= cb_hi * zeta_hi + 1e-9
+            assert r.bracket.hi <= cb_hi * zeta + 1e-9
 
 
 # ---------------------------------------------------------------------------

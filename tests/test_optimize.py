@@ -80,10 +80,12 @@ def test_zero_map_returns_exact_zero(which):
     assert not np.any(out.coords)
 
 
-@pytest.mark.parametrize("tol", (float("nan"), float("inf"), 0.0, -1e-11))
+@pytest.mark.parametrize("tol", (float("nan"), float("inf"), 0.0, -1e-11, 1.0, 2.0))
 def test_budget_rejects_tol_that_is_not_a_positive_finite_number(tol):
     # A NaN tol once let no restart converge, so the hi of M_d levels fell
-    # back to the looser coefficient relaxation without a word.
+    # back to the looser coefficient relaxation without a word.  At tol >= 1
+    # hi (1 - tol) <= 0 closed every level from 2 on with no search: with
+    # tol = 1, transpose_M3 read lo 1.0 at levels 2 and 3, whose norms are 2 and 3.
     with pytest.raises(ValueError, match="invalid budget"):
         OptBudget(tol=tol)
 

@@ -102,20 +102,21 @@ SPACES = {
 
 @pytest.mark.parametrize("name", sorted(SPACES))
 def test_space_constants_are_read_only_and_their_formulas_bitwise(name):
+    # One thin SVD of vec.conj(), the one np.linalg.pinv(vec) takes, gives every constant.
     sp = SPACES[name]()
-    vec, pinv = sp._vec, sp._vec_pinv
-    svals = np.linalg.svd(vec, compute_uv=False)
+    vec, pinv = sp._stack.reshape(sp.dim, -1).T, sp._vec_pinv
+    u, svals, _ = np.linalg.svd(vec.conj(), full_matrices=False)
     assert np.array_equal(pinv, np.linalg.pinv(vec))
     assert (sp._vec_smin, sp._vec_smax) == (svals[-1], svals[0])
     derived = {
-        "_orth": np.linalg.qr(vec)[0].T,
+        "_orth": u.conj().T,
         "_pinv_norms": np.linalg.norm(pinv, axis=1),
     }
     for attr, want in derived.items():
         got = getattr(sp, attr)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), attr
     assert np.abs(sp._orth @ sp._orth.conj().T - np.eye(sp.dim)).max() <= 1e-14
-    for attr in ("_stack", "_vec", "_vec_pinv", *derived):
+    for attr in ("_stack", "_vec_pinv", *derived):
         arr = getattr(sp, attr)
         assert not arr.flags.writeable, attr
         with pytest.raises(ValueError):
@@ -225,12 +226,13 @@ def _naive_realize_batch(stack, coords):
 def _naive_unrealize(space, n, mats):
     # Reference: least-squares coordinates of one block at a time.
     d = space.ambient_dim
+    vec = space._stack.reshape(space.dim, -1).T
     out = np.zeros(mats.shape[:-2] + (n, n, space.dim), dtype=complex)
     for idx in np.ndindex(*mats.shape[:-2]):
         for i in range(n):
             for j in range(n):
                 block = mats[idx + (slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d))]
-                out[idx + (i, j)] = np.linalg.lstsq(space._vec, block.reshape(-1), rcond=None)[0]
+                out[idx + (i, j)] = np.linalg.lstsq(vec, block.reshape(-1), rcond=None)[0]
     return out
 
 
