@@ -123,6 +123,19 @@ def test_space_constants_are_read_only_and_their_formulas_bitwise(name):
             arr[(0,) * arr.ndim] = 1.0
 
 
+@pytest.mark.parametrize("name", sorted(SPACES))
+def test_orth_rows_span_v_and_pinv_inverts_the_basis(name):
+    # What the constants mean, not how they are computed: each flattened basis
+    # matrix is its own projection onto the rows of _orth (so they span V, not
+    # its conjugate), and _vec_pinv recovers the basis's own coordinates.
+    sp = SPACES[name]()
+    flat = sp._stack.reshape(sp.dim, -1)
+    scale = np.abs(flat).max()
+    assert np.abs((flat @ sp._orth.conj().T) @ sp._orth - flat).max() <= 1e-14 * scale
+    cond = sp._vec_smax / sp._vec_smin
+    assert np.abs(sp._vec_pinv @ flat.T - np.eye(sp.dim)).max() <= 1e-14 * cond
+
+
 @pytest.mark.parametrize("sign", (1, -1))
 def test_a_basis_entry_out_of_range_is_refused(sign):
     # The largest entry may lie within 2**±480; one step further is refused.
