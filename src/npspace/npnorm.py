@@ -23,7 +23,7 @@ import numpy as np
 from .bracket import SOURCE_MONOTONICITY, SOURCE_SMITH, SOURCE_TRIVIAL_ZERO, NormBracket, within
 from .errors import InsufficientData, InvalidLevel, SpaceMismatch
 from .maps import LevelNormTable, LinearMapRep
-from .spaces import EPS, _same_space, require_int
+from .spaces import EPS, _same_space, is_real, require_int
 
 VERDICT_MEMBER = "member"
 VERDICT_NOT_MEMBER = "not_member"
@@ -46,14 +46,14 @@ _TAIL_SLACK = 2 * (_POW_ULPS + 4) * EPS
 _SUM_SLACK = 2 * (_POW_ULPS + 1) * EPS
 
 
-def require_p(p) -> float:
-    """The exponent p of the series as a float: a Python or numpy int or float with
-    1 <= p < inf, and never a bool; anything else raises ValueError."""
-    real = isinstance(p, (int, float, np.integer, np.floating)) and not isinstance(p, bool)
-    value = float(p) if real else p
-    if not real or not 1.0 <= value < math.inf:
-        raise ValueError(f"p must satisfy 1 <= p < inf, got {value!r}")
-    return value
+def require_p(value) -> float:
+    """The exponent p of the series as a float: a real number (``spaces.is_real``) with
+    1 <= p < inf; anything else raises ValueError."""
+    real = is_real(value)
+    p = float(value) if real else value
+    if not real or not 1.0 <= p < math.inf:
+        raise ValueError(f"p must satisfy 1 <= p < inf, got {p!r}")
+    return p
 
 
 def zeta_tail(p: float, K: int) -> tuple[float, float]:
@@ -67,11 +67,10 @@ def zeta_tail(p: float, K: int) -> tuple[float, float]:
     _TAIL_SLACK, the Euler-Maclaurin lower one by _TAIL_SLACK of both terms it
     subtracts.  Below the smallest normal double a step of rounding is 2^-1074
     whatever the value, enough to invert or zero the bracket, so an
-    underflowing lo widens to [0, max(hi, 2 * tiny)].  Divergence (p <= 1) is
-    signaled as (+inf, +inf), not raised; a NaN p raises ValueError.
+    underflowing lo widens to [0, max(hi, 2 * tiny)].  Divergence (p <= 1) is signaled
+    as (+inf, +inf), not raised; a p that is NaN or not ``spaces.is_real`` raises ValueError.
     """
-    p = float(p)
-    if math.isnan(p):
+    if not is_real(p) or math.isnan(p):
         raise ValueError(f"p must be a number, got {p!r}")
     K = require_int(K, "K", minimum=0)
     if p <= 1.0:
@@ -89,7 +88,7 @@ def zeta_tail(p: float, K: int) -> tuple[float, float]:
     hi = min(em_hi, naive_hi) * (1.0 + _TAIL_SLACK)
     if lo < _TINY:
         lo, hi = 0.0, max(hi, 2.0 * _TINY)
-    return lo, hi
+    return float(lo), float(hi)
 
 
 def _truncation(s: int) -> int:
@@ -233,16 +232,12 @@ def np_norm(phi: LinearMapRep, p, table: LevelNormTable) -> NpResult:
 
 @dataclass(frozen=True)
 class IndexEstimate:
-    """Fitted growth exponent and the summability index it implies."""
+    """Fitted growth exponent and the summability index it implies, r_hat >= 1."""
 
     r_hat: float
     alpha_hat: float
     fit_window: tuple
     residual: float
-
-    def __post_init__(self):
-        if self.r_hat < 1.0:
-            raise ValueError(f"r_hat must be >= 1, got {self.r_hat}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -258,27 +253,27 @@ def index_estimate(source: LinearMapRep | Iterable[tuple[int, float]]) -> IndexE
 
     A map has index 1 and needs no level table: its level norms are constant
     from its stabilization level s on, so the estimate is fixed and its window
-    is (s, s).  For a synthetic (n, value) sequence the growth exponent is a
-    log-log least-squares slope over the upper half of its levels.
+    is (s, s).  For a synthetic (n, value) sequence, each n an integer >= 1 (else
+    InvalidLevel) and each value ``spaces.is_real`` with 0 < value < inf (else ValueError),
+    the growth exponent is a log-log least-squares slope over the upper half of its levels.
     """
     if isinstance(source, LinearMapRep):
         s = source.stabilization_level
         return IndexEstimate(1.0, 0.0, (s, s), 0.0)
-    pairs = sorted((require_int(n, "level", InvalidLevel), float(v)) for n, v in source)
+    pairs = [(require_int(n, "level", InvalidLevel), v) for n, v in source]
+    if bad := [v for _, v in pairs if not (is_real(v) and 0.0 < v < math.inf)]:
+        raise ValueError(f"index fit values must satisfy 0 < value < inf, got {bad[0]!r}")
+    pairs.sort()
     if len(pairs) < 3:
         raise InsufficientData(f"index fit needs at least 3 levels, got {len(pairs)}")
     window = pairs[len(pairs) // 2 :]
-    if any(v <= 0.0 for _, v in window):
-        raise InsufficientData("fit window contains non-positive values")
     if window[0][0] == window[-1][0]:  # one distinct level: the slope is undetermined
         raise InsufficientData(f"index fit window holds one distinct level, {window[0][0]}")
     xs = np.log([float(n) for n, _ in window])
-    ys = np.log([v for _, v in window])
+    ys = np.log(np.array([v for _, v in window], dtype=float))
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = float(np.sqrt(np.mean((ys - (slope * xs + intercept)) ** 2)))
     alpha = float(slope)
-    if not (math.isfinite(alpha) and math.isfinite(resid)):
-        raise InsufficientData(f"index fit is not finite: slope {alpha}, residual {resid}")
     return IndexEstimate(max(1.0, alpha + 1.0), alpha, (window[0][0], window[-1][0]), resid)
 
 

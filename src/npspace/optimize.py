@@ -67,6 +67,7 @@ from .errors import InvalidLevel
 from .spaces import (
     OperatorSpace,
     block_matrices,
+    is_real,
     matrix_blocks,
     require_int,
     top_singular_pairs,
@@ -95,8 +96,8 @@ _STEP_SHRINK = 0.5
 
 @dataclass(frozen=True)
 class OptBudget:
-    """Search effort: restarts and per-restart max_iter (``spaces.require_int``), and the
-    relative stop tol, 0 < tol < 1: a level closes once its lo reaches hi (1 - tol)."""
+    """Search effort: restarts, max_iter per restart (``spaces.require_int``) and the stop tol,
+    a float 0 < tol < 1 (``spaces.is_real``): a level closes once its lo reaches hi (1 - tol)."""
 
     restarts: int = 20
     max_iter: int = 200
@@ -105,8 +106,9 @@ class OptBudget:
     def __post_init__(self):
         for name in ("restarts", "max_iter"):
             object.__setattr__(self, name, require_int(getattr(self, name), name))
-        if not 0 < self.tol < 1:
+        if not (is_real(self.tol) and 0 < self.tol < 1):
             raise ValueError(f"invalid budget {self!r}")
+        object.__setattr__(self, "tol", float(self.tol))
 
 
 DEFAULT_BUDGET = OptBudget()
@@ -173,12 +175,15 @@ def maximize_amplified_norm(
     """Multi-restart batched ascent; deterministic for a fixed seed.  On M_d it runs on
     realized polar factors from polar starts and un-realizes only the best; on a proper
     subspace it takes gradient steps on coordinates in an orthonormal basis of V.  It
-    stops once the best ratio reaches ``hi * (1 - budget.tol)``, ``hi`` a certified upper bound."""
+    stops once the best ratio reaches ``hi * (1 - budget.tol)``, ``hi`` a certified upper
+    bound, ``spaces.is_real`` and > 0 (else ValueError; unread for a zero map, which fits any)."""
     n = require_int(level, "level", InvalidLevel)
     seed = require_int(seed, "seed", minimum=0)
     k, m, d = space.dim, images.shape[-1], space.ambient_dim
     if not np.any(images):
         return AscentOutcome(0.0, np.zeros((n, n, k), dtype=complex), True, budget.restarts)
+    if not (is_real(hi) and hi > 0):
+        raise ValueError(f"hi must be a real number > 0, got {hi!r}")
 
     full = space.is_full_matrix_algebra
     units = unit_images(space, images).reshape(d * d, m * m)

@@ -90,11 +90,17 @@ def top_singular_pairs(mats: np.ndarray):
 
 
 def require_finite(arr: np.ndarray, what: str) -> None:
-    """Raise NonFiniteInput naming the first NaN or infinite entry of arr."""
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        idx = tuple(int(i) for i in bad[0])
-        raise NonFiniteInput(f"{what}: entry {idx} is {arr[idx]}, not a finite number")
+    """Raise NonFiniteInput naming ``what`` and the first NaN or infinite entry of arr; the
+    entry is looked for only once ``np.isfinite(arr).all()`` has failed."""
+    if np.isfinite(arr).all():
+        return
+    idx = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+    raise NonFiniteInput(f"{what}: entry {idx} is {arr[idx]}, not a finite number")
+
+
+def is_real(value) -> bool:
+    """Whether value is a real number: a Python or numpy int or float, never a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def require_int(value, what: str, error: type = ValueError, minimum: int = 1) -> int:
@@ -285,11 +291,12 @@ def witnessed_value(
 
 
 def element_from_matrix(space: OperatorSpace, level: int, matrix: np.ndarray) -> SpaceElement:
-    """Blockwise least-squares coordinates of an (nd) x (nd) matrix."""
+    """Blockwise least-squares coordinates of an (nd) x (nd) matrix, which must be finite."""
     nd = require_int(level, "level", InvalidLevel) * space.ambient_dim
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (nd, nd):
         raise DimensionMismatch(f"expected ({nd},)*2, got {m.shape}")
+    require_finite(m, "matrix")
     return SpaceElement(space, level, unrealize(space, level, m))
 
 
@@ -307,13 +314,15 @@ def direct_sum(x: SpaceElement, y: SpaceElement) -> SpaceElement:
 def sandwich(alpha: np.ndarray, x: SpaceElement, beta: np.ndarray) -> SpaceElement:
     """Scalar-matrix product alpha * x * beta, landing in M_n(V).
 
-    alpha is n x m, beta is m x n when x has level m.
+    alpha is n x m, beta is m x n when x has level m; both must be finite.
     """
     a = np.asarray(alpha, dtype=complex)
     b = np.asarray(beta, dtype=complex)
     m = x.level
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != m or b.shape[0] != m or a.shape[0] != b.shape[1]:
         raise DimensionMismatch(f"incompatible scalar shapes {a.shape}, {b.shape} for level {m}")
+    require_finite(a, "alpha")
+    require_finite(b, "beta")
     coords = np.einsum("ia,abt,bj->ijt", a, x.coords, b)
     return SpaceElement(x.space, a.shape[0], coords)
 
@@ -464,7 +473,7 @@ def from_pairs(rows, shape: tuple, what: str) -> np.ndarray:
     """The complex array of the given shape that ``to_pairs`` wrote as ``rows``.
 
     A malformed ``rows`` raises ValueError naming ``what``, the part of the file it is;
-    so does any part that is not an int or a float, such as a string, a bool or null.
+    so does any part that is not a real number (``is_real``), such as a string, a bool or null.
     """
     try:
         arr = np.asarray(rows, dtype=float)
@@ -473,7 +482,7 @@ def from_pairs(rows, shape: tuple, what: str) -> np.ndarray:
     if arr.shape != (*shape, 2):
         raise ValueError(f"{what} has shape {arr.shape}, expected {(*shape, 2)}")
     for x in np.asarray(rows, dtype=object).flat:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
+        if not is_real(x):
             raise ValueError(f"{what} holds {x!r}, not a number")
     out = np.empty(shape, dtype=complex)
     out.real, out.imag = arr[..., 0], arr[..., 1]

@@ -1,12 +1,17 @@
-"""One integer rule: every level, dimension, count and seed is checked where it enters.
+"""One integer rule and one real-number rule, each checked where the value enters.
 
-Each entry point must give a numpy integer the result it gives the same
-Python int, bit for bit, and must reject a bool, a float (integral or not),
-a string and a value below its minimum with its own typed error, never with
-a TypeError or an error from inside numpy.
+Each integer entry point (every level, dimension, count and seed) must give a
+numpy integer the result it gives the same Python int, bit for bit, and must
+reject a bool, a float (integral or not), a string and a value below its
+minimum with its own typed error, never with a TypeError or an error from
+inside numpy.  Each real-number entry point (every exponent, tolerance,
+certified bound and fitted value) must do the same for numpy ints and floats,
+and reject whatever ``spaces.is_real`` refuses, and NaN, with its own message.
 """
 
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +31,7 @@ from npspace import (
     index_estimate,
     make_space,
     maximize_amplified_norm,
+    np_norm,
     pad_to,
     random_element,
     random_subspace,
@@ -36,6 +42,7 @@ from npspace import (
 )
 from npspace.cli import _suite_axioms, main
 from npspace.maps import coefficient_relaxation_bound
+from npspace.npnorm import require_p
 
 BUDGET = OptBudget(restarts=2, max_iter=20)
 PHI = get_entry("transpose_M2").map
@@ -181,3 +188,93 @@ def test_a_negative_seed_exits_2(command, capsys):
     # Once read as abs(seed): levels --seed -3 printed the numbers of --seed 3.
     assert main(command + ["--seed", "-3"]) == 2
     assert "seed must be an integer >= 0, got -3" in capsys.readouterr().err
+
+
+def _fit(value, at=1):
+    """``index_estimate`` of a sequence whose level ``at + 1`` has the value under test."""
+    pairs = [(1, 1.0), (2, 2.0), (3, 3.5), (4, 4.0)]
+    pairs[at] = (at + 1, value)
+    return index_estimate(pairs)
+
+
+# name -> (start of its message, the good values its range allows, call with the value)
+REAL_ENTRY_POINTS = {
+    "require_p": ("p must satisfy 1 <= p < inf", (2, 2.5), require_p),
+    "np_norm.p": ("p must satisfy 1 <= p < inf", (2, 2.5), lambda p: np_norm(PHI, p, _table())),
+    "zeta_tail.p": ("p must be a number", (2, 2.5), lambda p: zeta_tail(p, 3)),
+    "OptBudget.tol": ("invalid budget", (0.25,), lambda t: OptBudget(tol=t)),
+    "maximize_amplified_norm.hi": (
+        "hi must be a real number > 0", (2, 2.5),
+        lambda h: maximize_amplified_norm(M2, PHI.images(), 2, BUDGET, 0, h),
+    ),
+    "index_estimate.value": ("index fit values must satisfy 0 < value < inf", (2, 2.5), _fit),
+}
+
+NOT_REAL = ("2.5", b"3", True, np.True_, None, 2 + 0j, math.nan)
+
+
+def _real_good_cases():
+    for name, (_, goods, _) in sorted(REAL_ENTRY_POINTS.items()):
+        for good in goods:
+            numpy_type = np.int64 if isinstance(good, int) else np.float64
+            yield pytest.param(name, good, numpy_type, id=f"{name}-{numpy_type.__name__}({good})")
+
+
+@pytest.mark.parametrize("name, good, numpy_type", _real_good_cases())
+def test_a_numpy_real_gives_the_python_numbers_result_bitwise(name, good, numpy_type):
+    call = REAL_ENTRY_POINTS[name][2]
+    assert _bits(call(numpy_type(good))) == _bits(call(good))
+
+
+def _not_real_cases():
+    for name in sorted(REAL_ENTRY_POINTS):
+        for value in NOT_REAL:
+            yield pytest.param(name, value, id=f"{name}-{value!r}")
+
+
+@pytest.mark.parametrize("name, value", _not_real_cases())
+def test_a_string_bool_none_complex_or_nan_raises_the_entrys_error(name, value):
+    message, _, call = REAL_ENTRY_POINTS[name]
+    with pytest.raises(ValueError, match=re.escape(message) + ".*" + re.escape(repr(value))):
+        call(value)
+
+
+def test_a_budget_keeps_its_tol_as_a_float():
+    assert type(OptBudget(tol=np.float64(0.25)).tol) is float
+
+
+@pytest.mark.parametrize("p", (-math.inf, np.float64(-math.inf), 1, np.int64(0)), ids=repr)
+def test_zeta_tail_of_a_divergent_real_p_stays_inf(p):
+    assert zeta_tail(p, 0) == (math.inf, math.inf)
+
+
+@pytest.mark.parametrize("hi", (-1.0, 0.0, math.nan), ids=repr)
+@pytest.mark.parametrize("space", ("M2", "sub3_of_M2"))
+def test_the_ascent_refuses_a_hi_that_is_not_positive(space, hi):
+    # hi = -1 once returned the start as a certified optimum, and a NaN hi on
+    # M_d never drew restarts 1..19.
+    V = M2 if space == "M2" else random_subspace(2, 3, np.random.default_rng(1))
+    images = np.random.default_rng(2).standard_normal((V.dim, 2, 2)).astype(complex)
+    with pytest.raises(ValueError, match=re.escape(f"hi must be a real number > 0, got {hi!r}")):
+        maximize_amplified_norm(V, images, 1, BUDGET, 0, hi)
+
+
+def test_a_zero_map_takes_any_hi():
+    out = maximize_amplified_norm(M2, np.zeros((4, 2, 2), complex), 1, BUDGET, 0, -1.0)
+    assert out.value == 0.0 and out.converged
+
+
+@pytest.mark.parametrize("at", range(4))
+@pytest.mark.parametrize("value", (math.nan, math.inf, 0, 0.0, -1.0, "2.0"), ids=repr)
+def test_index_estimate_refuses_a_bad_value_anywhere(value, at):
+    # Values below the fit window (levels 1 and 2 here) were once never read:
+    # a NaN there gave an estimate, and "2.0" was taken through float().
+    with pytest.raises(ValueError, match=re.escape(f"0 < value < inf, got {value!r}")):
+        _fit(value, at)
+
+
+def test_index_estimate_takes_a_python_int_value_beyond_int64():
+    # numpy holds a list with 2**70 in it as objects, whose log fails, so the
+    # values are read as floats.
+    ints = [(1, 1), (2, 2), (3, 3), (4, 2**70)]
+    assert _bits(index_estimate(ints)) == _bits(index_estimate([(n, float(v)) for n, v in ints]))

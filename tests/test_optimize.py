@@ -475,6 +475,19 @@ def test_a_row_restart_0_closes_draws_no_other_stream(name, monkeypatch):
             assert drawn == [(1, 0), (DEFAULT_BUDGET.restarts, 1)], level
 
 
+def test_the_default_hi_draws_every_restart(monkeypatch):
+    # hi = inf, the default, is reached by no ratio: after restart 0's lead step
+    # every other restart is drawn, as with an explicit inf.
+    phi = get_entry("transpose_M2").map
+    drawn = _recording_starts(monkeypatch)
+    free = maximize_amplified_norm(phi.domain, phi.images(), 2)
+    assert drawn == [(1, 0), (DEFAULT_BUDGET.restarts, 1)]
+    drawn.clear()
+    given = maximize_amplified_norm(phi.domain, phi.images(), 2, DEFAULT_BUDGET, 0, float("inf"))
+    assert drawn == [(1, 0), (DEFAULT_BUDGET.restarts, 1)]
+    assert _outcome_bits(given) == _outcome_bits(free)
+
+
 @pytest.mark.parametrize("which", sorted(OPEN_RANDOM_MAPS))
 def test_every_restart_takes_its_max_iter_steps(which, monkeypatch):
     # Restart 0 starts and steps alone once and the others start after it, yet
